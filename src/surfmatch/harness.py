@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
-from .maindecoder import DecodeOutcome, decode
+from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
 from .noise import (Syndrome, inject_k_errors, occurrence_probability,
                     occurrence_tail, sample_iid, syndrome_from_errors, trial_seed)
 from .oracle import GREEDY_LABEL, greedy_baseline
@@ -68,8 +68,9 @@ class ExperimentConfig:
             raise ValueError(f"p must be in (0, 0.5), got {self.p}")
         if self.predecoder not in PREDECODERS:
             raise ValueError(f"predecoder must be one of {PREDECODERS}, got {self.predecoder!r}")
-        if not 1 <= self.main_hw_cap <= 14:
-            raise ValueError(f"main_hw_cap must be in [1, 14], got {self.main_hw_cap}")
+        if not 1 <= self.main_hw_cap <= MAX_HW_CAP:
+            raise ValueError(
+                f"main_hw_cap must be in [1, {MAX_HW_CAP}], got {self.main_hw_cap}")
         if self.hw_target not in (6, 8, 10, "adaptive"):
             raise ValueError(f"hw_target must be 6, 8, 10 or 'adaptive', got {self.hw_target}")
         if self.budget_ns <= 0:

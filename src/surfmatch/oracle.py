@@ -1,6 +1,6 @@
 """Reference decoders used to grade the real-time pipeline.
 
-``oracle_mwpm`` runs the exhaustive exact matcher on the whole syndrome
+``oracle_mwpm`` runs the exact matcher on the whole syndrome
 with the enlarged cap and no predecoding or time budget, so its correction
 weight is a floor for what any predecode-then-match chain can achieve.
 ``greedy_baseline`` is the ablation: repeated matching of the globally

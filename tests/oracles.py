@@ -3,13 +3,19 @@
 Everything here deliberately uses different algorithms and data structures
 than the package (dict-based heapq Dijkstra, DFS path enumeration,
 itertools partitioning, lgamma binomials), so agreement between the two
-is meaningful evidence of correctness rather than a tautology.
+is meaningful evidence of correctness rather than a tautology.  The one
+exception is ``enumerate_mwpm``: the exhaustive enumeration whose answer,
+floating-point sums and tie-breaks included, the package's pruned matcher
+must reproduce exactly.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+
+from surfmatch.graph import reconstruct_boundary_path, reconstruct_path
+from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet
 
 
 def heap_dijkstra(graph, src: int):
@@ -139,6 +145,78 @@ def exact_matching(nodes, pair_weight, boundary_weight):
         return (0.0, (), (), count)
     w, _, pairs, bnd = best
     return (w, tuple(tuple(sorted(p)) for p in pairs), tuple(sorted(bnd)), count)
+
+
+def enumerate_mwpm(flipped, table, hw_cap: int = DEFAULT_HW_CAP,
+                   allow_boundary: bool = True) -> MatchingSet:
+    """Exhaustive exact matching of ``flipped`` detector ids.
+
+    The reference ``brute_force_mwpm`` must equal field for field.
+    Enumerates every way to partition the defects into pairs plus
+    boundary-matched nodes (boundary branches are skipped when disabled or
+    when a node has no finite boundary route).  Ties in total weight keep
+    the lexicographically smallest canonical pair list, which is the first
+    one found since partners are explored in ascending id order with the
+    boundary last.
+    """
+    nodes = tuple(sorted(flipped))
+    m = len(nodes)
+    if m > hw_cap:
+        raise ValueError(f"Hamming weight {m} exceeds cap {hw_cap}")
+    if hw_cap > MAX_HW_CAP:
+        raise ValueError(f"hw_cap must be at most {MAX_HW_CAP}")
+
+    # Plain-float tables indexed by position in ``nodes``; the recursion
+    # walks a bitmask of unmatched positions.  The smallest unmatched node
+    # is paired with every later partner in ascending order, then with the
+    # boundary, so the first minimum found is the lexicographically
+    # smallest canonical pair list and strict < keeps it on ties.
+    w = [[float(table.weight[a, b]) for b in nodes] for a in nodes]
+    bw = [float(table.boundary_weight[a]) for a in nodes]
+    bok = [allow_boundary and math.isfinite(x) for x in bw]
+
+    state = {"count": 0, "best": math.inf, "pairs": None, "boundary": None}
+    pair_stack: list[tuple[int, int]] = []
+    bnd_stack: list[int] = []
+
+    def recurse(mask: int, acc: float) -> None:
+        if not mask:
+            state["count"] += 1
+            if acc < state["best"]:
+                state["best"] = acc
+                state["pairs"] = tuple(pair_stack)
+                state["boundary"] = tuple(bnd_stack)
+            return
+        a = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << a)
+        wa = w[a]
+        mm = rest
+        while mm:
+            low = mm & -mm
+            b = low.bit_length() - 1
+            mm ^= low
+            pair_stack.append((a, b))
+            recurse(rest ^ low, acc + wa[b])
+            pair_stack.pop()
+        if bok[a]:
+            bnd_stack.append(a)
+            recurse(rest, acc + bw[a])
+            bnd_stack.pop()
+
+    recurse((1 << m) - 1, 0.0)
+    if state["pairs"] is None and m > 0:
+        raise ValueError("no complete matching exists for this defect set")
+
+    pairs = tuple((nodes[a], nodes[b]) for a, b in state["pairs"] or ())
+    boundary = tuple(nodes[a] for a in state["boundary"] or ())
+    correction: set[int] = set()
+    for a, b in pairs:
+        correction ^= set(reconstruct_path(table, a, b))
+    for a in boundary:
+        correction ^= set(reconstruct_boundary_path(table, a))
+    total = 0.0 if m == 0 else state["best"]
+    return MatchingSet(pairs, boundary, total, frozenset(correction),
+                       state["count"])
 
 
 def double_factorial(n: int) -> int:

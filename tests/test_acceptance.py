@@ -27,7 +27,7 @@ from surfmatch import (ExperimentConfig, PredecodeConfig, Step,
                        syndrome_from_errors)
 from surfmatch.predecoder import predecode_result_to_json
 
-from oracles import double_factorial
+from oracles import double_factorial, enumerate_mwpm
 
 BUDGET_NS = 960.0
 SAFE_STEPS = {Step.S1, Step.S2_1, Step.S2_2, Step.S3}
@@ -122,8 +122,12 @@ def test_criterion_1_matching_count_exactness(g5, pt5):
     elapsed = time.perf_counter() - start
     assert counts[10] == 945
     assert elapsed < 1.0
+    for m, count in counts.items():
+        visited = enumerate_mwpm(tuple(range(m)), pt5, hw_cap=10,
+                                 allow_boundary=False).enumerated
+        assert visited == count
     print(f"\n[PASS] criterion 1: boundary-off enumeration counts {counts} "
-          f"match (m-1)!! in {elapsed:.3f}s")
+          f"match (m-1)!! and the reference enumerator in {elapsed:.3f}s")
 
 
 def test_criterion_2_oracle_equivalence_low_hw(g5, pt5):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from surfmatch import DetectorGraph, build_decoding_graph
+from surfmatch import MAX_HW_CAP, DetectorGraph, build_decoding_graph
 from surfmatch.cli import main
 
 from patterns import find_adjacent_pair
@@ -207,6 +207,13 @@ def test_validation_failure_exits_2(capsys):
                            "--errors", "0")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_main_hw_cap_over_matcher_cap_exits_2(capsys):
+    code, _, err = run_cli(capsys, "decode", "--distance", "3", "--errors", "0",
+                           "--main-hw-cap", str(MAX_HW_CAP + 1))
+    assert code == 2
+    assert "main_hw_cap" in err
 
 
 def test_out_file(capsys, tmp_path):

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from surfmatch import (ErrorSet, ExperimentConfig, Syndrome, make_rng,
-                       occurrence_probability, occurrence_tail, run_chain,
-                       run_direct, run_rare_event, report_hw_distribution,
-                       report_latency, report_step_usage,
-                       syndrome_from_errors)
+from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, Syndrome,
+                       make_rng, occurrence_probability, occurrence_tail,
+                       run_chain, run_direct, run_rare_event,
+                       report_hw_distribution, report_latency,
+                       report_step_usage, syndrome_from_errors)
 from surfmatch.harness import _high_hw_corpus
 from surfmatch.oracle import GREEDY_LABEL
 
@@ -45,6 +45,12 @@ def test_config_validation_rejects_bad_fields():
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs).validate()
     ExperimentConfig().validate()
+
+
+def test_config_main_hw_cap_bounded_by_matcher_cap():
+    ExperimentConfig(main_hw_cap=MAX_HW_CAP).validate()
+    with pytest.raises(ValueError, match=rf"\[1, {MAX_HW_CAP}\]"):
+        ExperimentConfig(main_hw_cap=MAX_HW_CAP + 1).validate()
 
 
 def test_config_k_max_checked_against_graph(g32):

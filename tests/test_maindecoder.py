@@ -1,18 +1,17 @@
-import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from surfmatch import (ErrorSet, PredecodeConfig, Syndrome,
+from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Syndrome,
                        adaptive_predecode, brute_force_mwpm, decode,
-                       make_rng, matching_search_size, sample_iid,
-                       syndrome_from_errors)
+                       inject_k_errors, make_rng, matching_search_size,
+                       sample_iid, syndrome_from_errors)
 from surfmatch.graph import PathTable, build_path_table
-from surfmatch.maindecoder import decode_outcome_to_json
 
-from oracles import (double_factorial, exact_matching, involutions,
-                     observable_parity)
+from oracles import (double_factorial, enumerate_mwpm, exact_matching,
+                     involutions, observable_parity)
 from patterns import (boundary_edge_ids, find_adjacent_pair,
                       find_disjoint_pairs, find_induced_chain)
 
@@ -23,11 +22,16 @@ def syndrome_of(nodes, obs=0):
     return Syndrome(frozenset(nodes), obs)
 
 
-def infinite_boundary(table: PathTable) -> PathTable:
-    bw = np.full_like(table.boundary_weight, np.inf)
-    return PathTable(table.graph, table.weight, table.hops, table.route,
-                     bw, table.boundary_hops, table.boundary_via,
+def with_weights(table: PathTable, weight, boundary_weight) -> PathTable:
+    """``table`` with its costs replaced; routes and corrections unchanged."""
+    return PathTable(table.graph, weight, table.hops, table.route,
+                     boundary_weight, table.boundary_hops, table.boundary_via,
                      table.boundary_edge)
+
+
+def infinite_boundary(table: PathTable) -> PathTable:
+    return with_weights(table, table.weight,
+                        np.full_like(table.boundary_weight, np.inf))
 
 
 def pair_sets(matching):
@@ -59,6 +63,8 @@ def test_enumeration_count_without_boundary(pt5):
     for m in (2, 4, 6):
         out = brute_force_mwpm(range(m), pt5, allow_boundary=False)
         assert out.enumerated == double_factorial(m - 1)
+        assert enumerate_mwpm(range(m), pt5, allow_boundary=False).enumerated \
+            == out.enumerated
     assert brute_force_mwpm(range(10), pt5, allow_boundary=False).enumerated == 945
 
 
@@ -66,21 +72,29 @@ def test_enumeration_count_with_boundary(pt5):
     for m, expect in ((2, 2), (4, 10), (6, 76)):
         out = brute_force_mwpm(range(m), pt5)
         assert out.enumerated == expect == involutions(m)
+        assert enumerate_mwpm(range(m), pt5).enumerated == out.enumerated
+    for m in (10, 12, MAX_HW_CAP):
+        out = brute_force_mwpm(range(m), pt5, hw_cap=MAX_HW_CAP)
+        assert out.enumerated == involutions(m)
+    assert brute_force_mwpm(range(10), pt5).enumerated == 9496
 
 
 def test_unreachable_boundary_prunes_to_perfect_pairings(pt5):
     inf_table = infinite_boundary(pt5)
     out = brute_force_mwpm(range(10), inf_table)
     assert out.enumerated == 945
+    assert enumerate_mwpm(range(10), inf_table).enumerated == out.enumerated
     assert out.boundary_matches == ()
-    with pytest.raises(ValueError, match="no complete matching"):
-        brute_force_mwpm(range(3), inf_table)
+    for m in (3, 9):
+        with pytest.raises(ValueError, match="no complete matching"):
+            brute_force_mwpm(range(m), inf_table)
 
 
 def test_four_node_line_has_ten_partitions(g3, pt3):
     chain = find_induced_chain(g3, 4)
     out = brute_force_mwpm(chain, pt3)
     assert out.enumerated == 10
+    assert enumerate_mwpm(chain, pt3).enumerated == out.enumerated
 
 
 # ------------------------------------------------------ optimality
@@ -143,6 +157,109 @@ def test_repeat_calls_identical(g5, pt5):
     rng = make_rng(9)
     nodes = tuple(int(x) for x in rng.choice(g5.n_detectors, 8, replace=False))
     assert brute_force_mwpm(nodes, pt5) == brute_force_mwpm(nodes, pt5)
+
+
+# ---------------------------------------- equality with full enumeration
+
+
+def assert_equals_enumeration(nodes, table, hw_cap, allow_boundary):
+    """``brute_force_mwpm`` returns exactly what ``enumerate_mwpm`` does.
+
+    All five fields compare with ``==``, not approximately: the search must
+    pick the same pairing, report the same float total and count the same
+    search space.  When the enumeration finds no complete matching, both
+    raise the same ``ValueError``.  Returns the matching, or None when both
+    raised.
+    """
+    try:
+        want = enumerate_mwpm(nodes, table, hw_cap, allow_boundary)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            brute_force_mwpm(nodes, table, hw_cap, allow_boundary)
+        return None
+    got = brute_force_mwpm(nodes, table, hw_cap, allow_boundary)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("graph, table, n", [
+    ("g3", "pt3", 34_000), ("g5", "pt5", 33_000), ("g7", "pt7", 33_000)])
+def test_equals_enumeration_on_real_syndromes(request, graph, table, n):
+    # exact-k injection with k <= 4 flips at most 8 detectors; uniform
+    # -ln p weights make exact and near ties common
+    graph = request.getfixturevalue(graph)
+    table = request.getfixturevalue(table)
+    rng = make_rng(4000 + graph.distance)
+    seen_hw = set()
+    raised = 0
+    for _ in range(n):
+        k = int(rng.integers(1, 5))
+        syn = syndrome_from_errors(graph, inject_k_errors(graph, k, rng))
+        assert syn.hamming_weight <= 8
+        seen_hw.add(syn.hamming_weight)
+        for allow_boundary in (True, False):
+            got = assert_equals_enumeration(syn.flipped, table, 8,
+                                            allow_boundary)
+            raised += got is None
+    assert seen_hw >= set(range(1, 9))
+    assert raised > 0  # odd weights without the boundary
+
+
+def test_equals_enumeration_at_hw_10_to_12(g5, pt5, g7, pt7):
+    checked = {10: 0, 11: 0, 12: 0}
+    for graph, table in ((g5, pt5), (g7, pt7)):
+        rng = make_rng(5100 + graph.distance)
+        kept = 0
+        while kept < 100:
+            k = int(rng.integers(5, 7))
+            syn = syndrome_from_errors(graph, inject_k_errors(graph, k, rng))
+            if syn.hamming_weight not in checked:
+                continue
+            kept += 1
+            checked[syn.hamming_weight] += 1
+            for allow_boundary in (True, False):
+                assert_equals_enumeration(syn.flipped, table, 12,
+                                          allow_boundary)
+    assert sum(checked.values()) >= 200
+    assert min(checked.values()) > 0
+
+
+def test_equals_enumeration_all_ties(g5, pt5):
+    # every pair and boundary weight equal: the 945 perfect pairings tie;
+    # with the boundary at half a pair weight all 9,496 pairings tie, up to
+    # the rounding of their different summation orders
+    rng = make_rng(53)
+    uniform = np.full_like(pt5.weight, W)
+    for bw in (W, W / 2):
+        table = with_weights(pt5, uniform,
+                             np.full_like(pt5.boundary_weight, bw))
+        for _ in range(4):
+            nodes = tuple(int(x) for x in
+                          rng.choice(g5.n_detectors, 10, replace=False))
+            for allow_boundary in (True, False):
+                got = assert_equals_enumeration(nodes, table, 10,
+                                                allow_boundary)
+                if bw == W:
+                    srt = sorted(nodes)
+                    assert got.pairs == tuple(zip(srt[::2], srt[1::2]))
+
+
+def test_equals_enumeration_infinite_boundary(g5, pt5):
+    table = infinite_boundary(pt5)
+    rng = make_rng(59)
+    raised = 0
+    for m in (0, 1, 2, 3, 4, 5, 8, 9, 10):
+        for _ in range(6):
+            nodes = tuple(int(x) for x in
+                          rng.choice(g5.n_detectors, m, replace=False))
+            for allow_boundary in (True, False):
+                got = assert_equals_enumeration(nodes, table, 10,
+                                                allow_boundary)
+                if got is None:
+                    raised += 1
+                else:
+                    assert got.boundary_matches == ()
+    assert raised == 4 * 6 * 2  # every odd weight, both modes
 
 
 # ------------------------------------------------------ caps
@@ -261,17 +378,3 @@ def test_decode_residual_over_cap_raises(g7, pt7):
     bad = pre.__class__(pre.prematches, syn, 0, False, 0)
     with pytest.raises(ValueError, match="residual Hamming weight"):
         decode(g7, pt7, syn, predecode=bad)
-
-
-# ------------------------------------------------------ serialization
-
-
-def test_decode_outcome_json(g3, pt3):
-    u, v = find_adjacent_pair(g3)
-    out = decode(g3, pt3, syndrome_of({u, v}))
-    doc = json.loads(decode_outcome_to_json(out))
-    assert set(doc) == {"pairs", "boundary", "weight", "failure",
-                        "cycles_total", "aborted"}
-    assert doc["pairs"] == [[u, v]] or doc["pairs"] == [sorted((u, v))]
-    assert doc["weight"] == pytest.approx(out.total_weight)
-    assert doc["failure"] is False

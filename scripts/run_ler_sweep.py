@@ -13,14 +13,14 @@ import sys
 import time
 
 from surfmatch import ExperimentConfig, run_rare_event
+from surfmatch.harness import PREDECODERS
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--distances", type=int, nargs="+", default=[3, 5])
     ap.add_argument("--ps", type=float, nargs="+", default=[1e-3])
-    ap.add_argument("--predecoder", choices=("adaptive", "greedy", "none"),
-                    default="adaptive")
+    ap.add_argument("--predecoder", choices=PREDECODERS, default="adaptive")
     ap.add_argument("--shots-per-k", type=int, default=2000)
     ap.add_argument("--k-max", type=int, default=16)
     ap.add_argument("--master-seed", type=int, default=0)

@@ -12,6 +12,7 @@ import sys
 
 from surfmatch import (ExperimentConfig, report_hw_distribution, report_latency,
                        report_step_usage)
+from surfmatch.harness import PREDECODERS
 
 
 def main() -> int:
@@ -20,19 +21,18 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=None)
     ap.add_argument("--p", type=float, default=1e-4)
     ap.add_argument("--predecoders", nargs="+", default=["adaptive", "greedy"],
-                    choices=("adaptive", "greedy", "none"))
-    ap.add_argument("--hw-target", default=10)
+                    choices=PREDECODERS)
+    ap.add_argument("--hw-target", type=int, choices=(6, 8, 10), default=10)
     ap.add_argument("--shots-per-k", type=int, default=500)
     ap.add_argument("--master-seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional JSON path")
     args = ap.parse_args()
 
-    target = args.hw_target if args.hw_target == "adaptive" else int(args.hw_target)
     results = {}
     for predecoder in args.predecoders:
         cfg = ExperimentConfig(distance=args.distance, rounds=args.rounds,
-                               p=args.p, predecoder=predecoder, hw_target=target,
-                               master_seed=args.master_seed)
+                               p=args.p, predecoder=predecoder,
+                               hw_target=args.hw_target, master_seed=args.master_seed)
         graph, table = cfg.build()
         hw = report_hw_distribution(cfg, graph, table, args.shots_per_k)
         lat = report_latency(cfg, graph, table, args.shots_per_k)

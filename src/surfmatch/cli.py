@@ -21,9 +21,9 @@ import json
 import sys
 
 from .graph import build_decoding_graph, build_path_table
-from .harness import (SCHEMA_VERSION, ExperimentConfig, report_hw_distribution,
-                      report_latency, report_step_usage, run_chain, run_direct,
-                      run_rare_event)
+from .harness import (PREDECODERS, SCHEMA_VERSION, ExperimentConfig,
+                      report_hw_distribution, report_latency, report_step_usage,
+                      run_chain, run_direct, run_rare_event)
 from .noise import Syndrome, inject_k_errors, syndrome_from_errors, trial_seed
 
 
@@ -34,10 +34,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
-def _hw_target(text: str):
-    return text if text == "adaptive" else int(text)
-
-
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--distance", type=int, default=3, help="code distance (odd, >= 3)")
     p.add_argument("--rounds", type=int, default=None,
@@ -46,12 +42,11 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--predecoder", choices=("adaptive", "greedy", "none"),
-                   default="adaptive")
+    p.add_argument("--predecoder", choices=PREDECODERS, default="adaptive")
     p.add_argument("--main-hw-cap", type=int, default=10,
                    help="largest syndrome the exact matching stage accepts")
-    p.add_argument("--hw-target", type=_hw_target, default=10,
-                   help="predecoder residual-weight target: 6, 8, 10 or 'adaptive'")
+    p.add_argument("--hw-target", type=int, default=10,
+                   help="predecoder residual-weight target: 6, 8 or 10")
     p.add_argument("--budget-ns", type=float, default=960.0)
     p.add_argument("--clock-mhz", type=float, default=250.0)
 
@@ -94,12 +89,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     graph = build_decoding_graph(args.distance, args.rounds, args.p)
     payload = json.loads(graph.to_json())
     payload["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, payload, None)
     return 0
 
 
@@ -234,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-graph", help="write the decoding graph as JSON")
     _add_graph_args(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_build_graph)
+    p.set_defaults(func=_cmd_build_graph, format="json")
 
     p = sub.add_parser("decode", help="decode one syndrome")
     _add_graph_args(p)

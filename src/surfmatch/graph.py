@@ -279,18 +279,13 @@ class PathTable:
     ``route[i, j]`` is the predecessor of ``j`` on the chosen shortest path
     from ``i``; together with the graph's edge lookup it reconstructs the
     full edge list of any path.  ``hops`` counts the edges of the chosen
-    path.  When quantization is enabled, ``quantized`` holds a 4-bucket
-    coarse version of the weights (bucket boundaries at the quartiles of
-    the observed weights); the exact weights are kept and used everywhere
-    else.
+    path.
     """
 
     def __init__(self, graph: DetectorGraph, weight: np.ndarray,
                  hops: np.ndarray, route: np.ndarray,
                  boundary_weight: np.ndarray, boundary_hops: np.ndarray,
-                 boundary_via: np.ndarray, boundary_edge: np.ndarray,
-                 quantized: np.ndarray | None = None,
-                 quantized_boundary: np.ndarray | None = None):
+                 boundary_via: np.ndarray, boundary_edge: np.ndarray):
         self.graph = graph
         self.n = graph.n_detectors
         self.weight = weight
@@ -300,15 +295,9 @@ class PathTable:
         self.boundary_hops = boundary_hops
         self.boundary_via = boundary_via
         self.boundary_edge = boundary_edge
-        self.quantized = quantized
-        self.quantized_boundary = quantized_boundary
-
-    @property
-    def quantization(self) -> bool:
-        return self.quantized is not None
 
 
-def build_path_table(graph: DetectorGraph, quantize: bool = False) -> PathTable:
+def build_path_table(graph: DetectorGraph) -> PathTable:
     """Precompute shortest paths among detectors and to the boundary."""
     n = graph.n_detectors
     rows, cols, data = [], [], []
@@ -349,16 +338,8 @@ def build_path_table(graph: DetectorGraph, quantize: bool = False) -> PathTable:
     boundary_hops = (hops[idx, via] + 1).astype(np.int32)
     boundary_edge = direct_bedge[via]
 
-    quantized = quantized_boundary = None
-    if quantize:
-        off_diag = dist[~np.eye(n, dtype=bool)]
-        samples = np.concatenate([off_diag, boundary_weight])
-        cuts = np.quantile(samples, [0.25, 0.5, 0.75])
-        quantized = np.searchsorted(cuts, dist).astype(np.uint8)
-        quantized_boundary = np.searchsorted(cuts, boundary_weight).astype(np.uint8)
-
     return PathTable(graph, dist, hops, pred, boundary_weight, boundary_hops,
-                     via, boundary_edge, quantized, quantized_boundary)
+                     via, boundary_edge)
 
 
 def reconstruct_path(table: PathTable, i: int, j: int) -> list[int]:

@@ -48,16 +48,13 @@ class ExperimentConfig:
     p: float = 1e-3
     predecoder: str = "adaptive"
     main_hw_cap: int = 10
-    hw_target: int | str = 10
+    hw_target: int = 10
     budget_ns: float = 960.0
     clock_mhz: float = 250.0
-    cycles_per_matching: float = 1.0
     k_max: int = 24
     shots_per_k: int = 100_000
     shots_direct: int = 100_000
     master_seed: int = 0
-    out_format: str = "json"
-    out_path: str | None = None
 
     def validate(self, graph: DetectorGraph | None = None) -> None:
         if self.distance < 3 or self.distance % 2 == 0:
@@ -71,8 +68,8 @@ class ExperimentConfig:
         if not 1 <= self.main_hw_cap <= MAX_HW_CAP:
             raise ValueError(
                 f"main_hw_cap must be in [1, {MAX_HW_CAP}], got {self.main_hw_cap}")
-        if self.hw_target not in (6, 8, 10, "adaptive"):
-            raise ValueError(f"hw_target must be 6, 8, 10 or 'adaptive', got {self.hw_target}")
+        if self.hw_target not in (6, 8, 10):
+            raise ValueError(f"hw_target must be 6, 8 or 10, got {self.hw_target}")
         if self.budget_ns <= 0:
             raise ValueError(f"budget_ns must be positive, got {self.budget_ns}")
         if self.clock_mhz <= 0:
@@ -81,8 +78,6 @@ class ExperimentConfig:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if self.shots_per_k <= 0 or self.shots_direct <= 0:
             raise ValueError("shot counts must be positive")
-        if self.out_format not in ("json", "csv"):
-            raise ValueError(f"out_format must be json or csv, got {self.out_format!r}")
         if graph is not None and self.k_max > graph.n_edges:
             raise ValueError(
                 f"k_max {self.k_max} exceeds the {graph.n_edges} edges of the graph")
@@ -91,16 +86,10 @@ class ExperimentConfig:
     def predecoder_label(self) -> str:
         return GREEDY_LABEL if self.predecoder == "greedy" else self.predecoder
 
-    def target_hw(self) -> int:
-        # "adaptive" starts from the largest target; the stop predicate
-        # (residual at target AND modeled total fits) walks lower on its own.
-        return 10 if self.hw_target == "adaptive" else int(self.hw_target)
-
     def predecode_config(self) -> PredecodeConfig:
-        return PredecodeConfig(hw_target=self.target_hw(),
+        return PredecodeConfig(hw_target=self.hw_target,
                                budget_ns=self.budget_ns,
-                               clock_mhz=self.clock_mhz,
-                               cycles_per_matching=self.cycles_per_matching)
+                               clock_mhz=self.clock_mhz)
 
     def build(self) -> tuple[DetectorGraph, PathTable]:
         graph = build_decoding_graph(self.distance, self.rounds, self.p)
@@ -158,7 +147,7 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
 
     # Greedy baseline: no budget logic of its own, so the chain applies the
     # same real-time predicate after the fact.
-    pre = greedy_baseline(graph, syndrome, cfg.target_hw())
+    pre = greedy_baseline(graph, syndrome, cfg.hw_target)
     post = pre.residual.hamming_weight
     deepest = _deepest_step(pre)
     total = pre.cycles * period + pcfg.main_latency(post)

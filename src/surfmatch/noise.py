@@ -8,7 +8,6 @@ master seed plus the trial's index path, so trials can run in any order
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,17 +115,3 @@ def occurrence_tail(k_max: int, n_edges: int, p: float) -> float:
         return 0.0
     return float(np.exp(logsumexp(binom.logpmf(ks, n_edges, p))))
 
-
-def trial_to_jsonl(errors: ErrorSet, syndrome: Syndrome) -> str:
-    """One corpus line: {"errors": [...], "flipped": [...], "obs": 0|1}."""
-    return json.dumps({
-        "errors": sorted(errors.edge_ids),
-        "flipped": sorted(syndrome.flipped),
-        "obs": syndrome.true_observable,
-    })
-
-
-def trial_from_jsonl(line: str) -> tuple[ErrorSet, Syndrome]:
-    doc = json.loads(line)
-    return (ErrorSet(frozenset(doc["errors"])),
-            Syndrome(frozenset(doc["flipped"]), int(doc["obs"])))

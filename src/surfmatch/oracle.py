@@ -15,8 +15,7 @@ from typing import Iterable
 from .graph import DetectorGraph, PathTable
 from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
 from .noise import Syndrome
-from .predecoder import (DecodingSubgraph, PredecodeResult, Prematch, Step,
-                         build_subgraph)
+from .predecoder import PredecodeResult, Prematch, Step, build_subgraph
 
 GREEDY_LABEL = "greedy-nosafety"
 
@@ -43,10 +42,10 @@ def greedy_baseline(graph: DetectorGraph, syndrome: Syndrome,
     while len(sub.nodes) > hw_target and sub.edges:
         cycles += len(sub.edges)
         rounds += 1
-        best_eid = min(sub.edges, key=lambda eid: (sub.weights[eid], eid))
+        best_eid = min(sub.edges, key=lambda eid: (graph.edges[eid].weight, eid))
         u, v = sub.edges[best_eid]
-        prematches.append(Prematch(min(u, v), max(u, v), Step.GREEDY,
-                                   (best_eid,), sub.weights[best_eid]))
+        prematches.append(Prematch(u, v, Step.GREEDY, (best_eid,),
+                                   graph.edges[best_eid].weight))
         sub.remove_pair(u, v)
     residual = Syndrome(frozenset(sub.nodes), syndrome.true_observable)
     return PredecodeResult(tuple(prematches), residual, cycles, False, rounds)

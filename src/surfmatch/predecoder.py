@@ -20,8 +20,8 @@ single prematch in this priority order:
   S4_2  singleton-creating edges otherwise
 
 S3 is only attempted when both S2 registers are empty and a singleton
-exists; S4 is the last resort.  Node statistics are recomputed after every
-application.
+exists; S4 is the last resort.  Each application removes its pair from the
+subgraph in place, and node statistics are read off what remains.
 
 Cycle model: each pass over the subgraph costs its current edge count in
 clock cycles.  A round that consults the path table for S3 costs
@@ -31,9 +31,9 @@ main-decoder time cannot fit the budget, the decode is aborted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 import json
 
 from .graph import DetectorGraph, PathTable, reconstruct_path
@@ -71,64 +71,55 @@ class Prematch:
 
 @dataclass
 class DecodingSubgraph:
-    """Induced subgraph on the currently unmatched flipped detectors."""
+    """Induced subgraph on the currently unmatched flipped detectors.
 
-    nodes: set[int]
+    ``adj`` maps every node to its flipped neighbors and the id of the edge
+    joining them; ``edges`` indexes the same edges by id as ``(u, v)`` with
+    ``u < v``.  Both are updated in place as pairs are matched.  Degrees,
+    dependents and singletons are read off ``adj`` when needed; edge
+    weights come from the decoding graph.
+    """
+
+    adj: dict[int, dict[int, int]]
     edges: dict[int, tuple[int, int]]
-    weights: dict[int, float]
-    deg: dict[int, int] = field(default_factory=dict)
-    dependents: dict[int, int] = field(default_factory=dict)
-    singletons: set[int] = field(default_factory=set)
-    neighbors: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
 
-    def refresh(self) -> None:
-        """Recompute degrees, dependent counts, singletons and adjacency."""
-        self.neighbors = {i: [] for i in self.nodes}
-        for eid, (u, v) in self.edges.items():
-            self.neighbors[u].append((v, eid))
-            self.neighbors[v].append((u, eid))
-        for lst in self.neighbors.values():
-            lst.sort()
-        self.deg = {i: len(self.neighbors[i]) for i in self.nodes}
-        self.dependents = {
-            i: sum(1 for j, _ in self.neighbors[i] if self.deg[j] == 1)
-            for i in self.nodes
-        }
-        self.singletons = {i for i in self.nodes if self.deg[i] == 0}
+    @property
+    def nodes(self):
+        return self.adj.keys()
+
+    def degree(self, i: int) -> int:
+        return len(self.adj[i])
+
+    def dependents(self, i: int) -> int:
+        """Neighbors of i whose only flipped neighbor is i."""
+        return sum(1 for j in self.adj[i] if len(self.adj[j]) == 1)
+
+    def singletons(self) -> set[int]:
+        return {i for i, nbrs in self.adj.items() if not nbrs}
 
     def remove_pair(self, a: int, b: int) -> None:
-        self.nodes.discard(a)
-        self.nodes.discard(b)
-        self.edges = {eid: uv for eid, uv in self.edges.items()
-                      if a not in uv and b not in uv}
-        self.weights = {eid: self.weights[eid] for eid in self.edges}
-        self.refresh()
+        """Drop nodes a and b and every edge touching them."""
+        for x in (a, b):
+            for y, eid in self.adj.pop(x).items():
+                del self.adj[y][x]
+                del self.edges[eid]
 
     def isolated_pair_edges(self) -> list[tuple[int, int, int]]:
         """Edges whose endpoints both have degree 1, i.e. two-node components."""
         return [(eid, u, v) for eid, (u, v) in sorted(self.edges.items())
-                if self.deg[u] == 1 and self.deg[v] == 1]
-
-
-def _subgraph_from_nodes(graph: DetectorGraph, nodes: Iterable[int]) -> DecodingSubgraph:
-    node_set = set(nodes)
-    edges: dict[int, tuple[int, int]] = {}
-    for i in node_set:
-        for other, eid in graph.detector_neighbors[i]:
-            if other in node_set and i < other:
-                edges[eid] = (i, other)
-    weights = {eid: graph.edges[eid].weight for eid in edges}
-    sub = DecodingSubgraph(node_set, edges, weights)
-    sub.refresh()
-    return sub
+                if len(self.adj[u]) == 1 and len(self.adj[v]) == 1]
 
 
 def build_subgraph(graph: DetectorGraph, syndrome: Syndrome) -> DecodingSubgraph:
     """Decoding subgraph induced by the syndrome's flipped detectors."""
-    bad = [i for i in syndrome.flipped if not 0 <= i < graph.n_detectors]
+    flipped = syndrome.flipped
+    bad = [i for i in flipped if not 0 <= i < graph.n_detectors]
     if bad:
         raise ValueError(f"flipped ids outside detector range: {bad}")
-    return _subgraph_from_nodes(graph, syndrome.flipped)
+    adj = {i: {j: eid for j, eid in graph.detector_neighbors[i] if j in flipped}
+           for i in flipped}
+    edges = {eid: (i, j) for i, nbrs in adj.items() for j, eid in nbrs.items() if i < j}
+    return DecodingSubgraph(adj, edges)
 
 
 def creates_singleton(sub: DecodingSubgraph, i: int, j: int) -> bool:
@@ -138,27 +129,18 @@ def creates_singleton(sub: DecodingSubgraph, i: int, j: int) -> bool:
     decoding graph is triangle-free, so no third node can be adjacent to
     both endpoints of an edge.)
     """
-    di = sub.dependents[i] - (1 if sub.deg[j] == 1 else 0)
-    dj = sub.dependents[j] - (1 if sub.deg[i] == 1 else 0)
+    di = sub.dependents(i) - (1 if sub.degree(j) == 1 else 0)
+    dj = sub.dependents(j) - (1 if sub.degree(i) == 1 else 0)
     return di > 0 or dj > 0
 
 
-def match_isolated_pairs(sub: DecodingSubgraph) -> list[Prematch]:
+def match_isolated_pairs(sub: DecodingSubgraph, graph: DetectorGraph) -> list[Prematch]:
     """Match every two-node component simultaneously (step S1)."""
-    batch = sub.isolated_pair_edges()
-    prematches = [
-        Prematch(min(u, v), max(u, v), Step.S1, (eid,), sub.weights[eid])
-        for eid, u, v in batch
-    ]
-    if prematches:
-        for eid, u, v in batch:
-            sub.nodes.discard(u)
-            sub.nodes.discard(v)
-        sub.edges = {eid: uv for eid, uv in sub.edges.items()
-                     if uv[0] in sub.nodes and uv[1] in sub.nodes}
-        sub.weights = {eid: sub.weights[eid] for eid in sub.edges}
-        sub.refresh()
-    return prematches
+    batch = [Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight)
+             for eid, u, v in sub.isolated_pair_edges()]
+    for pm in batch:
+        sub.remove_pair(pm.a, pm.b)
+    return batch
 
 
 class Candidate(NamedTuple):
@@ -185,7 +167,7 @@ def scan_candidates(sub: DecodingSubgraph, graph: DetectorGraph) -> CandidateReg
         u, v = sub.edges[eid]
         w = graph.edges[eid].weight
         risky = creates_singleton(sub, u, v)
-        endpoint_deg1 = min(sub.deg[u], sub.deg[v]) == 1
+        endpoint_deg1 = min(sub.degree(u), sub.degree(v)) == 1
         if not risky:
             slot = "s2_1" if endpoint_deg1 else "s2_2"
         else:
@@ -196,38 +178,41 @@ def scan_candidates(sub: DecodingSubgraph, graph: DetectorGraph) -> CandidateReg
     return regs
 
 
-def _step3_scan(sub: DecodingSubgraph,
-                table: PathTable) -> tuple[tuple[int, int, float] | None, int]:
-    """Cheapest (singleton, partner) pairing that strands no new singleton.
+def step3_singleton_path(sub: DecodingSubgraph,
+                         table: PathTable) -> tuple[Prematch | None, int]:
+    """Match an existing singleton through the cheapest table path (step S3).
 
-    Returns the winning (s, t, weight) and the number of paths examined.
-    Removing the partner t must not leave any of its degree-1 neighbors
-    stranded; the singleton s itself has no neighbors to strand.
+    Returns the cheapest (singleton, partner) prematch that strands no new
+    singleton, or None, and the number of paths examined.  Removing the
+    partner t must not leave any of its degree-1 neighbors stranded; the
+    singleton s itself has no neighbors to strand.
     """
+    nodes = sorted(sub.nodes)
     best = None
     examined = 0
-    for s in sorted(sub.singletons):
+    for s in sorted(sub.singletons()):
         row = table.weight[s]
-        for t in sorted(sub.nodes):
+        for t in nodes:
             if t == s:
                 continue
             examined += 1
-            if sub.dependents[t] > 0:
+            if sub.dependents(t) > 0:
                 continue
             w = float(row[t])
             if best is None or w < best[2]:
                 best = (s, t, w)
-    return best, examined
+    if best is None:
+        return None, examined
+    s, t, w = best
+    return Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)), w), examined
 
 
-def step3_singleton_path(sub: DecodingSubgraph, table: PathTable) -> Prematch | None:
-    """Match an existing singleton through the cheapest table path (step S3)."""
-    cand, _ = _step3_scan(sub, table)
-    if cand is None:
-        return None
-    s, t, w = cand
-    edges = tuple(reconstruct_path(table, s, t))
-    return Prematch(s, t, Step.S3, edges, w)
+def _register_prematch(*slots: tuple[Candidate | None, Step]) -> Prematch | None:
+    """Prematch from the first filled register among ``slots``."""
+    for cand, step in slots:
+        if cand is not None:
+            return Prematch(cand.a, cand.b, step, (cand.edge_id,), cand.weight)
+    return None
 
 
 @dataclass(frozen=True)
@@ -239,17 +224,14 @@ class PredecodeConfig:
     target *and* the modeled total time (predecode cycles plus the main
     decoder's modeled latency at the residual weight) fits ``budget_ns``,
     so it keeps predecoding below the target whenever the main stage would
-    be too slow; the target is effectively adaptive.  The default main
-    latency model charges ``cycles_per_matching`` cycles per matching the
-    brute-force stage would enumerate (pairings of the residual defects,
-    e.g. 945 at weight 10).
+    be too slow; the target is effectively adaptive.  The main latency
+    model charges one cycle per matching the brute-force stage would
+    enumerate (pairings of the residual defects, e.g. 945 at weight 10).
     """
 
     hw_target: int = 10
     budget_ns: float = 960.0
     clock_mhz: float = 250.0
-    cycles_per_matching: float = 1.0
-    main_latency_ns: Callable[[int], float] | None = None
 
     def __post_init__(self):
         if self.hw_target not in (6, 8, 10):
@@ -262,9 +244,7 @@ class PredecodeConfig:
         return 1000.0 / self.clock_mhz
 
     def main_latency(self, hw: int) -> float:
-        if self.main_latency_ns is not None:
-            return self.main_latency_ns(hw)
-        return matching_search_size(hw) * self.cycles_per_matching * self.cycle_ns
+        return matching_search_size(hw) * self.cycle_ns
 
 
 class TraceEntry(NamedTuple):
@@ -313,7 +293,7 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable,
 
     def record(step: Step, before: int) -> None:
         if record_trace:
-            trace.append(TraceEntry(step, before, len(sub.singletons), len(sub.nodes)))
+            trace.append(TraceEntry(step, before, len(sub.singletons()), len(sub.nodes)))
 
     while not done():
         # Step 1 to fixpoint: a pass matches all current isolated pairs at
@@ -326,46 +306,32 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable,
             if cycles * period > cfg.budget_ns:
                 aborted = True
                 break
-            before = len(sub.singletons)
-            batch = match_isolated_pairs(sub)
-            prematches.extend(batch)
+            before = len(sub.singletons()) if record_trace else 0
+            prematches.extend(match_isolated_pairs(sub, graph))
             record(Step.S1, before)
         if aborted or done():
             break
 
-        edge_count = len(sub.edges)
         regs = scan_candidates(sub, graph)
-        round_cost = edge_count
-        s3 = None
-        if regs.s2_1 is None and regs.s2_2 is None and sub.singletons:
-            s3, examined = _step3_scan(sub, table)
-            round_cost = max(examined, edge_count)
+        round_cost = len(sub.edges)
+        pm = _register_prematch((regs.s2_1, Step.S2_1), (regs.s2_2, Step.S2_2))
+        if pm is None:
+            pm, examined = step3_singleton_path(sub, table)
+            round_cost = max(examined, round_cost)
+        if pm is None:
+            pm = _register_prematch((regs.s4_1, Step.S4_1), (regs.s4_2, Step.S4_2))
         cycles += round_cost
         rounds += 1
         if cycles * period > cfg.budget_ns:
             aborted = True
             break
-
-        pm: Prematch | None = None
-        for cand, step in ((regs.s2_1, Step.S2_1), (regs.s2_2, Step.S2_2)):
-            if cand is not None:
-                pm = Prematch(cand.a, cand.b, step, (cand.edge_id,), cand.weight)
-                break
-        if pm is None and s3 is not None:
-            s, t, w = s3
-            pm = Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)), w)
-        if pm is None:
-            for cand, step in ((regs.s4_1, Step.S4_1), (regs.s4_2, Step.S4_2)):
-                if cand is not None:
-                    pm = Prematch(cand.a, cand.b, step, (cand.edge_id,), cand.weight)
-                    break
         if pm is None:
             # Nothing matchable remains (e.g. a lone defect that would need
             # the boundary): the target cannot be reached in time.
             aborted = True
             break
 
-        before = len(sub.singletons)
+        before = len(sub.singletons()) if record_trace else 0
         sub.remove_pair(pm.a, pm.b)
         prematches.append(pm)
         record(pm.step, before)
@@ -386,14 +352,3 @@ def predecode_result_to_json(result: PredecodeResult) -> str:
         "cycles": result.cycles,
         "aborted": result.aborted,
     })
-
-
-def predecode_result_from_json(text: str, true_observable: int = 0) -> PredecodeResult:
-    doc = json.loads(text)
-    prematches = tuple(
-        Prematch(pm["a"], pm["b"], Step(pm["step"]), tuple(pm["edges"]), pm["weight"])
-        for pm in doc["prematches"]
-    )
-    residual = Syndrome(frozenset(doc["residual"]), true_observable)
-    return PredecodeResult(prematches, residual, doc["cycles"], doc["aborted"],
-                           rounds_executed=0)

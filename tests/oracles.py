@@ -243,21 +243,28 @@ def log_binom_pmf(k: int, n: int, p: float) -> float:
     return log_c + k * math.log(p) + (n - k) * math.log1p(-p)
 
 
-def removal_strands(sub, i: int, j: int) -> bool:
+def induced_neighbors(graph, nodes) -> dict:
+    """Neighbor sets of the subgraph induced by ``nodes``, from the full graph."""
+    return {u: {v for v, _ in graph.detector_neighbors[u] if v in nodes}
+            for u in nodes}
+
+
+def removal_strands(graph, sub, i: int, j: int) -> bool:
     """Singleton-creation check by literally simulating the removal."""
-    before = {u: {v for v, _ in sub.neighbors[u]} for u in sub.nodes}
-    after_nodes = sub.nodes - {i, j}
+    before = induced_neighbors(graph, set(sub.nodes))
+    after_nodes = set(sub.nodes) - {i, j}
     return any(before[u] and not (before[u] - {i, j}) for u in after_nodes)
 
 
-def brute_step3(sub, table):
+def brute_step3(graph, sub, table):
     """Best (singleton, partner) by exhaustive search with simulated safety."""
+    nbrs = induced_neighbors(graph, set(sub.nodes))
     best = None
-    for s in sorted(u for u in sub.nodes if not sub.neighbors[u]):
-        for t in sorted(sub.nodes):
+    for s in sorted(u for u in nbrs if not nbrs[u]):
+        for t in sorted(nbrs):
             if t == s:
                 continue
-            if removal_strands(sub, s, t):
+            if removal_strands(graph, sub, s, t):
                 continue
             w = float(table.weight[s, t])
             if best is None or w < best[2] - 1e-12:

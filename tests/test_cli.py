@@ -216,6 +216,24 @@ def test_main_hw_cap_over_matcher_cap_exits_2(capsys):
     assert "main_hw_cap" in err
 
 
+def test_hw_target_takes_6_8_or_10(capsys):
+    code, _, _ = run_cli(capsys, "decode", "--distance", "3", "--errors", "0",
+                         "--hw-target", "6")
+    assert code == 0
+    code, _, err = run_cli(capsys, "decode", "--distance", "3", "--errors", "0",
+                           "--hw-target", "7")
+    assert code == 2 and "hw_target" in err
+    with pytest.raises(SystemExit) as exc:  # the "adaptive" alias is gone
+        main(["decode", "--distance", "3", "--errors", "0", "--hw-target", "adaptive"])
+    assert exc.value.code == 2
+
+
+def test_build_graph_has_no_csv_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build-graph", "--distance", "3", "--format", "csv"])
+    assert exc.value.code == 2
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, "decode", "--distance", "3",

@@ -214,18 +214,3 @@ def test_reconstruct_boundary_path(g3, pt3):
         assert len(path) == int(pt3.boundary_hops[i])
         end = _walk_endpoints(g3, path[:-1], i)
         assert end == int(pt3.boundary_via[i])
-
-
-def test_quantization_buckets(g32):
-    plain = build_path_table(g32)
-    assert plain.quantized is None and not plain.quantization
-    qt = build_path_table(g32, quantize=True)
-    assert qt.quantization
-    assert qt.quantized.max() <= 3 and qt.quantized.min() >= 0
-    assert qt.quantized_boundary.max() <= 3
-    # buckets are monotone in the exact weight, which stays available
-    flat_w = qt.weight.ravel()
-    flat_q = qt.quantized.ravel()
-    order = np.argsort(flat_w, kind="stable")
-    assert np.all(np.diff(flat_q[order].astype(int)) >= 0)
-    assert np.array_equal(qt.weight, plain.weight)

@@ -39,7 +39,7 @@ def test_config_validation_rejects_bad_fields():
         dict(p=0.6), dict(predecoder="fancy"), dict(main_hw_cap=0),
         dict(main_hw_cap=15), dict(hw_target=7), dict(budget_ns=0.0),
         dict(clock_mhz=0.0), dict(k_max=-1), dict(shots_per_k=0),
-        dict(shots_direct=0), dict(out_format="yaml"),
+        dict(shots_direct=0), dict(hw_target="adaptive"),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -61,11 +61,10 @@ def test_config_k_max_checked_against_graph(g32):
 
 
 def test_config_target_and_label():
-    assert ExperimentConfig(hw_target="adaptive").target_hw() == 10
-    assert ExperimentConfig(hw_target=6).target_hw() == 6
+    assert ExperimentConfig(hw_target=6).predecode_config().hw_target == 6
     assert ExperimentConfig(predecoder="greedy").predecoder_label == GREEDY_LABEL
     assert ExperimentConfig(predecoder="adaptive").predecoder_label == "adaptive"
-    pcfg = ExperimentConfig(hw_target="adaptive", clock_mhz=500.0).predecode_config()
+    pcfg = ExperimentConfig(clock_mhz=500.0).predecode_config()
     assert pcfg.hw_target == 10 and pcfg.cycle_ns == pytest.approx(2.0)
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from surfmatch import (ErrorSet, Syndrome, inject_k_errors, make_rng,
                        occurrence_probability, occurrence_tail, sample_iid,
                        syndrome_from_errors, trial_seed)
-from surfmatch.noise import (log_occurrence_probability, trial_from_jsonl,
-                             trial_to_jsonl)
+from surfmatch.noise import log_occurrence_probability
 
 from oracles import log_binom_pmf
 from patterns import boundary_edge_ids, find_adjacent_pair
@@ -155,12 +154,3 @@ def test_occurrence_tail():
     assert occurrence_tail(n, n, p) == 0.0
     # spec-level bound used by the rare-event harness
     assert occurrence_tail(24, 10_000, 1e-4) < 1e-12
-
-
-def test_trial_jsonl_round_trip(g3):
-    errors = inject_k_errors(g3, 5, 9)
-    syn = syndrome_from_errors(g3, errors)
-    line = trial_to_jsonl(errors, syn)
-    e2, s2 = trial_from_jsonl(line)
-    assert e2 == errors
-    assert s2 == syn

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -6,13 +7,12 @@ from hypothesis import strategies as st
 
 from surfmatch import (ErrorSet, PredecodeConfig, Step, Syndrome,
                        adaptive_predecode, build_subgraph, creates_singleton,
-                       make_rng, match_isolated_pairs, sample_iid,
-                       scan_candidates, step3_singleton_path,
-                       syndrome_from_errors)
-from surfmatch.predecoder import (_step3_scan, predecode_result_from_json,
-                                  predecode_result_to_json)
+                       inject_k_errors, make_rng, match_isolated_pairs,
+                       sample_iid, scan_candidates, step3_singleton_path,
+                       syndrome_from_errors, trial_seed)
+from surfmatch.predecoder import predecode_result_to_json
 
-from oracles import brute_step3, removal_strands
+from oracles import brute_step3, induced_neighbors, removal_strands
 from patterns import (find_adjacent_pair, find_disjoint_chains,
                       find_disjoint_pairs, find_induced_chain,
                       find_star_with_tail, find_two_hop_singletons)
@@ -34,8 +34,9 @@ def chain_union_syndrome(chains):
 def test_subgraph_empty(g3):
     sub = build_subgraph(g3, syndrome_of(()))
     assert sub.nodes == set()
+    assert sub.adj == {}
     assert sub.edges == {}
-    assert sub.singletons == set()
+    assert sub.singletons() == set()
     assert sub.isolated_pair_edges() == []
 
 
@@ -49,20 +50,51 @@ def test_subgraph_adjacent_pair(g3):
     sub = build_subgraph(g3, syndrome_of({u, v}))
     eid = g3.edge_between(u, v).id
     assert set(sub.edges) == {eid}
-    assert sub.deg == {u: 1, v: 1}
-    assert sub.dependents == {u: 1, v: 1}
-    assert sub.singletons == set()
+    assert sub.adj == {u: {v: eid}, v: {u: eid}}
+    assert {i: sub.degree(i) for i in sub.nodes} == {u: 1, v: 1}
+    assert {i: sub.dependents(i) for i in sub.nodes} == {u: 1, v: 1}
+    assert sub.singletons() == set()
     assert sub.isolated_pair_edges() == [(eid, *sorted((u, v)))]
-    assert sub.weights[eid] == pytest.approx(W)
+    [pm] = match_isolated_pairs(sub, g3)
+    assert pm.weight == pytest.approx(W)
 
 
 def test_subgraph_star_with_tail(g3):
     a, b, c, d, e, f = find_star_with_tail(g3)
     sub = build_subgraph(g3, syndrome_of({a, b, c, d, e, f}))
-    assert sub.deg[a] == 4
-    assert sub.dependents[a] == 3  # b, c, d lean on a; e still has f
-    assert sub.deg[e] == 2 and sub.deg[f] == 1
-    assert sub.singletons == set()
+    assert sub.degree(a) == 4
+    assert sub.dependents(a) == 3  # b, c, d lean on a; e still has f
+    assert sub.degree(e) == 2 and sub.degree(f) == 1
+    assert sub.singletons() == set()
+
+
+@pytest.mark.parametrize("name", ["g3", "g5", "g7"])
+def test_remove_pair_matches_fresh_build(name, request):
+    graph = request.getfixturevalue(name)
+    rng = make_rng(29)
+    removals = 0
+    for p in (0.03, 0.06, 0.12):
+        for _ in range(60):
+            errors = sample_iid(graph, p, rng)
+            sub = build_subgraph(graph, syndrome_from_errors(graph, errors))
+            while len(sub.nodes) >= 2:
+                # half the removals take an edge, half any two nodes
+                if sub.edges and rng.random() < 0.5:
+                    a, b = sub.edges[sorted(sub.edges)[rng.integers(len(sub.edges))]]
+                else:
+                    a, b = rng.choice(sorted(sub.nodes), size=2, replace=False).tolist()
+                sub.remove_pair(a, b)
+                removals += 1
+                fresh = build_subgraph(graph, syndrome_of(sub.nodes))
+                assert sub.adj == fresh.adj
+                assert sub.edges == fresh.edges
+                nbrs = induced_neighbors(graph, set(sub.nodes))
+                assert sub.singletons() == {u for u, vs in nbrs.items() if not vs}
+                assert {u: sub.degree(u) for u in sub.nodes} == \
+                    {u: len(vs) for u, vs in nbrs.items()}
+                assert {u: sub.dependents(u) for u in sub.nodes} == \
+                    {u: sum(len(nbrs[v]) == 1 for v in vs) for u, vs in nbrs.items()}
+    assert removals > 150
 
 
 # ------------------------------------------------------- singleton safety
@@ -74,8 +106,8 @@ def test_creates_singleton_star(g3):
     # taking the hub strands the other leaves; the tail edge is safe
     assert creates_singleton(sub, a, b) is True
     assert creates_singleton(sub, e, f) is False
-    assert removal_strands(sub, a, b) is True
-    assert removal_strands(sub, e, f) is False
+    assert removal_strands(g3, sub, a, b) is True
+    assert removal_strands(g3, sub, e, f) is False
 
 
 def test_creates_singleton_isolated_pair(g3):
@@ -98,7 +130,7 @@ def test_creates_singleton_matches_removal_oracle(g3):
         errors = sample_iid(g3, 0.12, rng)
         sub = build_subgraph(g3, syndrome_from_errors(g3, errors))
         for u, v in sub.edges.values():
-            assert creates_singleton(sub, u, v) == removal_strands(sub, u, v)
+            assert creates_singleton(sub, u, v) == removal_strands(g3, sub, u, v)
             checked += 1
     assert checked > 500
 
@@ -109,7 +141,7 @@ def test_creates_singleton_matches_removal_oracle(g3):
 def test_match_isolated_pairs_six_pairs(g5):
     pairs = find_disjoint_pairs(g5, 6)
     sub = build_subgraph(g5, syndrome_of({u for p in pairs for u in p}))
-    batch = match_isolated_pairs(sub)
+    batch = match_isolated_pairs(sub, g5)
     assert len(batch) == 6
     assert {(pm.a, pm.b) for pm in batch} == {tuple(sorted(p)) for p in pairs}
     assert all(pm.step is Step.S1 for pm in batch)
@@ -119,7 +151,7 @@ def test_match_isolated_pairs_six_pairs(g5):
 
 def test_match_isolated_pairs_skips_lone_singleton(g3):
     sub = build_subgraph(g3, syndrome_of({0}))
-    assert match_isolated_pairs(sub) == []
+    assert match_isolated_pairs(sub, g3) == []
     assert sub.nodes == {0}
 
 
@@ -153,7 +185,7 @@ def test_scan_four_cycle_is_s2_2(g32):
     per_round = g32.n_detectors // g32.rounds
     quad = {u, v, u + per_round, v + per_round}
     sub = build_subgraph(g32, syndrome_of(quad))
-    assert all(d == 2 for d in sub.deg.values())
+    assert all(sub.degree(i) == 2 for i in sub.nodes)
     regs = scan_candidates(sub, g32)
     assert regs.s2_1 is None and regs.s4_1 is None and regs.s4_2 is None
     assert regs.s2_2.edge_id == min(sub.edges)
@@ -185,8 +217,8 @@ def test_scan_empty_registers_without_edges(g3):
 def test_step3_two_hop_pair_frozen_weight(g32, pt32):
     s, t = find_two_hop_singletons(g32, pt32)
     sub = build_subgraph(g32, syndrome_of({s, t}))
-    assert sub.singletons == {s, t}
-    pm = step3_singleton_path(sub, pt32)
+    assert sub.singletons() == {s, t}
+    pm, _ = step3_singleton_path(sub, pt32)
     assert (pm.a, pm.b, pm.step) == (s, t, Step.S3)
     assert len(pm.correction_edges) == 2
     assert pm.weight == pytest.approx(9.210340371976182, rel=1e-15)
@@ -200,15 +232,13 @@ def test_step3_six_node_instance(g5, pt5):
            if pt5.hops[s, x] <= 2 or pt5.hops[t, x] <= 2}
     chain = find_induced_chain(g5, 4, forbidden=far)
     sub = build_subgraph(g5, syndrome_of({s, t, *chain}))
-    assert sub.singletons == {s, t}
-    cand, examined = _step3_scan(sub, pt5)
+    assert sub.singletons() == {s, t}
+    pm, examined = step3_singleton_path(sub, pt5)
     assert examined == 2 * 5  # both singletons try every other node
-    pm = step3_singleton_path(sub, pt5)
     # chain ends are legal partners (stranding nobody) but cost 3+ edges
     assert (pm.a, pm.b) == tuple(sorted((s, t)))
     assert pm.weight == pytest.approx(2 * -math.log(g5.p))
-    assert (pm.a, pm.b, pm.weight) == brute_step3(sub, pt5)
-    assert cand == brute_step3(sub, pt5)
+    assert (pm.a, pm.b, pm.weight) == brute_step3(g5, sub, pt5)
 
 
 def test_step3_agrees_with_brute_force(g3, pt3):
@@ -217,10 +247,10 @@ def test_step3_agrees_with_brute_force(g3, pt3):
     for _ in range(300):
         errors = sample_iid(g3, 0.05, rng)
         sub = build_subgraph(g3, syndrome_from_errors(g3, errors))
-        if not sub.singletons or len(sub.nodes) < 2:
+        if not sub.singletons() or len(sub.nodes) < 2:
             continue
-        pm = step3_singleton_path(sub, pt3)
-        expect = brute_step3(sub, pt3)
+        pm, _ = step3_singleton_path(sub, pt3)
+        expect = brute_step3(g3, sub, pt3)
         if expect is None:
             assert pm is None
             continue
@@ -232,8 +262,7 @@ def test_step3_agrees_with_brute_force(g3, pt3):
 def test_step3_none_without_singletons(g3, pt3):
     u, v = find_adjacent_pair(g3)
     sub = build_subgraph(g3, syndrome_of({u, v}))
-    assert step3_singleton_path(sub, pt3) is None
-    assert _step3_scan(sub, pt3) == (None, 0)
+    assert step3_singleton_path(sub, pt3) == (None, 0)
 
 
 # ------------------------------------------------------------ config
@@ -254,8 +283,6 @@ def test_config_timing_model():
     assert cfg.main_latency(10) == pytest.approx(945 * 4.0)
     assert cfg.main_latency(8) == pytest.approx(105 * 4.0)
     assert cfg.main_latency(0) == pytest.approx(4.0)
-    custom = PredecodeConfig(main_latency_ns=lambda hw: 17.0)
-    assert custom.main_latency(10) == 17.0
 
 
 # --------------------------------------------------- adaptive loop
@@ -377,10 +404,12 @@ def test_adaptive_budget_cuts_between_rounds(g7, pt7):
 
 
 def test_adaptive_stuck_singleton_aborts(g3, pt3):
-    cfg = PredecodeConfig(main_latency_ns=lambda hw: 1e9)
+    # a lone defect needs the boundary; its 4 ns main latency never fits 2 ns
+    cfg = PredecodeConfig(budget_ns=2.0)
     res = adaptive_predecode(g3, pt3, syndrome_of({0}), cfg)
     assert res.aborted
     assert res.prematches == ()
+    assert res.rounds_executed == 1
     assert res.residual.flipped == frozenset({0})
 
 
@@ -429,13 +458,29 @@ def test_adaptive_deterministic(g5, pt5):
         assert a == b
 
 
-def test_predecode_result_json_round_trip(g7, pt7):
-    chains = find_disjoint_chains(g7, 3, 4)
-    syn = Syndrome(frozenset(u for ch in chains for u in ch), 1)
-    res = adaptive_predecode(g7, pt7, syn, PredecodeConfig(hw_target=6))
-    back = predecode_result_from_json(predecode_result_to_json(res),
-                                      true_observable=1)
-    assert back.prematches == res.prematches
-    assert back.residual == res.residual
-    assert back.cycles == res.cycles
-    assert back.aborted == res.aborted
+
+def test_adaptive_pinned_behaviour(g7, pt7):
+    """Every prematch, residual, cycle count and trace step over a fixed corpus.
+
+    The digest was taken before the subgraph became incremental.  A change
+    to it is a change of predecoder behaviour and must be declared as one.
+    """
+    digest = hashlib.sha256()
+    decoded = 0
+    for cfg in (PredecodeConfig(), PredecodeConfig(hw_target=6)):
+        for k in range(6, 21):
+            for i in range(80):
+                errors = inject_k_errors(g7, k, trial_seed(7007, k, i))
+                syn = syndrome_from_errors(g7, errors)
+                if syn.hamming_weight <= 10:
+                    continue
+                res = adaptive_predecode(g7, pt7, syn, cfg, record_trace=True)
+                digest.update(predecode_result_to_json(res).encode())
+                digest.update(f"{res.rounds_executed}".encode())
+                for e in res.trace:
+                    digest.update(f"|{e.step.value},{e.singletons_before},"
+                                  f"{e.singletons_after},{e.hw_after}".encode())
+                decoded += 1
+    assert decoded == 2 * 1097
+    assert digest.hexdigest() == (
+        "bac863efb83427a561dfb7f1f02924a4aaa5742fff7b892b1836b1c449e62f3f")

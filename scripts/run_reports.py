@@ -9,13 +9,14 @@ predecoder did with them, for each predecoder in --predecoders.  Example:
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from surfmatch import (ExperimentConfig, report_hw_distribution, report_latency,
                        report_step_usage)
 from surfmatch.harness import PREDECODERS
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--distance", type=int, default=11)
     ap.add_argument("--rounds", type=int, default=None)
@@ -26,14 +27,14 @@ def main() -> int:
     ap.add_argument("--shots-per-k", type=int, default=500)
     ap.add_argument("--master-seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional JSON path")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
+    base = ExperimentConfig(distance=args.distance, rounds=args.rounds, p=args.p,
+                            hw_target=args.hw_target, master_seed=args.master_seed)
+    graph, table = base.build()  # depends on distance, rounds and p only
     results = {}
     for predecoder in args.predecoders:
-        cfg = ExperimentConfig(distance=args.distance, rounds=args.rounds,
-                               p=args.p, predecoder=predecoder,
-                               hw_target=args.hw_target, master_seed=args.master_seed)
-        graph, table = cfg.build()
+        cfg = replace(base, predecoder=predecoder)
         hw = report_hw_distribution(cfg, graph, table, args.shots_per_k)
         lat = report_latency(cfg, graph, table, args.shots_per_k)
         steps = report_step_usage(cfg, graph, table, args.shots_per_k)

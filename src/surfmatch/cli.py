@@ -94,6 +94,8 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    if args.obs is not None and args.flipped is None:
+        raise ValueError("--obs goes with --flipped only")
     cfg = _config(args)
     cfg.k_max = 0  # single-shot decode samples nothing by stratum
     graph, table = cfg.build()
@@ -111,7 +113,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         bad = [d for d in args.flipped if not 0 <= d < graph.n_detectors]
         if bad:
             raise ValueError(f"detector ids out of range: {bad}")
-        syndrome = Syndrome(frozenset(args.flipped), args.obs)
+        syndrome = Syndrome(frozenset(args.flipped), args.obs or 0)
     rec = run_chain(graph, table, syndrome, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -237,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated edge ids to flip")
     src.add_argument("--flipped", type=_int_list, default=None,
                      help="comma-separated detector ids")
-    p.add_argument("--obs", type=int, choices=(0, 1), default=0,
-                   help="true observable bit accompanying --flipped")
+    p.add_argument("--obs", type=int, choices=(0, 1), default=None,
+                   help="true observable bit accompanying --flipped (default 0)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_decode)
 

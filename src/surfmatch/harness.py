@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
 from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
@@ -196,6 +196,15 @@ class LerEstimate:
         }
 
 
+def _graph_and_table(cfg: ExperimentConfig, graph: DetectorGraph | None,
+                     table: PathTable | None) -> tuple[DetectorGraph, PathTable]:
+    """The caller's graph and table checked against ``cfg``, or new ones."""
+    if graph is None or table is None:
+        return cfg.build()
+    cfg.validate(graph)
+    return graph, table
+
+
 def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                table: PathTable | None = None, decode_fn=None,
                p_override: float | None = None) -> LerEstimate:
@@ -204,10 +213,7 @@ def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
     ``p_override`` changes only the sampling rate, not the graph weights
     (``0.0`` is allowed and gives empty error sets, hence LER 0).
     """
-    if graph is None or table is None:
-        graph, table = cfg.build()
-    else:
-        cfg.validate(graph)
+    graph, table = _graph_and_table(cfg, graph, table)
     pcfg = cfg.predecode_config()
     failures = 0
     for i in range(cfg.shots_direct):
@@ -228,10 +234,7 @@ def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
 def run_rare_event(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                    table: PathTable | None = None, decode_fn=None) -> LerEstimate:
     """Rare-event LER: per-k failure rates combined with occurrence weights."""
-    if graph is None or table is None:
-        graph, table = cfg.build()
-    else:
-        cfg.validate(graph)
+    graph, table = _graph_and_table(cfg, graph, table)
     pcfg = cfg.predecode_config()
     strata: list[KStratum] = []
     for k in range(cfg.k_max + 1):
@@ -258,12 +261,12 @@ def run_rare_event(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
     return LerEstimate(ler, tuple(strata), math.sqrt(var), truncation)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Stratum:
     k: int
     p_occ: float
     shots: int
-    records: list[TrialRecord] = field(default_factory=list)
+    records: tuple[TrialRecord, ...]
 
     @property
     def weight(self) -> float:
@@ -271,34 +274,53 @@ class _Stratum:
         return self.p_occ * (len(self.records) / self.shots) if self.shots else 0.0
 
 
-def _high_hw_corpus(cfg: ExperimentConfig, graph: DetectorGraph,
-                    table: PathTable, shots_per_k: int | None = None) -> list[_Stratum]:
+# The last corpus built, as (graph, table, key, strata).  One slot is enough:
+# the three reports of one configuration run back to back.  The slot holds
+# graph and table, so their ids cannot be reused while it compares them, and
+# it is read once per call so that a caller replacing it mixes no entries.
+_last_corpus: tuple | None = None
+
+
+def _high_hw_corpus(cfg: ExperimentConfig, graph: DetectorGraph | None,
+                    table: PathTable | None,
+                    shots_per_k: int | None = None) -> tuple[_Stratum, ...]:
     """Per-k samples of syndromes above the main stage's cap.
 
     k below ceil((cap+1)/2) cannot exceed the cap (each error flips at
     most two detectors) so those strata are skipped.  Stratum statistics
     are later combined with weights P_occ(k) * P(HW > cap | k), matching
     how the per-sample frequencies arise under the iid model.
+
+    A call with the same graph and table objects, an equal config and the
+    same shot count as the previous call returns the previous corpus, so
+    the three reports of one configuration sample and decode it once.
     """
-    pcfg = cfg.predecode_config()
+    global _last_corpus
+    graph, table = _graph_and_table(cfg, graph, table)
     shots = shots_per_k if shots_per_k is not None else cfg.shots_per_k
+    key = (astuple(cfg), shots)
+    memo = _last_corpus
+    if memo and memo[0] is graph and memo[1] is table and memo[2] == key:
+        return memo[3]
+    pcfg = cfg.predecode_config()
     k_lo = cfg.main_hw_cap // 2 + 1
     strata = []
     for k in range(k_lo, cfg.k_max + 1):
-        stratum = _Stratum(k, occurrence_probability(k, graph.n_edges, graph.p),
-                           shots)
+        records = []
         for i in range(shots):
             seed = trial_seed(cfg.master_seed, _STREAM_REPORT, k, i)
             errors = inject_k_errors(graph, k, seed)
             syndrome = syndrome_from_errors(graph, errors)
             if syndrome.hamming_weight <= cfg.main_hw_cap:
                 continue
-            stratum.records.append(run_chain(graph, table, syndrome, cfg, pcfg))
-        strata.append(stratum)
-    return strata
+            records.append(run_chain(graph, table, syndrome, cfg, pcfg))
+        strata.append(_Stratum(k, occurrence_probability(k, graph.n_edges, graph.p),
+                               shots, tuple(records)))
+    _last_corpus = (graph, table, key, tuple(strata))
+    return _last_corpus[3]
 
 
-def _weighted(strata: list[_Stratum], value) -> float:
+def _weighted(strata: tuple[_Stratum, ...], value) -> float:
     """Combine a per-record statistic across strata with occurrence weights."""
     total_w = sum(s.weight for s in strata if s.records)
     if total_w == 0.0:
@@ -316,10 +338,6 @@ def report_hw_distribution(cfg: ExperimentConfig,
                            table: PathTable | None = None,
                            shots_per_k: int | None = None) -> dict:
     """Hamming-weight histograms before and after predecoding."""
-    if graph is None or table is None:
-        graph, table = cfg.build()
-    else:
-        cfg.validate(graph)
     strata = _high_hw_corpus(cfg, graph, table, shots_per_k)
     pre: Counter = Counter()
     post: Counter = Counter()
@@ -351,10 +369,6 @@ def report_latency(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                    table: PathTable | None = None,
                    shots_per_k: int | None = None) -> dict:
     """Modeled predecode and total latency over high-HW syndromes."""
-    if graph is None or table is None:
-        graph, table = cfg.build()
-    else:
-        cfg.validate(graph)
     strata = _high_hw_corpus(cfg, graph, table, shots_per_k)
     ok = [r for s in strata for r in s.records if not r.aborted]
     report = {
@@ -376,10 +390,6 @@ def report_step_usage(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                       table: PathTable | None = None,
                       shots_per_k: int | None = None) -> dict:
     """Fraction of decoded high-HW syndromes whose deepest step is each step."""
-    if graph is None or table is None:
-        graph, table = cfg.build()
-    else:
-        cfg.validate(graph)
     strata = _high_hw_corpus(cfg, graph, table, shots_per_k)
     steps = sorted({r.deepest_step for s in strata for r in s.records
                     if not r.aborted and r.deepest_step is not None})

@@ -94,6 +94,24 @@ def test_decode_sources_mutually_exclusive(capsys):
         main(["decode", "--distance", "3"])  # a syndrome source is required
 
 
+@pytest.mark.parametrize("source", [["--errors", "14,7"], ["--inject-k", "2"]])
+def test_decode_obs_without_flipped_exits_2(capsys, source):
+    code, out, err = run_cli(capsys, "decode", "--distance", "3", "--p", "0.01",
+                             *source, "--obs", "1")
+    assert code == 2 and out == ""
+    assert "--obs" in err
+
+
+def test_decode_flipped_obs_defaults_to_0(capsys):
+    g = build_decoding_graph(3, 2, 0.01)
+    u, v = find_adjacent_pair(g)
+    argv = ("decode", "--distance", "3", "--rounds", "2", "--flipped", f"{u},{v}")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["failure"] is False
+    code, out, _ = run_cli(capsys, *argv, "--obs", "1")
+    assert code == 0 and json.loads(out)["failure"] is True
+
+
 def test_decode_csv(capsys):
     code, out, _ = run_cli(capsys, "decode", "--distance", "3",
                            "--inject-k", "1", "--format", "csv")

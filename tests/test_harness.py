@@ -1,9 +1,13 @@
+import hashlib
+import json
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, Syndrome,
-                       make_rng, occurrence_probability, occurrence_tail,
+                       build_path_table, harness, make_rng,
+                       occurrence_probability, occurrence_tail,
                        run_chain, run_direct, run_rare_event,
                        report_hw_distribution, report_latency,
                        report_step_usage, syndrome_from_errors)
@@ -287,5 +291,84 @@ def test_report_step_usage_mostly_isolated_pairs():
 def test_reports_deterministic(g5, pt5):
     cfg = report_corpus_cfg()
     a = report_hw_distribution(cfg, g5, pt5, shots_per_k=25)
-    b = report_hw_distribution(cfg, g5, pt5, shots_per_k=25)
+    # a new graph and table miss the corpus memo, so this resamples
+    b = report_hw_distribution(cfg, *cfg.build(), shots_per_k=25)
     assert a == b
+
+
+REPORTS = (report_hw_distribution, report_latency, report_step_usage)
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Empty the corpus memo and count the run_chain calls made after."""
+    monkeypatch.setattr(harness, "_last_corpus", None)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run_chain(*args)
+
+    monkeypatch.setattr(harness, "run_chain", counting)
+    return calls
+
+
+def test_reports_share_one_corpus(g5, pt5, chain_calls):
+    cfg = report_corpus_cfg()
+    reps = [report(cfg, g5, pt5, shots_per_k=20) for report in REPORTS]
+    n = len(chain_calls)
+    assert n == reps[0]["samples"] > 0
+    assert [r["samples"] for r in reps] == [n] * 3
+    strata = _high_hw_corpus(cfg, g5, pt5, shots_per_k=20)
+    assert len(chain_calls) == n
+    with pytest.raises(FrozenInstanceError):
+        strata[0].records = ()
+    assert isinstance(strata, tuple) and isinstance(strata[0].records, tuple)
+
+
+@pytest.mark.parametrize("change", [
+    "master_seed", "predecoder", "shots_per_k", "table", "mutated_cfg"])
+def test_corpus_recomputed_when_key_changes(g5, pt5, chain_calls, change):
+    cfg = report_corpus_cfg()
+    report_latency(cfg, g5, pt5, shots_per_k=20)
+    n = len(chain_calls)
+    table, shots = pt5, 20
+    if change == "master_seed":
+        cfg = report_corpus_cfg(master_seed=8)
+    elif change == "predecoder":
+        cfg = report_corpus_cfg(predecoder="greedy")
+    elif change == "shots_per_k":
+        shots = 21
+    elif change == "table":
+        table = build_path_table(g5)
+    else:
+        cfg.hw_target = 8
+    report_latency(cfg, g5, table, shots_per_k=shots)
+    assert len(chain_calls) > n
+
+
+def test_corpus_memo_validates_every_call(g5, pt5, chain_calls):
+    cfg = report_corpus_cfg()
+    report_step_usage(cfg, g5, pt5, shots_per_k=20)
+    report_step_usage(cfg, g5, pt5, shots_per_k=20)  # a hit
+    n = len(chain_calls)
+    cfg.budget_ns = -1.0
+    with pytest.raises(ValueError, match="budget_ns"):
+        report_step_usage(cfg, g5, pt5, shots_per_k=20)
+    assert len(chain_calls) == n
+
+
+def test_reports_pinned_behaviour(g5, pt5):
+    """Every report field for three predecoders over a fixed d=5 corpus.
+
+    The digest was taken before the reports shared one corpus pass.  A
+    change to it is a change of report contents and must be declared.
+    """
+    digest = hashlib.sha256()
+    for predecoder in ("adaptive", "greedy", "none"):
+        cfg = report_corpus_cfg(predecoder=predecoder)
+        reps = [report(cfg, g5, pt5, shots_per_k=30) for report in REPORTS]
+        assert [r["samples"] for r in reps] == [154] * 3
+        digest.update(json.dumps(reps, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "d6aa2c1a59b9b3f3c09c2e4fd571036eef83997ba5f7d05e2db27f58e706e46e")

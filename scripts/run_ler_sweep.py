@@ -16,7 +16,7 @@ from surfmatch import ExperimentConfig, run_rare_event
 from surfmatch.harness import PREDECODERS
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--distances", type=int, nargs="+", default=[3, 5])
     ap.add_argument("--ps", type=float, nargs="+", default=[1e-3])
@@ -25,7 +25,7 @@ def main() -> int:
     ap.add_argument("--k-max", type=int, default=16)
     ap.add_argument("--master-seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional CSV path")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rows = [("distance", "p", "predecoder", "ler", "stderr", "truncation", "seconds")]
     print(f"{'d':>3} {'p':>10} {'ler':>12} {'stderr':>10} {'trunc':>10} {'sec':>7}")

@@ -11,10 +11,12 @@ which resolves logical error rates far below the reach of direct sampling.
 P_fail(0) is 0 by definition (no errors, empty syndrome, no failure) and
 the neglected tail sum_{k > k_max} P_occ(k) is reported as ``truncation``.
 
-Trials are embarrassingly parallel: every trial's generator is seeded from
-(master_seed, stream, k, index), so results are reproducible bit-for-bit
-regardless of execution order.  The implementation here runs them serially
-and reduces in index order.
+Trials are drawn in blocks of ``_BLOCK``: block b of a stream takes one
+generator seeded from (master_seed, stream, [k,] b), and each trial of the
+block takes the draws that follow those of the trials before it.  Results
+are reproducible bit-for-bit, and each block is the same whatever order the
+blocks run in, so blocks (not single trials) can run in parallel.  The
+implementation here runs them serially and reduces in index order.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import astuple, dataclass
 
 from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
 from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
-from .noise import (Syndrome, inject_k_errors, occurrence_probability,
+from .noise import (Syndrome, inject_k_errors, make_rng, occurrence_probability,
                     occurrence_tail, sample_iid, syndrome_from_errors, trial_seed)
 from .oracle import GREEDY_LABEL, greedy_baseline
 from .predecoder import STEP_RANK, PredecodeConfig, adaptive_predecode
@@ -37,6 +39,9 @@ PREDECODERS = ("adaptive", "greedy", "none")
 _STREAM_DIRECT = 1
 _STREAM_RARE = 2
 _STREAM_REPORT = 3
+
+# Trials per generator: one SeedSequence and PCG64 serve this many trials.
+_BLOCK = 1024
 
 
 @dataclass
@@ -70,10 +75,11 @@ class ExperimentConfig:
                 f"main_hw_cap must be in [1, {MAX_HW_CAP}], got {self.main_hw_cap}")
         if self.hw_target not in (6, 8, 10):
             raise ValueError(f"hw_target must be 6, 8 or 10, got {self.hw_target}")
-        if self.budget_ns <= 0:
-            raise ValueError(f"budget_ns must be positive, got {self.budget_ns}")
-        if self.clock_mhz <= 0:
-            raise ValueError(f"clock_mhz must be positive, got {self.clock_mhz}")
+        # Written so that NaN, for which every comparison is false, fails.
+        if not 0.0 < self.budget_ns < math.inf:
+            raise ValueError(f"budget_ns must be finite and positive, got {self.budget_ns}")
+        if not 0.0 < self.clock_mhz < math.inf:
+            raise ValueError(f"clock_mhz must be finite and positive, got {self.clock_mhz}")
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if self.shots_per_k <= 0 or self.shots_direct <= 0:
@@ -205,6 +211,19 @@ def _graph_and_table(cfg: ExperimentConfig, graph: DetectorGraph | None,
     return graph, table
 
 
+def _trial_rngs(master_seed: int, n: int, *path: int):
+    """The generator of each of ``n`` trials of the stream ``path``.
+
+    Trial i draws from the generator of block i // _BLOCK, seeded from
+    (master_seed, *path, block), right after the draws of the trials before
+    it in that block; so the trials of a block must be drawn in order.
+    """
+    for i in range(n):
+        if i % _BLOCK == 0:
+            rng = make_rng(trial_seed(master_seed, *path, i // _BLOCK))
+        yield rng
+
+
 def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                table: PathTable | None = None, decode_fn=None,
                p_override: float | None = None) -> LerEstimate:
@@ -216,9 +235,8 @@ def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
     graph, table = _graph_and_table(cfg, graph, table)
     pcfg = cfg.predecode_config()
     failures = 0
-    for i in range(cfg.shots_direct):
-        seed = trial_seed(cfg.master_seed, _STREAM_DIRECT, i)
-        errors = sample_iid(graph, p_override, seed)
+    for rng in _trial_rngs(cfg.master_seed, cfg.shots_direct, _STREAM_DIRECT):
+        errors = sample_iid(graph, p_override, rng)
         syndrome = syndrome_from_errors(graph, errors)
         if decode_fn is not None:
             failed = bool(decode_fn(graph, table, syndrome))
@@ -243,9 +261,8 @@ def run_rare_event(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
             strata.append(KStratum(0, p_occ, 0.0, 0, 0))
             continue
         failures = 0
-        for i in range(cfg.shots_per_k):
-            seed = trial_seed(cfg.master_seed, _STREAM_RARE, k, i)
-            errors = inject_k_errors(graph, k, seed)
+        for rng in _trial_rngs(cfg.master_seed, cfg.shots_per_k, _STREAM_RARE, k):
+            errors = inject_k_errors(graph, k, rng)
             syndrome = syndrome_from_errors(graph, errors)
             if decode_fn is not None:
                 failed = bool(decode_fn(graph, table, syndrome))
@@ -307,9 +324,8 @@ def _high_hw_corpus(cfg: ExperimentConfig, graph: DetectorGraph | None,
     strata = []
     for k in range(k_lo, cfg.k_max + 1):
         records = []
-        for i in range(shots):
-            seed = trial_seed(cfg.master_seed, _STREAM_REPORT, k, i)
-            errors = inject_k_errors(graph, k, seed)
+        for rng in _trial_rngs(cfg.master_seed, shots, _STREAM_REPORT, k):
+            errors = inject_k_errors(graph, k, rng)
             syndrome = syndrome_from_errors(graph, errors)
             if syndrome.hamming_weight <= cfg.main_hw_cap:
                 continue

@@ -2,9 +2,10 @@
 
 Errors are independent flips of decoding-graph edges.  Sampling uses
 numpy's PCG64 generator, which is seedable and produces the same stream on
-every platform; per-trial seeds are derived with ``SeedSequence`` from a
-master seed plus the trial's index path, so trials can run in any order
-(or in parallel) and still reproduce bit-identically.
+every platform.  ``trial_seed`` derives a ``SeedSequence`` from a master
+seed plus an index path; the samplers take a seed or a ``Generator``, so a
+caller can seed each trial on its own or, as the harness does, draw a block
+of trials in order from one generator.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ def make_rng(seed) -> np.random.Generator:
 
 
 def trial_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
-    """Deterministic per-trial seed derived from a master seed and index path."""
+    """Deterministic seed derived from a master seed and an index path."""
     return np.random.SeedSequence((int(master_seed),) + tuple(int(x) for x in path))
 
 

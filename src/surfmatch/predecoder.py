@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 import json
+import math
 
 from .graph import DetectorGraph, PathTable, reconstruct_path
 from .noise import Syndrome
@@ -236,8 +237,11 @@ class PredecodeConfig:
     def __post_init__(self):
         if self.hw_target not in (6, 8, 10):
             raise ValueError(f"hw_target must be 6, 8 or 10, got {self.hw_target}")
-        if self.clock_mhz <= 0:
-            raise ValueError("clock_mhz must be positive")
+        # Written so that NaN, for which every comparison is false, fails.
+        if not self.budget_ns >= 0.0:
+            raise ValueError(f"budget_ns must be >= 0, got {self.budget_ns}")
+        if not 0.0 < self.clock_mhz < math.inf:
+            raise ValueError(f"clock_mhz must be finite and positive, got {self.clock_mhz}")
 
     @property
     def cycle_ns(self) -> float:

@@ -6,7 +6,9 @@ itertools partitioning, lgamma binomials), so agreement between the two
 is meaningful evidence of correctness rather than a tautology.  The one
 exception is ``enumerate_mwpm``: the exhaustive enumeration whose answer,
 floating-point sums and tie-breaks included, the package's pruned matcher
-must reproduce exactly.
+must reproduce exactly.  The two trial-stream references at the end seed
+through the package's own ``make_rng`` and ``trial_seed``: what they pin is
+which seed path and which draws each trial gets, not the generator.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import math
 
 from surfmatch.graph import reconstruct_boundary_path, reconstruct_path
 from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet
+from surfmatch.noise import make_rng, trial_seed
 
 
 def heap_dijkstra(graph, src: int):
@@ -328,3 +331,26 @@ def matching_failure(graph, syndrome) -> tuple[float, bool]:
             parity ^= path_parity(a, t)
         parity ^= observable_parity(graph, [eid])
     return weight, parity != syndrome.true_observable
+
+
+def block_stream(master_seed: int, path: tuple, n: int, block: int, draw) -> list:
+    """``draw(rng)`` for each of n trials, drawn in blocks of ``block``.
+
+    Block b has one generator seeded from (master_seed, *path, b), and its
+    trials draw from it one after another.
+    """
+    out = []
+    for b in range(-(-n // block)):
+        rng = make_rng(trial_seed(master_seed, *path, b))
+        for _ in range(min(block, n - b * block)):
+            out.append(draw(rng))
+    return out
+
+
+def per_trial_stream(master_seed: int, path: tuple, n: int, draw) -> list:
+    """``draw(rng)`` for each of n trials, each with its own generator.
+
+    Trial i is seeded from (master_seed, *path, i): the seeding the harness
+    used before it drew trials in blocks.
+    """
+    return [draw(make_rng(trial_seed(master_seed, *path, i))) for i in range(n)]

@@ -227,6 +227,14 @@ def test_validation_failure_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--budget-ns", "--clock-mhz"])
+def test_nan_timing_exits_2(capsys, flag):
+    code, out, err = run_cli(capsys, "decode", "--distance", "7", "--p", "0.001",
+                             "--inject-k", "9", "--seed", "3", flag, "nan")
+    assert code == 2 and out == ""
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_main_hw_cap_over_matcher_cap_exits_2(capsys):
     code, _, err = run_cli(capsys, "decode", "--distance", "3", "--errors", "0",
                            "--main-hw-cap", str(MAX_HW_CAP + 1))

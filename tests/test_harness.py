@@ -3,17 +3,19 @@ import json
 import math
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, Syndrome,
-                       build_path_table, harness, make_rng,
+                       build_path_table, harness, inject_k_errors, make_rng,
                        occurrence_probability, occurrence_tail,
                        run_chain, run_direct, run_rare_event,
                        report_hw_distribution, report_latency,
-                       report_step_usage, syndrome_from_errors)
+                       report_step_usage, sample_iid, syndrome_from_errors)
 from surfmatch.harness import _high_hw_corpus
 from surfmatch.oracle import GREEDY_LABEL
 
+from oracles import block_stream, per_trial_stream
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -44,6 +46,8 @@ def test_config_validation_rejects_bad_fields():
         dict(main_hw_cap=15), dict(hw_target=7), dict(budget_ns=0.0),
         dict(clock_mhz=0.0), dict(k_max=-1), dict(shots_per_k=0),
         dict(shots_direct=0), dict(hw_target="adaptive"),
+        dict(budget_ns=math.nan), dict(budget_ns=math.inf),
+        dict(clock_mhz=math.nan), dict(clock_mhz=math.inf),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -214,6 +218,90 @@ def test_rare_event_distance_ordering():
     assert lers[3] > 0.0
 
 
+# -------------------------------------------------------- trial streams
+
+
+def chain_failures(graph, table, syndromes, cfg):
+    return sum(run_chain(graph, table, s, cfg).failure for s in syndromes)
+
+
+def test_direct_stream_is_block_seeded(g3, pt3):
+    assert harness._BLOCK == 1024
+    cfg = ExperimentConfig(distance=3, rounds=3, p=0.01, master_seed=11,
+                           shots_direct=1024 + 3)  # crosses a block boundary
+    ref = block_stream(11, (harness._STREAM_DIRECT,), cfg.shots_direct, 1024,
+                       lambda rng: syndrome_from_errors(g3, sample_iid(g3, None, rng)))
+    seen = []
+    run_direct(cfg, g3, pt3, decode_fn=lambda g, t, s: seen.append(s))
+    assert seen == ref
+    est = run_direct(cfg, g3, pt3)
+    assert round(est.ler * cfg.shots_direct) == chain_failures(g3, pt3, ref, cfg) > 0
+
+
+def test_rare_event_stream_is_block_seeded(g32, pt32):
+    cfg = rare_cfg(k_max=3, shots_per_k=1024 + 3, master_seed=5)
+    est = run_rare_event(cfg, g32, pt32)
+    for s in est.per_k[1:]:
+        ref = block_stream(5, (harness._STREAM_RARE, s.k), cfg.shots_per_k, 1024,
+                           lambda rng: syndrome_from_errors(
+                               g32, inject_k_errors(g32, s.k, rng)))
+        assert s.failures == chain_failures(g32, pt32, ref, cfg)
+    assert sum(s.failures for s in est.per_k) > 0
+
+
+def test_corpus_stream_is_block_seeded(g5, pt5):
+    cfg = report_corpus_cfg(k_max=8)
+    strata = _high_hw_corpus(cfg, g5, pt5, shots_per_k=30)
+    for s in strata:
+        ref = block_stream(cfg.master_seed, (harness._STREAM_REPORT, s.k), 30, 1024,
+                           lambda rng: syndrome_from_errors(
+                               g5, inject_k_errors(g5, s.k, rng)))
+        assert s.records == tuple(run_chain(g5, pt5, syn, cfg) for syn in ref
+                                  if syn.hamming_weight > cfg.main_hw_cap)
+    assert any(s.records for s in strata)
+
+
+# The differential tests below compare the block streams with the per-trial
+# seeding they replaced, on 20,000 trials per scheme, each scheme under its
+# own master seed so that no trial is shared.  Every comparison is held to
+# 4 sigma of the difference of two independent sample means.
+STREAM_TRIALS = 20_000
+
+
+def test_block_streams_match_per_trial_iid_statistics(g3):
+    # d=3, p=0.01: the i.i.d. error count and the HW-0 fraction
+    def draw(rng):
+        errors = sample_iid(g3, None, rng)
+        return len(errors), syndrome_from_errors(g3, errors).hamming_weight == 0
+
+    n = STREAM_TRIALS
+    block = np.array([draw(rng) for rng in
+                      harness._trial_rngs(1, n, harness._STREAM_DIRECT)], dtype=float)
+    ref = np.array(per_trial_stream(2, (harness._STREAM_DIRECT,), n, draw), dtype=float)
+    for col in range(2):
+        a, b = block[:, col], ref[:, col]
+        sigma = math.sqrt(a.var() / n + b.var() / n)
+        assert abs(a.mean() - b.mean()) <= 4 * sigma
+
+
+def test_block_streams_match_per_trial_exact_k_edge_frequencies(g3):
+    n, k = STREAM_TRIALS, 3
+
+    def edge_frequencies(error_sets):
+        counts = np.zeros(g3.n_edges)
+        for errors in error_sets:
+            counts[list(errors.edge_ids)] += 1
+        return counts / n
+
+    block = edge_frequencies(inject_k_errors(g3, k, rng) for rng in
+                             harness._trial_rngs(3, n, harness._STREAM_RARE, k))
+    ref = edge_frequencies(per_trial_stream(4, (harness._STREAM_RARE, k), n,
+                                            lambda rng: inject_k_errors(g3, k, rng)))
+    q = k / g3.n_edges
+    sigma = math.sqrt(2 * q * (1 - q) / n)
+    assert np.all(np.abs(block - ref) <= 4 * sigma)
+
+
 # ------------------------------------------------------------- reports
 
 
@@ -361,14 +449,16 @@ def test_corpus_memo_validates_every_call(g5, pt5, chain_calls):
 def test_reports_pinned_behaviour(g5, pt5):
     """Every report field for three predecoders over a fixed d=5 corpus.
 
-    The digest was taken before the reports shared one corpus pass.  A
-    change to it is a change of report contents and must be declared.
+    The digest was taken after trials were drawn in blocks from one
+    generator per block (it did not move when the reports came to share
+    one corpus pass).  A change to it is a change of report contents and
+    must be declared.
     """
     digest = hashlib.sha256()
     for predecoder in ("adaptive", "greedy", "none"):
         cfg = report_corpus_cfg(predecoder=predecoder)
         reps = [report(cfg, g5, pt5, shots_per_k=30) for report in REPORTS]
-        assert [r["samples"] for r in reps] == [154] * 3
+        assert [r["samples"] for r in reps] == [155] * 3
         digest.update(json.dumps(reps, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "d6aa2c1a59b9b3f3c09c2e4fd571036eef83997ba5f7d05e2db27f58e706e46e")
+        "9937473b50a44ffa040eac8bdad48d08250e312c95b15976efac9b7d97a0eda3")

@@ -271,10 +271,13 @@ def test_step3_none_without_singletons(g3, pt3):
 def test_config_validation():
     with pytest.raises(ValueError):
         PredecodeConfig(hw_target=7)
-    with pytest.raises(ValueError):
-        PredecodeConfig(clock_mhz=0)
+    for bad in (dict(clock_mhz=0), dict(clock_mhz=math.nan), dict(clock_mhz=math.inf),
+                dict(budget_ns=math.nan), dict(budget_ns=-1.0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            PredecodeConfig(**bad)
     for target in (6, 8, 10):
         assert PredecodeConfig(hw_target=target).hw_target == target
+    assert PredecodeConfig(budget_ns=0.0).budget_ns == 0.0  # forces an abort
 
 
 def test_config_timing_model():

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -34,4 +35,21 @@ def test_run_reports_builds_graph_once(tmp_path, monkeypatch, capsys):
     for reports in doc.values():
         samples = {reports[name]["samples"] for name in ("hw", "latency", "steps")}
         assert len(samples) == 1 and samples.pop() > 0
+    assert "wrote" in capsys.readouterr().out
+
+
+def test_run_ler_sweep_reproducible(tmp_path, capsys):
+    lers = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.csv"
+        code = load_script("run_ler_sweep").main(
+            ["--distances", "3", "--shots-per-k", "20", "--k-max", "4",
+             "--master-seed", "5", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["distance"], r["p"]) for r in rows] == [("3", "0.001")]
+        lers.append([r["ler"] for r in rows])
+    assert lers[0] == lers[1]
+    assert float(lers[0][0]) > 0.0
     assert "wrote" in capsys.readouterr().out

@@ -27,25 +27,36 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args(argv)
 
-    rows = [("distance", "p", "predecoder", "ler", "stderr", "truncation", "seconds")]
-    print(f"{'d':>3} {'p':>10} {'ler':>12} {'stderr':>10} {'trunc':>10} {'sec':>7}")
-    for d in args.distances:
-        for p in args.ps:
-            cfg = ExperimentConfig(distance=d, p=p, predecoder=args.predecoder,
-                                   shots_per_k=args.shots_per_k, k_max=args.k_max,
-                                   master_seed=args.master_seed)
-            t0 = time.perf_counter()
-            est = run_rare_event(cfg)
-            dt = time.perf_counter() - t0
-            print(f"{d:>3} {p:>10.2e} {est.ler:>12.4e} {est.stderr:>10.2e} "
-                  f"{est.truncation:>10.2e} {dt:>7.1f}")
-            rows.append((d, p, args.predecoder, est.ler, est.stderr,
-                         est.truncation, round(dt, 2)))
+    configs = [ExperimentConfig(distance=d, p=p, predecoder=args.predecoder,
+                                shots_per_k=args.shots_per_k, k_max=args.k_max,
+                                master_seed=args.master_seed)
+               for d in args.distances for p in args.ps]
+    try:
+        for cfg in configs:  # the whole grid, before any work
+            cfg.validate()
+        rows = sweep(configs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
         print(f"wrote {args.out}")
     return 0
+
+
+def sweep(configs: list[ExperimentConfig]) -> list[tuple]:
+    rows = [("distance", "p", "predecoder", "ler", "stderr", "truncation", "seconds")]
+    print(f"{'d':>3} {'p':>10} {'ler':>12} {'stderr':>10} {'trunc':>10} {'sec':>7}")
+    for cfg in configs:
+        t0 = time.perf_counter()
+        est = run_rare_event(cfg)
+        dt = time.perf_counter() - t0
+        print(f"{cfg.distance:>3} {cfg.p:>10.2e} {est.ler:>12.4e} {est.stderr:>10.2e} "
+              f"{est.truncation:>10.2e} {dt:>7.1f}")
+        rows.append((cfg.distance, cfg.p, cfg.predecoder, est.ler, est.stderr,
+                     est.truncation, round(dt, 2)))
+    return rows
 
 
 if __name__ == "__main__":

@@ -31,6 +31,20 @@ def main(argv=None) -> int:
 
     base = ExperimentConfig(distance=args.distance, rounds=args.rounds, p=args.p,
                             hw_target=args.hw_target, master_seed=args.master_seed)
+    try:
+        base.validate()
+        results = reports(base, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(results, fh, indent=2)
+        print(f"wrote {args.out}")
+    return 0
+
+
+def reports(base: ExperimentConfig, args) -> dict:
     graph, table = base.build()  # depends on distance, rounds and p only
     results = {}
     for predecoder in args.predecoders:
@@ -51,11 +65,7 @@ def main(argv=None) -> int:
         if steps["steps"]:
             usage = ", ".join(f"{s}:{f:.4f}" for s, f in steps["steps"].items())
             print(f"  deepest step       {usage}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2)
-        print(f"wrote {args.out}")
-    return 0
+    return results
 
 
 if __name__ == "__main__":

@@ -12,8 +12,7 @@ from .maindecoder import (DEFAULT_HW_CAP, MAX_HW_CAP, DecodeOutcome, MatchingSet
 from .noise import (ErrorSet, Syndrome, inject_k_errors, make_rng,
                     occurrence_probability, occurrence_tail, sample_iid,
                     syndrome_from_errors, trial_seed)
-from .oracle import (chain_length_counts, chain_length_histogram, greedy_baseline,
-                     histogram_to_csv, oracle_mwpm)
+from .oracle import chain_length_counts, greedy_baseline, oracle_mwpm
 from .predecoder import (CandidateRegisters, DecodingSubgraph, Prematch,
                          PredecodeConfig, PredecodeResult, Step, adaptive_predecode,
                          build_subgraph, creates_singleton, match_isolated_pairs,
@@ -34,8 +33,7 @@ __all__ = [
     "adaptive_predecode",
     "DEFAULT_HW_CAP", "MAX_HW_CAP", "MatchingSet", "DecodeOutcome",
     "matching_search_size", "brute_force_mwpm", "decode",
-    "oracle_mwpm", "greedy_baseline", "chain_length_histogram",
-    "chain_length_counts", "histogram_to_csv",
+    "oracle_mwpm", "greedy_baseline", "chain_length_counts",
     "ExperimentConfig", "TrialRecord", "KStratum", "LerEstimate", "run_chain",
     "run_direct", "run_rare_event", "report_hw_distribution", "report_latency",
     "report_step_usage",

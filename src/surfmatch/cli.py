@@ -174,12 +174,7 @@ def _cmd_estimate_ler(args: argparse.Namespace) -> int:
             "predecoder": cfg.predecoder_label,
             "shots_per_k": cfg.shots_per_k,
             "k_max": cfg.k_max,
-            "ler": est.ler,
-            "stderr": est.stderr,
-            "truncation": est.truncation,
-            "per_k": [{"k": s.k, "p_occ": s.p_occ, "p_fail": s.p_fail,
-                       "failures": s.failures, "shots": s.shots}
-                      for s in est.per_k],
+            **est.to_dict(),
         }
         rows = [["k", "p_occ", "p_fail", "failures", "shots"]]
         rows += [[s.k, repr(s.p_occ), repr(s.p_fail), s.failures, s.shots]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -82,8 +82,7 @@ class DetectorGraph:
     """Decoding graph plus adjacency and edge lookup tables.
 
     Treat instances as immutable after construction; derived tables are
-    built once here.  Use :meth:`with_edge_probabilities` to obtain a
-    modified copy instead of mutating edges in place.
+    built once here.
     """
 
     def __init__(self, distance: int, rounds: int, p: float,
@@ -115,7 +114,6 @@ class DetectorGraph:
             lst.sort()
 
         self.edge_probabilities = np.array([e.probability for e in edges])
-        self.edge_weights = np.array([e.weight for e in edges])
 
     @property
     def n_edges(self) -> int:
@@ -131,19 +129,6 @@ class DetectorGraph:
     def boundary_edges_of(self, u: int) -> list[int]:
         """Ids of the boundary edges incident to detector u (may be several)."""
         return self._boundary_edges[u]
-
-    def with_edge_probabilities(self, overrides: dict[int, float]) -> "DetectorGraph":
-        """A copy of this graph with some edge priors replaced."""
-        new_edges = []
-        for e in self.edges:
-            if e.id in overrides:
-                q = overrides[e.id]
-                if not 0.0 < q < 0.5:
-                    raise ValueError(f"edge probability must be in (0, 0.5), got {q}")
-                e = replace(e, probability=q, weight=-math.log(q))
-            new_edges.append(e)
-        return DetectorGraph(self.distance, self.rounds, self.p,
-                             self.nodes, new_edges, self.boundary_id)
 
     def validate(self) -> None:
         d, r = self.distance, self.rounds
@@ -278,21 +263,17 @@ class PathTable:
 
     ``route[i, j]`` is the predecessor of ``j`` on the chosen shortest path
     from ``i``; together with the graph's edge lookup it reconstructs the
-    full edge list of any path.  ``hops`` counts the edges of the chosen
-    path.
+    full edge list of any path.
     """
 
     def __init__(self, graph: DetectorGraph, weight: np.ndarray,
-                 hops: np.ndarray, route: np.ndarray,
-                 boundary_weight: np.ndarray, boundary_hops: np.ndarray,
+                 route: np.ndarray, boundary_weight: np.ndarray,
                  boundary_via: np.ndarray, boundary_edge: np.ndarray):
         self.graph = graph
         self.n = graph.n_detectors
         self.weight = weight
-        self.hops = hops
         self.route = route
         self.boundary_weight = boundary_weight
-        self.boundary_hops = boundary_hops
         self.boundary_via = boundary_via
         self.boundary_edge = boundary_edge
 
@@ -313,16 +294,6 @@ def build_path_table(graph: DetectorGraph) -> PathTable:
     if not np.all(np.isfinite(dist)):
         raise ValueError("detector subgraph is not connected")
 
-    hops = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
-        row_pred = pred[i]
-        row_hops = hops[i]
-        for j in order:
-            if j == i:
-                continue
-            row_hops[j] = row_hops[row_pred[j]] + 1
-
     direct_bw = np.full(n, np.inf)
     direct_bedge = np.full(n, -1, dtype=np.int64)
     for u in range(n):
@@ -333,13 +304,10 @@ def build_path_table(graph: DetectorGraph) -> PathTable:
                 direct_bedge[u] = eid
     total = dist + direct_bw[None, :]
     via = np.argmin(total, axis=1)
-    idx = np.arange(n)
-    boundary_weight = total[idx, via]
-    boundary_hops = (hops[idx, via] + 1).astype(np.int32)
+    boundary_weight = total[np.arange(n), via]
     boundary_edge = direct_bedge[via]
 
-    return PathTable(graph, dist, hops, pred, boundary_weight, boundary_hops,
-                     via, boundary_edge)
+    return PathTable(graph, dist, pred, boundary_weight, via, boundary_edge)
 
 
 def reconstruct_path(table: PathTable, i: int, j: int) -> list[int]:

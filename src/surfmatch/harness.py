@@ -84,7 +84,17 @@ class ExperimentConfig:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if self.shots_per_k <= 0 or self.shots_direct <= 0:
             raise ValueError("shot counts must be positive")
-        if graph is not None and self.k_max > graph.n_edges:
+        if graph is None:
+            return
+        have = (graph.distance, graph.rounds, graph.p)
+        want = (self.distance, self.rounds or self.distance, self.p)
+        if have != want:
+            raise ValueError(f"graph (distance, rounds, p) {have} does not match "
+                             f"the config's {want}")
+        # The occurrence probabilities assume one uniform prior.
+        if any(e.probability != graph.p for e in graph.edges):
+            raise ValueError(f"every edge prior must equal the graph's p = {graph.p}")
+        if self.k_max > graph.n_edges:
             raise ValueError(
                 f"k_max {self.k_max} exceeds the {graph.n_edges} edges of the graph")
 
@@ -225,24 +235,15 @@ def _trial_rngs(master_seed: int, n: int, *path: int):
 
 
 def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
-               table: PathTable | None = None, decode_fn=None,
-               p_override: float | None = None) -> LerEstimate:
-    """Monte-Carlo LER: decode iid samples and count failures.
-
-    ``p_override`` changes only the sampling rate, not the graph weights
-    (``0.0`` is allowed and gives empty error sets, hence LER 0).
-    """
+               table: PathTable | None = None) -> LerEstimate:
+    """Monte-Carlo LER: decode iid samples and count failures."""
     graph, table = _graph_and_table(cfg, graph, table)
     pcfg = cfg.predecode_config()
     failures = 0
     for rng in _trial_rngs(cfg.master_seed, cfg.shots_direct, _STREAM_DIRECT):
-        errors = sample_iid(graph, p_override, rng)
+        errors = sample_iid(graph, rng)
         syndrome = syndrome_from_errors(graph, errors)
-        if decode_fn is not None:
-            failed = bool(decode_fn(graph, table, syndrome))
-        else:
-            failed = run_chain(graph, table, syndrome, cfg, pcfg).failure
-        failures += failed
+        failures += run_chain(graph, table, syndrome, cfg, pcfg).failure
     n = cfg.shots_direct
     ler = failures / n
     stderr = math.sqrt(ler * (1.0 - ler) / n)
@@ -250,7 +251,7 @@ def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
 
 
 def run_rare_event(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
-                   table: PathTable | None = None, decode_fn=None) -> LerEstimate:
+                   table: PathTable | None = None) -> LerEstimate:
     """Rare-event LER: per-k failure rates combined with occurrence weights."""
     graph, table = _graph_and_table(cfg, graph, table)
     pcfg = cfg.predecode_config()
@@ -264,11 +265,7 @@ def run_rare_event(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
         for rng in _trial_rngs(cfg.master_seed, cfg.shots_per_k, _STREAM_RARE, k):
             errors = inject_k_errors(graph, k, rng)
             syndrome = syndrome_from_errors(graph, errors)
-            if decode_fn is not None:
-                failed = bool(decode_fn(graph, table, syndrome))
-            else:
-                failed = run_chain(graph, table, syndrome, cfg, pcfg).failure
-            failures += failed
+            failures += run_chain(graph, table, syndrome, cfg, pcfg).failure
         strata.append(KStratum(k, p_occ, failures / cfg.shots_per_k,
                                failures, cfg.shots_per_k))
     ler = sum(s.p_occ * s.p_fail for s in strata)
@@ -315,6 +312,8 @@ def _high_hw_corpus(cfg: ExperimentConfig, graph: DetectorGraph | None,
     global _last_corpus
     graph, table = _graph_and_table(cfg, graph, table)
     shots = shots_per_k if shots_per_k is not None else cfg.shots_per_k
+    if shots <= 0:
+        raise ValueError(f"shots_per_k must be positive, got {shots}")
     key = (astuple(cfg), shots)
     memo = _last_corpus
     if memo and memo[0] is graph and memo[1] is table and memo[2] == key:

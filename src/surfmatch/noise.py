@@ -17,8 +17,6 @@ from scipy.stats import binom
 
 from .graph import DetectorGraph
 
-RngLike = "int | np.random.SeedSequence | np.random.Generator"
-
 
 @dataclass(frozen=True)
 class ErrorSet:
@@ -56,17 +54,10 @@ def trial_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master_seed),) + tuple(int(x) for x in path))
 
 
-def sample_iid(graph: DetectorGraph, p_override: float | None = None,
-               rng_seed=0) -> ErrorSet:
-    """Flip every edge independently with its prior (or ``p_override``)."""
+def sample_iid(graph: DetectorGraph, rng_seed=0) -> ErrorSet:
+    """Flip every edge independently with its prior."""
     rng = make_rng(rng_seed)
-    if p_override is None:
-        probs = graph.edge_probabilities
-    else:
-        if not 0.0 <= p_override < 0.5:
-            raise ValueError(f"p_override must be in [0, 0.5), got {p_override}")
-        probs = p_override
-    hits = np.nonzero(rng.random(graph.n_edges) < probs)[0]
+    hits = np.nonzero(rng.random(graph.n_edges) < graph.edge_probabilities)[0]
     return ErrorSet(frozenset(int(i) for i in hits))
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .graph import DetectorGraph, PathTable
+from .graph import (DetectorGraph, PathTable, reconstruct_boundary_path,
+                    reconstruct_path)
 from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
 from .noise import Syndrome
 from .predecoder import PredecodeResult, Prematch, Step, build_subgraph
@@ -54,39 +55,20 @@ def greedy_baseline(graph: DetectorGraph, syndrome: Syndrome,
 def _chain_lengths(table: PathTable, outcome: DecodeOutcome) -> list[int]:
     if outcome.matching is None:
         return []
-    hops = [int(table.hops[a, b]) for a, b in outcome.matching.pairs]
-    hops += [int(table.boundary_hops[a]) for a in outcome.matching.boundary_matches]
-    return hops
-
-
-def chain_length_histogram(graph: DetectorGraph, table: PathTable,
-                           syndromes: Iterable[Syndrome]) -> dict[int, float]:
-    """Distribution of matched-chain lengths under the oracle decoder.
-
-    Each matched pair contributes the hop count of its shortest path;
-    boundary matches contribute their node-to-boundary hop count.  Returns
-    hop count -> frequency (empty input gives an empty map).
-    """
-    counts = chain_length_counts(graph, table, syndromes)
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {hops: counts[hops] / total for hops in sorted(counts)}
+    lengths = [len(reconstruct_path(table, a, b)) for a, b in outcome.matching.pairs]
+    lengths += [len(reconstruct_boundary_path(table, a))
+                for a in outcome.matching.boundary_matches]
+    return lengths
 
 
 def chain_length_counts(graph: DetectorGraph, table: PathTable,
                         syndromes: Iterable[Syndrome]) -> Counter:
+    """Matched-chain lengths under the oracle decoder, as hop count -> count.
+
+    Each matched pair contributes the edge count of its shortest path;
+    boundary matches contribute the edge count of their boundary route.
+    """
     counts: Counter = Counter()
     for syndrome in syndromes:
         counts.update(_chain_lengths(table, oracle_mwpm(graph, table, syndrome)))
     return counts
-
-
-def histogram_to_csv(counts: Counter) -> str:
-    """Chain-length histogram as CSV with columns hops,count,frequency."""
-    total = sum(counts.values())
-    lines = ["hops,count,frequency"]
-    for hops in sorted(counts):
-        freq = counts[hops] / total if total else 0.0
-        lines.append(f"{hops},{counts[hops]},{freq}")
-    return "\n".join(lines) + "\n"

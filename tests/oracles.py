@@ -1,22 +1,26 @@
 """Independent reference implementations used to grade the package.
 
 Everything here deliberately uses different algorithms and data structures
-than the package (dict-based heapq Dijkstra, DFS path enumeration,
-itertools partitioning, lgamma binomials), so agreement between the two
-is meaningful evidence of correctness rather than a tautology.  The one
-exception is ``enumerate_mwpm``: the exhaustive enumeration whose answer,
-floating-point sums and tie-breaks included, the package's pruned matcher
-must reproduce exactly.  The two trial-stream references at the end seed
-through the package's own ``make_rng`` and ``trial_seed``: what they pin is
-which seed path and which draws each trial gets, not the generator.
+than the package (dict-based heapq Dijkstra, breadth-first hop counts, DFS
+path enumeration, itertools partitioning, lgamma binomials), so agreement
+between the two is meaningful evidence of correctness rather than a
+tautology.  The one exception is ``enumerate_mwpm``: the exhaustive
+enumeration whose answer, floating-point sums and tie-breaks included, the
+package's pruned matcher must reproduce exactly.  The two trial-stream references seed through the
+package's own ``make_rng`` and ``trial_seed``: what they pin is which seed
+path and which draws each trial gets, not the generator.  The two graph
+builders at the end are fixtures, not references: graphs whose priors
+differ from the one uniform ``p`` the package builds.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+from dataclasses import replace
 
-from surfmatch.graph import reconstruct_boundary_path, reconstruct_path
+from surfmatch.graph import (DetectorGraph, reconstruct_boundary_path,
+                             reconstruct_path)
 from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet
 from surfmatch.noise import make_rng, trial_seed
 
@@ -37,6 +41,31 @@ def heap_dijkstra(graph, src: int):
                 parent[v] = u
                 heapq.heappush(pq, (nd, v))
     return dist, parent
+
+
+def bfs_hops(graph, src: int) -> dict:
+    """Fewest edges from one detector to each detector, boundary excluded.
+
+    Every edge of a built graph has the same weight, so a min-weight path
+    is a min-hop path and these are the edge counts of the table's routes.
+    """
+    hops = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v, _ in graph.detector_neighbors[u]:
+                if v not in hops:
+                    hops[v] = hops[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return hops
+
+
+def bfs_boundary_hops(graph, src: int) -> int:
+    """Edges of the fewest-edge route from ``src`` out through the boundary."""
+    hops = bfs_hops(graph, src)
+    return 1 + min(h for t, h in hops.items() if graph.boundary_edges_of(t))
 
 
 def apsp_weights(graph):
@@ -354,3 +383,23 @@ def per_trial_stream(master_seed: int, path: tuple, n: int, draw) -> list:
     used before it drew trials in blocks.
     """
     return [draw(make_rng(trial_seed(master_seed, *path, i))) for i in range(n)]
+
+
+def with_edge_probabilities(graph, overrides: dict) -> DetectorGraph:
+    """A copy of ``graph`` with the priors of some edges replaced."""
+    edges = []
+    for e in graph.edges:
+        if e.id in overrides:
+            q = overrides[e.id]
+            if not 0.0 < q < 0.5:
+                raise ValueError(f"edge probability must be in (0, 0.5), got {q}")
+            e = replace(e, probability=q, weight=-math.log(q))
+        edges.append(e)
+    return DetectorGraph(graph.distance, graph.rounds, graph.p, graph.nodes,
+                         edges, graph.boundary_id)
+
+
+def at_rate(graph, p: float) -> DetectorGraph:
+    """``graph`` with every prior set to ``p``: ``sample_iid`` on it draws
+    i.i.d. flips at rate ``p`` over the same edge ids."""
+    return with_edge_probabilities(graph, dict.fromkeys(range(graph.n_edges), p))

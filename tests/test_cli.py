@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -156,6 +157,17 @@ def test_estimate_ler_rare_json(capsys):
     assert doc["truncation"] > 0.0
 
 
+def test_estimate_ler_rare_json_pinned(capsys):
+    """The rare-mode JSON byte for byte; digest taken when the CLI still
+    wrote ``per_k`` key by key instead of through ``LerEstimate.to_dict``."""
+    code, out, _ = run_cli(capsys, "estimate-ler", "rare", "--distance", "5",
+                           "--p", "0.003", "--shots-per-k", "40", "--k-max", "6",
+                           "--master-seed", "9")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6e6f2bb96e13196c6ae206472c3bd6878b3c9c9bc3ce96fef4bb3ac96b8fdd18")
+
+
 def test_estimate_ler_rare_csv(capsys):
     code, out, _ = run_cli(capsys, "estimate-ler", "rare", "--distance", "3",
                            "--shots-per-k", "10", "--k-max", "3",
@@ -233,6 +245,15 @@ def test_nan_timing_exits_2(capsys, flag):
                              "--inject-k", "9", "--seed", "3", flag, "nan")
     assert code == 2 and out == ""
     assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("command, shots",
+                         [("hw-dist", "0"), ("latency", "-5"), ("steps", "0")])
+def test_report_nonpositive_shots_exits_2(capsys, command, shots):
+    code, out, err = run_cli(capsys, command, "--distance", "3", "--p", "0.01",
+                             "--shots-per-k", shots)
+    assert code == 2 and out == ""
+    assert "shots_per_k" in err
 
 
 def test_main_hw_cap_over_matcher_cap_exits_2(capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, Syndrome,
-                       build_path_table, harness, inject_k_errors, make_rng,
+                       TrialRecord, build_decoding_graph, build_path_table,
+                       harness, inject_k_errors, make_rng,
                        occurrence_probability, occurrence_tail,
                        run_chain, run_direct, run_rare_event,
                        report_hw_distribution, report_latency,
@@ -15,7 +16,7 @@ from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, Syndrome,
 from surfmatch.harness import _high_hw_corpus
 from surfmatch.oracle import GREEDY_LABEL
 
-from oracles import block_stream, per_trial_stream
+from oracles import block_stream, per_trial_stream, with_edge_probabilities
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -66,6 +67,45 @@ def test_config_k_max_checked_against_graph(g32):
     cfg.validate()  # graph-independent checks pass
     with pytest.raises(ValueError, match="exceeds"):
         cfg.validate(g32)
+
+
+@pytest.mark.parametrize("graph_args", [(5, 5, 1e-3), (3, 2, 1e-3), (3, 3, 1e-2)])
+def test_config_rejects_graph_of_another_config(graph_args, chain_calls):
+    # rounds=None means rounds=distance, so only a d=3, rounds=3, p=1e-3
+    # graph fits; one differing in d, rounds or p is refused before any trial
+    cfg = ExperimentConfig(distance=3, rounds=None, p=1e-3, k_max=4,
+                           shots_per_k=10, shots_direct=10)
+    cfg.validate(build_decoding_graph(3, 3, 1e-3))
+    graph = build_decoding_graph(*graph_args)
+    table = build_path_table(graph)
+    with pytest.raises(ValueError, match="does not match"):
+        cfg.validate(graph)
+    for run in (run_direct, run_rare_event, report_hw_distribution):
+        with pytest.raises(ValueError, match="does not match"):
+            run(cfg, graph, table)
+    assert chain_calls == []
+
+
+def test_config_rejects_non_uniform_priors(g32, pt32, chain_calls):
+    cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=4,
+                           shots_per_k=10, shots_direct=10)
+    graph = with_edge_probabilities(g32, {0: 0.02})
+    with pytest.raises(ValueError, match="prior"):
+        cfg.validate(graph)
+    for run in (run_direct, run_rare_event, report_latency):
+        with pytest.raises(ValueError, match="prior"):
+            run(cfg, graph, pt32)
+    assert chain_calls == []
+
+
+def test_corpus_memo_rejects_mismatched_graph(g5, pt5, chain_calls):
+    cfg = report_corpus_cfg()
+    report_step_usage(cfg, g5, pt5, shots_per_k=20)
+    n = len(chain_calls)
+    cfg.p = 0.001  # the memo's graph and table no longer fit the config
+    with pytest.raises(ValueError, match="does not match"):
+        report_step_usage(cfg, g5, pt5, shots_per_k=20)
+    assert len(chain_calls) == n
 
 
 def test_config_target_and_label():
@@ -144,9 +184,23 @@ def test_chain_greedy_strands_singletons_above_cap(g5, pt5):
 # ----------------------------------------------------------- direct LER
 
 
-def test_direct_zero_noise(g32, pt32):
+def fixed_chain(monkeypatch, failure: bool) -> list:
+    """Make every chain report ``failure``; returns the syndromes it is given."""
+    seen = []
+
+    def chain(graph, table, syndrome, cfg, pcfg=None):
+        seen.append(syndrome)
+        hw = syndrome.hamming_weight
+        return TrialRecord(failure, hw, hw, 0, 0.0, None, False, True, None)
+
+    monkeypatch.setattr(harness, "run_chain", chain)
+    return seen
+
+
+def test_direct_zero_noise(g32, pt32, monkeypatch):
     cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8, shots_direct=200)
-    est = run_direct(cfg, g32, pt32, p_override=0.0)
+    monkeypatch.setattr(harness, "sample_iid", lambda graph, rng: ErrorSet(frozenset()))
+    est = run_direct(cfg, g32, pt32)
     assert est.ler == 0.0 and est.stderr == 0.0
     assert est.per_k == () and est.truncation == 0.0
 
@@ -156,9 +210,10 @@ def test_direct_deterministic(g3, pt3):
     assert run_direct(cfg, g3, pt3) == run_direct(cfg, g3, pt3)
 
 
-def test_direct_always_fails(g32, pt32):
+def test_direct_always_fails(g32, pt32, monkeypatch):
     cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8, shots_direct=500)
-    est = run_direct(cfg, g32, pt32, decode_fn=lambda g, t, s: True)
+    fixed_chain(monkeypatch, True)
+    est = run_direct(cfg, g32, pt32)
     assert est.ler == 1.0 and est.stderr == 0.0
 
 
@@ -171,9 +226,10 @@ def rare_cfg(**kwargs):
     return ExperimentConfig(**base)
 
 
-def test_rare_event_always_fails(g32, pt32):
+def test_rare_event_always_fails(g32, pt32, monkeypatch):
     cfg = rare_cfg()
-    est = run_rare_event(cfg, g32, pt32, decode_fn=lambda g, t, s: True)
+    fixed_chain(monkeypatch, True)
+    est = run_rare_event(cfg, g32, pt32)
     # the k = 0 stratum cannot fail and is never sampled
     assert est.per_k[0] == est.per_k[0].__class__(
         0, occurrence_probability(0, g32.n_edges, g32.p), 0.0, 0, 0)
@@ -185,8 +241,9 @@ def test_rare_event_always_fails(g32, pt32):
     assert est.truncation == occurrence_tail(cfg.k_max, g32.n_edges, g32.p)
 
 
-def test_rare_event_never_fails(g32, pt32):
-    est = run_rare_event(rare_cfg(), g32, pt32, decode_fn=lambda g, t, s: False)
+def test_rare_event_never_fails(g32, pt32, monkeypatch):
+    fixed_chain(monkeypatch, False)
+    est = run_rare_event(rare_cfg(), g32, pt32)
     assert est.ler == 0.0 and est.stderr == 0.0
     assert all(s.failures == 0 for s in est.per_k)
 
@@ -225,16 +282,14 @@ def chain_failures(graph, table, syndromes, cfg):
     return sum(run_chain(graph, table, s, cfg).failure for s in syndromes)
 
 
-def test_direct_stream_is_block_seeded(g3, pt3):
+def test_direct_stream_is_block_seeded(g3, pt3, chain_calls):
     assert harness._BLOCK == 1024
     cfg = ExperimentConfig(distance=3, rounds=3, p=0.01, master_seed=11,
                            shots_direct=1024 + 3)  # crosses a block boundary
     ref = block_stream(11, (harness._STREAM_DIRECT,), cfg.shots_direct, 1024,
-                       lambda rng: syndrome_from_errors(g3, sample_iid(g3, None, rng)))
-    seen = []
-    run_direct(cfg, g3, pt3, decode_fn=lambda g, t, s: seen.append(s))
-    assert seen == ref
+                       lambda rng: syndrome_from_errors(g3, sample_iid(g3, rng)))
     est = run_direct(cfg, g3, pt3)
+    assert [args[2] for args in chain_calls] == ref
     assert round(est.ler * cfg.shots_direct) == chain_failures(g3, pt3, ref, cfg) > 0
 
 
@@ -271,7 +326,7 @@ STREAM_TRIALS = 20_000
 def test_block_streams_match_per_trial_iid_statistics(g3):
     # d=3, p=0.01: the i.i.d. error count and the HW-0 fraction
     def draw(rng):
-        errors = sample_iid(g3, None, rng)
+        errors = sample_iid(g3, rng)
         return len(errors), syndrome_from_errors(g3, errors).hamming_weight == 0
 
     n = STREAM_TRIALS

@@ -10,8 +10,8 @@ from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Syndrome,
                        sample_iid, syndrome_from_errors)
 from surfmatch.graph import PathTable, build_path_table
 
-from oracles import (double_factorial, enumerate_mwpm, exact_matching,
-                     involutions, observable_parity)
+from oracles import (at_rate, double_factorial, enumerate_mwpm, exact_matching,
+                     involutions, observable_parity, with_edge_probabilities)
 from patterns import (boundary_edge_ids, find_adjacent_pair,
                       find_disjoint_pairs, find_induced_chain)
 
@@ -24,9 +24,8 @@ def syndrome_of(nodes, obs=0):
 
 def with_weights(table: PathTable, weight, boundary_weight) -> PathTable:
     """``table`` with its costs replaced; routes and corrections unchanged."""
-    return PathTable(table.graph, weight, table.hops, table.route,
-                     boundary_weight, table.boundary_hops, table.boundary_via,
-                     table.boundary_edge)
+    return PathTable(table.graph, weight, table.route, boundary_weight,
+                     table.boundary_via, table.boundary_edge)
 
 
 def infinite_boundary(table: PathTable) -> PathTable:
@@ -117,7 +116,7 @@ def test_two_node_pair_versus_boundary(g32):
     assert out.total_weight == pytest.approx(W)
 
     # make the direct edge ~20.7: now two boundary matches (9.2) win
-    heavy = g32.with_edge_probabilities({eid: 1e-9})
+    heavy = with_edge_probabilities(g32, {eid: 1e-9})
     out = brute_force_mwpm((u, v), build_path_table(heavy))
     assert out.pairs == ()
     assert out.boundary_matches == (u, v)
@@ -309,9 +308,10 @@ def test_decode_self_consistency(g3, pt3):
     # and the failure flag must equal the observable parity of the
     # residual error loop
     rng = make_rng(31)
+    hot = at_rate(g3, 0.02)
     checked = 0
     for _ in range(400):
-        errors = sample_iid(g3, 0.02, rng)
+        errors = sample_iid(hot, rng)
         syn = syndrome_from_errors(g3, errors)
         if syn.hamming_weight > 10:
             continue
@@ -326,8 +326,9 @@ def test_decode_self_consistency(g3, pt3):
 
 def test_decode_weight_is_oracle_minimum(g3, pt3):
     rng = make_rng(37)
+    hot = at_rate(g3, 0.02)
     for _ in range(60):
-        errors = sample_iid(g3, 0.02, rng)
+        errors = sample_iid(hot, rng)
         syn = syndrome_from_errors(g3, errors)
         if not 0 < syn.hamming_weight <= 6:
             continue

@@ -10,26 +10,15 @@ from surfmatch import (ErrorSet, Syndrome, inject_k_errors, make_rng,
                        syndrome_from_errors, trial_seed)
 from surfmatch.noise import log_occurrence_probability
 
-from oracles import log_binom_pmf
+from oracles import at_rate, log_binom_pmf
 from patterns import boundary_edge_ids, find_adjacent_pair
-
-
-def test_sample_iid_zero_override(g3):
-    assert len(sample_iid(g3, p_override=0.0, rng_seed=1)) == 0
-
-
-def test_sample_iid_rejects_half_or_more(g3):
-    with pytest.raises(ValueError):
-        sample_iid(g3, p_override=1.0)
-    with pytest.raises(ValueError):
-        sample_iid(g3, p_override=0.5)
 
 
 def test_sample_iid_mean(g3):
     # binomial mean check, 1e5 draws at p=0.01 on the 35-edge graph
     rng = make_rng(123)
     n_draws = 100_000
-    total = sum(len(sample_iid(g3, None, rng)) for _ in range(n_draws))
+    total = sum(len(sample_iid(g3, rng)) for _ in range(n_draws))
     mean = total / n_draws
     expect = g3.n_edges * g3.p
     sigma = math.sqrt(g3.n_edges * g3.p * (1 - g3.p) / n_draws)
@@ -37,9 +26,10 @@ def test_sample_iid_mean(g3):
 
 
 def test_sample_iid_deterministic(g3):
-    a = sample_iid(g3, 0.3, trial_seed(7, 1, 0))
-    b = sample_iid(g3, 0.3, trial_seed(7, 1, 0))
-    c = sample_iid(g3, 0.3, trial_seed(7, 1, 1))
+    hot = at_rate(g3, 0.3)
+    a = sample_iid(hot, trial_seed(7, 1, 0))
+    b = sample_iid(hot, trial_seed(7, 1, 0))
+    c = sample_iid(hot, trial_seed(7, 1, 1))
     assert a == b
     assert a != c  # overwhelmingly likely and frozen by the fixed seed
 

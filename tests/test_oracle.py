@@ -4,12 +4,12 @@ from collections import Counter
 import pytest
 
 from surfmatch import (ErrorSet, Step, Syndrome, adaptive_predecode,
-                       chain_length_histogram, greedy_baseline, make_rng,
-                       oracle_mwpm, sample_iid, syndrome_from_errors)
-from surfmatch.oracle import (GREEDY_LABEL, chain_length_counts,
-                              histogram_to_csv)
+                       build_decoding_graph, build_path_table, chain_length_counts,
+                       greedy_baseline, make_rng, oracle_mwpm, sample_iid,
+                       syndrome_from_errors)
+from surfmatch.oracle import GREEDY_LABEL
 
-from oracles import matching_failure
+from oracles import at_rate, matching_failure, with_edge_probabilities
 from patterns import find_adjacent_pair, find_disjoint_pairs, find_induced_chain
 
 W = -math.log(0.01)
@@ -36,9 +36,10 @@ def test_oracle_against_independent_matcher(g3, pt3):
     # full agreement on weight and failure decision with a matcher that
     # shares no code with the package
     rng = make_rng(41)
+    hot = at_rate(g3, 0.02)
     compared = 0
     for _ in range(1000):
-        syn = syndrome_from_errors(g3, sample_iid(g3, 0.02, rng))
+        syn = syndrome_from_errors(g3, sample_iid(hot, rng))
         if syn.hamming_weight > 8:
             continue
         out = oracle_mwpm(g3, pt3, syn)
@@ -55,7 +56,7 @@ def test_oracle_never_beaten_by_chain(g5, pt5):
     rng = make_rng(43)
     checked = 0
     for _ in range(300):
-        syn = syndrome_from_errors(g5, sample_iid(g5, None, rng))
+        syn = syndrome_from_errors(g5, sample_iid(g5, rng))
         if not 0 < syn.hamming_weight <= 12:
             continue
         pre = adaptive_predecode(g5, pt5, syn)
@@ -81,7 +82,7 @@ def test_greedy_strands_chain_ends(g3):
     # which is exactly the failure mode the safety check exists to avoid
     v1, v2, v3, v4 = find_induced_chain(g3, 4)
     mid = g3.edge_between(v2, v3)
-    g = g3.with_edge_probabilities({mid.id: 0.02})
+    g = with_edge_probabilities(g3, {mid.id: 0.02})
     res = greedy_baseline(g, syndrome_of({v1, v2, v3, v4}), hw_target=2)
     assert len(res.prematches) == 1
     assert res.prematches[0].correction_edges == (mid.id,)
@@ -113,8 +114,9 @@ def test_greedy_stops_without_edges(g3):
 
 def test_greedy_respects_target(g7):
     rng = make_rng(47)
+    hot = at_rate(g7, 0.03)
     for _ in range(50):
-        syn = syndrome_from_errors(g7, sample_iid(g7, 0.03, rng))
+        syn = syndrome_from_errors(g7, sample_iid(hot, rng))
         res = greedy_baseline(g7, syn, hw_target=10)
         hw = syn.hamming_weight
         assert res.residual.hamming_weight == hw - 2 * len(res.prematches)
@@ -130,13 +132,12 @@ def test_greedy_respects_target(g7):
 def test_chain_histogram_all_isolated_pairs(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     syn = syndrome_of({u for p in pairs for u in p})
-    hist = chain_length_histogram(g5, pt5, [syn])
-    assert hist == {1: 1.0}
+    assert chain_length_counts(g5, pt5, [syn]) == Counter({1: 6})
 
 
 def test_chain_histogram_empty(g5, pt5):
-    assert chain_length_histogram(g5, pt5, []) == {}
-    assert chain_length_histogram(g5, pt5, [syndrome_of(())]) == {}
+    assert chain_length_counts(g5, pt5, []) == Counter()
+    assert chain_length_counts(g5, pt5, [syndrome_of(())]) == Counter()
 
 
 def test_chain_histogram_counts_boundary_hops(g3, pt3):
@@ -151,15 +152,31 @@ def test_chain_histogram_frequencies_sum_to_one(g5, pt5):
     rng = make_rng(53)
     syndromes = []
     for _ in range(40):
-        syn = syndrome_from_errors(g5, sample_iid(g5, None, rng))
+        syn = syndrome_from_errors(g5, sample_iid(g5, rng))
         if 0 < syn.hamming_weight <= 10:
             syndromes.append(syn)
-    hist = chain_length_histogram(g5, pt5, syndromes)
-    assert sum(hist.values()) == pytest.approx(1.0)
-    assert all(hops >= 1 for hops in hist)
+    counts = chain_length_counts(g5, pt5, syndromes)
+    # one chain per matched pair or boundary match of each oracle matching
+    matched = 0
+    for syn in syndromes:
+        m = oracle_mwpm(g5, pt5, syn).matching
+        matched += len(m.pairs) + len(m.boundary_matches)
+    assert sum(counts.values()) == matched > 0
+    assert all(hops >= 1 for hops in counts)
 
 
-def test_histogram_csv_format():
-    text = histogram_to_csv(Counter({1: 3, 2: 1}))
-    assert text == "hops,count,frequency\n1,3,0.75\n2,1,0.25\n"
-    assert histogram_to_csv(Counter()) == "hops,count,frequency\n"
+def test_chain_length_counts_pinned():
+    """Chain-length counts over a fixed corpus of 300 nonempty d=7 syndromes.
+
+    The counts were taken when hop counts were still stored in the path
+    table; reading them off the routes must give the same histogram.
+    """
+    graph = build_decoding_graph(7, 3, 0.01)
+    table = build_path_table(graph)
+    rng = make_rng(707)
+    kept = []
+    while len(kept) < 300:
+        syn = syndrome_from_errors(graph, sample_iid(graph, rng_seed=rng))
+        if 0 < syn.hamming_weight <= 14:
+            kept.append(syn)
+    assert chain_length_counts(graph, table, kept) == Counter({1: 660, 2: 17, 3: 1})

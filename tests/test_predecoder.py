@@ -12,7 +12,8 @@ from surfmatch import (ErrorSet, PredecodeConfig, Step, Syndrome,
                        syndrome_from_errors, trial_seed)
 from surfmatch.predecoder import predecode_result_to_json
 
-from oracles import brute_step3, induced_neighbors, removal_strands
+from oracles import (at_rate, bfs_hops, brute_step3, induced_neighbors,
+                     removal_strands, with_edge_probabilities)
 from patterns import (find_adjacent_pair, find_disjoint_chains,
                       find_disjoint_pairs, find_induced_chain,
                       find_star_with_tail, find_two_hop_singletons)
@@ -74,8 +75,9 @@ def test_remove_pair_matches_fresh_build(name, request):
     rng = make_rng(29)
     removals = 0
     for p in (0.03, 0.06, 0.12):
+        hot = at_rate(graph, p)
         for _ in range(60):
-            errors = sample_iid(graph, p, rng)
+            errors = sample_iid(hot, rng)
             sub = build_subgraph(graph, syndrome_from_errors(graph, errors))
             while len(sub.nodes) >= 2:
                 # half the removals take an edge, half any two nodes
@@ -125,9 +127,10 @@ def test_creates_singleton_four_chain(g3):
 
 def test_creates_singleton_matches_removal_oracle(g3):
     rng = make_rng(11)
+    hot = at_rate(g3, 0.12)
     checked = 0
     for _ in range(300):
-        errors = sample_iid(g3, 0.12, rng)
+        errors = sample_iid(hot, rng)
         sub = build_subgraph(g3, syndrome_from_errors(g3, errors))
         for u, v in sub.edges.values():
             assert creates_singleton(sub, u, v) == removal_strands(g3, sub, u, v)
@@ -196,7 +199,7 @@ def test_scan_prefers_cheaper_edge_over_lower_id(g3):
     first = g3.edge_between(v1, v2)
     last = g3.edge_between(v3, v4)
     hi = max(first, last, key=lambda e: e.id)
-    g = g3.with_edge_probabilities({hi.id: 0.1})
+    g = with_edge_probabilities(g3, {hi.id: 0.1})
     sub = build_subgraph(g, syndrome_of({v1, v2, v3, v4}))
     regs = scan_candidates(sub, g)
     assert regs.s2_1.edge_id == hi.id
@@ -228,8 +231,8 @@ def test_step3_two_hop_pair_frozen_weight(g32, pt32):
 
 def test_step3_six_node_instance(g5, pt5):
     s, t = find_two_hop_singletons(g5, pt5)
-    far = {x for x in range(g5.n_detectors)
-           if pt5.hops[s, x] <= 2 or pt5.hops[t, x] <= 2}
+    hs, ht = bfs_hops(g5, s), bfs_hops(g5, t)
+    far = {x for x in range(g5.n_detectors) if hs[x] <= 2 or ht[x] <= 2}
     chain = find_induced_chain(g5, 4, forbidden=far)
     sub = build_subgraph(g5, syndrome_of({s, t, *chain}))
     assert sub.singletons() == {s, t}
@@ -243,9 +246,10 @@ def test_step3_six_node_instance(g5, pt5):
 
 def test_step3_agrees_with_brute_force(g3, pt3):
     rng = make_rng(17)
+    hot = at_rate(g3, 0.05)
     seen = 0
     for _ in range(300):
-        errors = sample_iid(g3, 0.05, rng)
+        errors = sample_iid(hot, rng)
         sub = build_subgraph(g3, syndrome_from_errors(g3, errors))
         if not sub.singletons() or len(sub.nodes) < 2:
             continue
@@ -357,8 +361,8 @@ def test_adaptive_target_walks_down_when_main_too_slow(g7, pt7):
 
 def test_adaptive_s3_then_s4(g7, pt7):
     s, t = find_two_hop_singletons(g7, pt7)
-    blocked = {x for x in range(g7.n_detectors)
-               if pt7.hops[s, x] <= 2 or pt7.hops[t, x] <= 2}
+    hs, ht = bfs_hops(g7, s), bfs_hops(g7, t)
+    blocked = {x for x in range(g7.n_detectors) if hs[x] <= 2 or ht[x] <= 2}
     chains = []
     for _ in range(3):
         ch = find_induced_chain(g7, 3, forbidden=blocked)
@@ -454,8 +458,9 @@ def test_adaptive_random_syndrome_invariants(g3, pt3, data):
 
 def test_adaptive_deterministic(g5, pt5):
     rng = make_rng(23)
+    hot = at_rate(g5, 0.02)
     for _ in range(20):
-        syn = syndrome_from_errors(g5, sample_iid(g5, 0.02, rng))
+        syn = syndrome_from_errors(g5, sample_iid(hot, rng))
         a = adaptive_predecode(g5, pt5, syn, record_trace=True)
         b = adaptive_predecode(g5, pt5, syn, record_trace=True)
         assert a == b

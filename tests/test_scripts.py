@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from surfmatch import harness
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -53,3 +55,33 @@ def test_run_ler_sweep_reproducible(tmp_path, capsys):
     assert lers[0] == lers[1]
     assert float(lers[0][0]) > 0.0
     assert "wrote" in capsys.readouterr().out
+
+
+def test_run_ler_sweep_validates_grid_first(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = load_script("run_ler_sweep").main(
+        ["--distances", "3", "4", "--shots-per-k", "20", "--k-max", "4",
+         "--out", str(out)])
+    assert code == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""  # not even the header: d=3 never ran
+    assert printed.err.startswith("error:") and "distance" in printed.err
+    assert not out.exists()
+
+
+def test_run_ler_sweep_bad_shots_exits_2(capsys):
+    code = load_script("run_ler_sweep").main(["--distances", "3", "--shots-per-k", "0"])
+    assert code == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", [["--distance", "4"], ["--shots-per-k", "0"]])
+def test_run_reports_bad_input_exits_2(tmp_path, capsys, bad):
+    out = tmp_path / "reports.json"
+    code = load_script("run_reports").main(
+        ["--distance", "3", "--p", "0.01", "--out", str(out), *bad])
+    assert code == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("error:")
+    assert not out.exists()

@@ -13,9 +13,8 @@ from .noise import (ErrorSet, Syndrome, inject_k_errors, make_rng,
                     occurrence_probability, occurrence_tail, sample_iid,
                     syndrome_from_errors, trial_seed)
 from .oracle import chain_length_counts, greedy_baseline, oracle_mwpm
-from .predecoder import (CandidateRegisters, DecodingSubgraph, Prematch,
-                         PredecodeConfig, PredecodeResult, Step, adaptive_predecode,
-                         build_subgraph, creates_singleton, match_isolated_pairs,
+from .predecoder import (DecodingSubgraph, Prematch, PredecodeConfig, PredecodeResult,
+                         Step, adaptive_predecode, build_subgraph, creates_singleton,
                          scan_candidates, step3_singleton_path)
 
 __version__ = "0.1.0"
@@ -28,8 +27,7 @@ __all__ = [
     "inject_k_errors", "syndrome_from_errors", "occurrence_probability",
     "occurrence_tail",
     "Step", "Prematch", "DecodingSubgraph", "PredecodeConfig", "PredecodeResult",
-    "CandidateRegisters", "build_subgraph", "creates_singleton",
-    "match_isolated_pairs", "scan_candidates", "step3_singleton_path",
+    "build_subgraph", "creates_singleton", "scan_candidates", "step3_singleton_path",
     "adaptive_predecode",
     "DEFAULT_HW_CAP", "MAX_HW_CAP", "MatchingSet", "DecodeOutcome",
     "matching_search_size", "brute_force_mwpm", "decode",

@@ -133,8 +133,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         out = rec.outcome
         payload.update({
             "predicted_observable": out.predicted_observable,
-            "pairs": [list(p) for p in out.matching.pairs] if out.matching else [],
-            "boundary": list(out.matching.boundary_matches) if out.matching else [],
+            "pairs": [list(p) for p in out.matching.pairs],
+            "boundary": list(out.matching.boundary_matches),
             "weight": out.total_weight,
             "correction_edges": list(out.correction_edges),
             "cycles_total": out.cycles_total,

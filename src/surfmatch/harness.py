@@ -73,13 +73,11 @@ class ExperimentConfig:
         if not 1 <= self.main_hw_cap <= MAX_HW_CAP:
             raise ValueError(
                 f"main_hw_cap must be in [1, {MAX_HW_CAP}], got {self.main_hw_cap}")
-        if self.hw_target not in (6, 8, 10):
-            raise ValueError(f"hw_target must be 6, 8 or 10, got {self.hw_target}")
+        # Stricter than PredecodeConfig's budget check, which admits 0 and inf.
         # Written so that NaN, for which every comparison is false, fails.
         if not 0.0 < self.budget_ns < math.inf:
             raise ValueError(f"budget_ns must be finite and positive, got {self.budget_ns}")
-        if not 0.0 < self.clock_mhz < math.inf:
-            raise ValueError(f"clock_mhz must be finite and positive, got {self.clock_mhz}")
+        self.predecode_config()  # checks hw_target and clock_mhz
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if self.shots_per_k <= 0 or self.shots_direct <= 0:
@@ -134,45 +132,33 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
               pcfg: PredecodeConfig | None = None) -> TrialRecord:
     """Run the configured predecode-then-match chain on one syndrome.
 
-    Syndromes at or below the main stage's cap bypass the predecoder.  An
-    abort (budget exhausted, or a greedy residual the main stage cannot
-    take) counts as a logical failure.
+    Syndromes at or below the main stage's cap bypass the predecoder; the
+    configured predecoder runs on the others.  One admission rule follows:
+    the chain aborts when the residual weight exceeds the main stage's cap,
+    or, after a predecoder, when the predecoder aborted or its time plus
+    the main stage's modeled latency exceeds the budget.  Otherwise the
+    main stage decodes.  An abort counts as a logical failure.
     """
     pcfg = pcfg if pcfg is not None else cfg.predecode_config()
     hw = syndrome.hamming_weight
-    period = pcfg.cycle_ns
-
-    if cfg.predecoder == "none" or hw <= cfg.main_hw_cap:
-        if hw > cfg.main_hw_cap:
-            return TrialRecord(True, hw, hw, 0, 0.0, None, True, True, None)
-        out = decode(graph, table, syndrome, None, cfg.main_hw_cap)
-        return TrialRecord(out.logical_failure, hw, hw, 0, 0.0,
-                           pcfg.main_latency(hw), False, True, None, out)
-
-    if cfg.predecoder == "adaptive":
+    pre = None
+    if hw > cfg.main_hw_cap and cfg.predecoder == "adaptive":
         pre = adaptive_predecode(graph, table, syndrome, pcfg)
-        post = pre.residual.hamming_weight
-        deepest = _deepest_step(pre)
-        if pre.aborted:
-            return TrialRecord(True, hw, post, pre.cycles, pre.cycles * period,
-                               None, True, False, deepest)
-        out = decode(graph, table, syndrome, pre, cfg.main_hw_cap)
-        total = pre.cycles * period + pcfg.main_latency(post)
-        return TrialRecord(out.logical_failure, hw, post, pre.cycles,
-                           pre.cycles * period, total, False, False, deepest, out)
+    elif hw > cfg.main_hw_cap and cfg.predecoder == "greedy":
+        pre = greedy_baseline(graph, syndrome, cfg.hw_target)
+    bypassed = pre is None
+    post = hw if bypassed else pre.residual.hamming_weight
+    cycles = 0 if bypassed else pre.cycles
+    deepest = None if bypassed else _deepest_step(pre)
+    pre_ns = cycles * pcfg.cycle_ns
 
-    # Greedy baseline: no budget logic of its own, so the chain applies the
-    # same real-time predicate after the fact.
-    pre = greedy_baseline(graph, syndrome, cfg.hw_target)
-    post = pre.residual.hamming_weight
-    deepest = _deepest_step(pre)
-    total = pre.cycles * period + pcfg.main_latency(post)
-    if post > cfg.main_hw_cap or total > cfg.budget_ns:
-        return TrialRecord(True, hw, post, pre.cycles, pre.cycles * period,
-                           None, True, False, deepest)
+    admitted = post <= cfg.main_hw_cap and (bypassed or not pre.aborted)
+    total = pre_ns + pcfg.main_latency(post) if admitted else None
+    if not admitted or (not bypassed and total > pcfg.budget_ns):
+        return TrialRecord(True, hw, post, cycles, pre_ns, None, True, bypassed, deepest)
     out = decode(graph, table, syndrome, pre, cfg.main_hw_cap)
-    return TrialRecord(out.logical_failure, hw, post, pre.cycles,
-                       pre.cycles * period, total, False, False, deepest, out)
+    return TrialRecord(out.logical_failure, hw, post, cycles, pre_ns, total, False,
+                       bypassed, deepest, out)
 
 
 def _deepest_step(pre) -> str | None:

@@ -11,6 +11,7 @@ constituent shortest paths.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,9 +38,11 @@ def matching_search_size(hw: int) -> int:
     (hw-1)!! (945 at hw=10); for odd counts one defect takes the boundary,
     giving hw!!.  Used as the cycle cost model of the main stage.
     """
-    if hw <= 0:
-        return 1
-    k = hw - 1 if hw % 2 == 0 else hw
+    return _double_factorial(hw - 1 if hw % 2 == 0 else hw)
+
+
+def _double_factorial(k: int) -> int:
+    """k!! = k (k-2) (k-4) ...; 1 for k <= 1, so (-1)!! = 1."""
     out = 1
     while k > 1:
         out *= k
@@ -65,19 +68,28 @@ class MatchingSet:
     enumerated: int
 
 
-def _subset_dp(w, bw, bok, m: int) -> tuple[list, list]:
-    """Cheapest completion weight and complete-pairing count per mask.
+@functools.cache
+def _pairings(m: int, nb: int) -> int:
+    """Complete pairings of m defects, nb of them with a boundary branch.
 
-    ``best[mask]`` and ``count[mask]`` cover the unmatched positions in
-    ``mask``, branching as the enumeration does: the lowest unmatched
-    position pairs with each later one, then takes the boundary when
-    ``bok`` allows.  Only masks reachable from the full one are filled.
+    Choose the j boundary-matched defects among the nb eligible ones, with
+    j of the parity of m, and pair the other m - j in (m-j-1)!! ways.
+    """
+    return sum(math.comb(nb, j) * _double_factorial(m - j - 1)
+               for j in range(m % 2, min(nb, m) + 1, 2))
+
+
+def _subset_dp(w, bw, bok, m: int) -> list:
+    """Cheapest completion weight per mask.
+
+    ``best[mask]`` covers the unmatched positions in ``mask``, branching as
+    the enumeration does: the lowest unmatched position pairs with each
+    later one, then takes the boundary when ``bok`` allows.  Only masks
+    reachable from the full one are filled.
     """
     full = (1 << m) - 1
     best: list = [None] * (full + 1)
-    count = [0] * (full + 1)
     best[0] = 0.0
-    count[0] = 1
 
     def solve(mask: int) -> None:
         low = mask & -mask
@@ -85,7 +97,6 @@ def _subset_dp(w, bw, bok, m: int) -> tuple[list, list]:
         rest = mask ^ low
         wa = w[a]
         top = math.inf
-        n = 0
         mm = rest
         while mm:
             lb = mm & -mm
@@ -93,22 +104,19 @@ def _subset_dp(w, bw, bok, m: int) -> tuple[list, list]:
             sub = rest ^ lb
             if best[sub] is None:
                 solve(sub)
-            n += count[sub]
             x = wa[lb.bit_length() - 1] + best[sub]
             if x < top:
                 top = x
         if bok[a]:
             if best[rest] is None:
                 solve(rest)
-            n += count[rest]
             x = bw[a] + best[rest]
             if x < top:
                 top = x
         best[mask] = top
-        count[mask] = n
 
     solve(full)
-    return best, count
+    return best
 
 
 def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
@@ -148,25 +156,22 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
 
     full = (1 << m) - 1
     if m <= _UNBOUNDED_HW:
-        best, limit, count = [0.0] * (full + 1), math.inf, None
+        best, limit = [0.0] * (full + 1), math.inf
     else:
-        best, counts = _subset_dp(w, bw, bok, m)
+        best = _subset_dp(w, bw, bok, m)
         opt = best[full]
         if not opt < math.inf:
             raise ValueError("no complete matching exists for this defect set")
         limit = opt + 1e-9 * max(1.0, abs(opt))
-        count = counts[full]
 
     found = math.inf
     found_pairs = found_bnd = None
-    leaves = 0
     pair_stack: list[tuple[int, int]] = []
     bnd_stack: list[int] = []
 
     def replay(mask: int, acc: float) -> None:
-        nonlocal found, found_pairs, found_bnd, leaves
+        nonlocal found, found_pairs, found_bnd
         if not mask:
-            leaves += 1
             if acc < found:
                 found = acc
                 found_pairs = tuple(pair_stack)
@@ -204,7 +209,7 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     for a in boundary:
         correction ^= set(reconstruct_boundary_path(table, a))
     return MatchingSet(pairs, boundary, found, frozenset(correction),
-                       leaves if count is None else count)
+                       _pairings(m, sum(bok)))
 
 
 @dataclass(frozen=True)
@@ -212,13 +217,12 @@ class DecodeOutcome:
     """Combined result of the predecode and exact-matching stages."""
 
     prematches: tuple["Prematch", ...]
-    matching: MatchingSet | None
+    matching: MatchingSet
     correction_edges: frozenset[int]
     total_weight: float
     predicted_observable: int
     logical_failure: bool
     cycles_total: int
-    aborted: bool
 
 
 def _observable_parity(graph: DetectorGraph, edge_ids) -> int:
@@ -237,20 +241,14 @@ def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     The combined correction is the symmetric difference of all prematch
     corrections and the exact matching's correction; the decode fails when
     the predicted observable flip disagrees with the syndrome's ground
-    truth.  An aborted predecode is an unconditional logical failure and
-    skips the matching stage.
+    truth.  An aborted predecode leaves nothing to decode: the chain
+    counts it as a failure before reaching this stage, and it is refused
+    here.
     """
+    if predecode is not None and predecode.aborted:
+        raise ValueError("cannot decode after an aborted predecode")
     prematches = tuple(predecode.prematches) if predecode is not None else ()
     pre_cycles = predecode.cycles if predecode is not None else 0
-
-    if predecode is not None and predecode.aborted:
-        correction: set[int] = set()
-        for pm in prematches:
-            correction ^= set(pm.correction_edges)
-        return DecodeOutcome(
-            prematches, None, frozenset(correction),
-            sum(pm.weight for pm in prematches),
-            _observable_parity(graph, correction), True, pre_cycles, True)
 
     flipped = predecode.residual.flipped if predecode is not None else syndrome.flipped
     if len(flipped) > hw_cap:
@@ -266,4 +264,4 @@ def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     total_weight = matching.total_weight + sum(pm.weight for pm in prematches)
     cycles_total = pre_cycles + matching_search_size(len(flipped))
     return DecodeOutcome(prematches, matching, frozenset(correction),
-                         total_weight, predicted, failure, cycles_total, False)
+                         total_weight, predicted, failure, cycles_total)

@@ -53,8 +53,6 @@ def greedy_baseline(graph: DetectorGraph, syndrome: Syndrome,
 
 
 def _chain_lengths(table: PathTable, outcome: DecodeOutcome) -> list[int]:
-    if outcome.matching is None:
-        return []
     lengths = [len(reconstruct_path(table, a, b)) for a, b in outcome.matching.pairs]
     lengths += [len(reconstruct_boundary_path(table, a))
                 for a in outcome.matching.boundary_matches]

@@ -8,9 +8,11 @@ weight is small enough and the modeled total latency fits the budget.
 The predecoder works on the decoding subgraph induced by the flipped
 detectors.  Matching two nodes removes them; a flipped node left without
 any flipped neighbor (a singleton) can later only be paired through a
-multi-edge path, which is both slower and easier to get wrong.  Every scan
-round therefore fills one candidate register per category and applies a
-single prematch in this priority order:
+multi-edge path, which is both slower and easier to get wrong.  The loop
+is a sequence of rounds, and each round makes one pass over the subgraph
+edges in ascending id order.  The pass collects every isolated pair and
+fills one candidate register per category; the round then applies the
+first category, in this priority order, that has something to match:
 
   S1    isolated pairs (two-node components); the whole batch at once
   S2_1  singleton-safe edges with an endpoint of degree 1
@@ -23,11 +25,14 @@ S3 is only attempted when both S2 registers are empty and a singleton
 exists; S4 is the last resort.  Each application removes its pair from the
 subgraph in place, and node statistics are read off what remains.
 
-Cycle model: each pass over the subgraph costs its current edge count in
+Cycle model: each round costs the edge count of the subgraph it scans, in
 clock cycles.  A round that consults the path table for S3 costs
 ``max(paths examined, edge count)`` because the table is scanned by a
-parallel pipeline.  If the accumulated predecode time plus the modeled
-main-decoder time cannot fit the budget, the decode is aborted.
+parallel pipeline.  A round is paid for before its result may be used: if
+the accumulated predecode time exceeds the budget, or nothing is
+matchable, the decode is aborted.  The loop stops once the residual weight
+is at or below the target and the predecode time plus the modeled
+main-decoder time fits the budget.
 """
 from __future__ import annotations
 
@@ -54,9 +59,8 @@ class Step(str, Enum):
     GREEDY = "GREEDY"  # produced by the no-safety baseline, not by the scan
 
 
-# Order used to find the "deepest" step a decode needed.
-STEP_RANK = {Step.S1: 0, Step.S2_1: 1, Step.S2_2: 2, Step.S3: 3,
-             Step.S4_1: 4, Step.S4_2: 5, Step.GREEDY: 6}
+# Order used to find the "deepest" step a decode needed: definition order.
+STEP_RANK = {step: rank for rank, step in enumerate(Step)}
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,6 @@ class DecodingSubgraph:
                 del self.adj[y][x]
                 del self.edges[eid]
 
-    def isolated_pair_edges(self) -> list[tuple[int, int, int]]:
-        """Edges whose endpoints both have degree 1, i.e. two-node components."""
-        return [(eid, u, v) for eid, (u, v) in sorted(self.edges.items())
-                if len(self.adj[u]) == 1 and len(self.adj[v]) == 1]
-
 
 def build_subgraph(graph: DetectorGraph, syndrome: Syndrome) -> DecodingSubgraph:
     """Decoding subgraph induced by the syndrome's flipped detectors."""
@@ -135,48 +134,37 @@ def creates_singleton(sub: DecodingSubgraph, i: int, j: int) -> bool:
     return di > 0 or dj > 0
 
 
-def match_isolated_pairs(sub: DecodingSubgraph, graph: DetectorGraph) -> list[Prematch]:
-    """Match every two-node component simultaneously (step S1)."""
-    batch = [Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight)
-             for eid, u, v in sub.isolated_pair_edges()]
-    for pm in batch:
-        sub.remove_pair(pm.a, pm.b)
-    return batch
+def scan_candidates(sub: DecodingSubgraph,
+                    graph: DetectorGraph) -> tuple[list[Prematch], dict[Step, Prematch]]:
+    """One pass over the subgraph edges in ascending id order.
 
-
-class Candidate(NamedTuple):
-    edge_id: int
-    a: int
-    b: int
-    weight: float
-
-
-@dataclass
-class CandidateRegisters:
-    """Best edge per category after one pass over the subgraph edges."""
-
-    s2_1: Candidate | None = None
-    s2_2: Candidate | None = None
-    s4_1: Candidate | None = None
-    s4_2: Candidate | None = None
-
-
-def scan_candidates(sub: DecodingSubgraph, graph: DetectorGraph) -> CandidateRegisters:
-    """Single pass filling the S2/S4 registers; lowest weight wins, then lowest id."""
-    regs = CandidateRegisters()
+    Returns the S1 batch, one prematch per isolated pair, and the S2_1,
+    S2_2, S4_1 and S4_2 registers, each holding its category's cheapest
+    edge (lowest weight, then lowest id).  A non-empty batch is applied
+    before any register, so once one is found the remaining edges are not
+    classified and the registers come back empty.
+    """
+    batch: list[Prematch] = []
+    best: dict[Step, tuple[float, int]] = {}
+    adj = sub.adj
     for eid in sorted(sub.edges):
         u, v = sub.edges[eid]
         w = graph.edges[eid].weight
-        risky = creates_singleton(sub, u, v)
-        endpoint_deg1 = min(sub.degree(u), sub.degree(v)) == 1
-        if not risky:
-            slot = "s2_1" if endpoint_deg1 else "s2_2"
-        else:
-            slot = "s4_1" if endpoint_deg1 else "s4_2"
-        cur = getattr(regs, slot)
-        if cur is None or w < cur.weight:
-            setattr(regs, slot, Candidate(eid, min(u, v), max(u, v), w))
-    return regs
+        du, dv = len(adj[u]), len(adj[v])
+        if du == 1 and dv == 1:
+            batch.append(Prematch(u, v, Step.S1, (eid,), w))
+        elif not batch:
+            if creates_singleton(sub, u, v):
+                step = Step.S4_1 if min(du, dv) == 1 else Step.S4_2
+            else:
+                step = Step.S2_1 if min(du, dv) == 1 else Step.S2_2
+            cur = best.get(step)
+            if cur is None or w < cur[0]:
+                best[step] = (w, eid)
+    if batch:
+        return batch, {}
+    return batch, {step: Prematch(*sub.edges[eid], step, (eid,), w)
+                   for step, (w, eid) in best.items()}
 
 
 def step3_singleton_path(sub: DecodingSubgraph,
@@ -206,14 +194,6 @@ def step3_singleton_path(sub: DecodingSubgraph,
         return None, examined
     s, t, w = best
     return Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)), w), examined
-
-
-def _register_prematch(*slots: tuple[Candidate | None, Step]) -> Prematch | None:
-    """Prematch from the first filled register among ``slots``."""
-    for cand, step in slots:
-        if cand is not None:
-            return Prematch(cand.a, cand.b, step, (cand.edge_id,), cand.weight)
-    return None
 
 
 @dataclass(frozen=True)
@@ -278,9 +258,9 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable,
 
     Intended for syndromes with Hamming weight above the main decoder's
     cap (lower weights bypass straight to the main stage); callable on any
-    syndrome.  One prematch is applied per scan round, except that step S1
-    matches all isolated pairs of a pass simultaneously.  Aborts when the
-    budget is exhausted or no further progress is possible.
+    syndrome.  Each round scans the subgraph once and applies one prematch,
+    except that step S1 matches all isolated pairs of the scan at once.
+    Aborts when the budget is exhausted or no further progress is possible.
     """
     cfg = config if config is not None else PredecodeConfig()
     period = cfg.cycle_ns
@@ -295,50 +275,32 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable,
         hw = len(sub.nodes)
         return hw <= cfg.hw_target and cycles * period + cfg.main_latency(hw) <= cfg.budget_ns
 
-    def record(step: Step, before: int) -> None:
-        if record_trace:
-            trace.append(TraceEntry(step, before, len(sub.singletons()), len(sub.nodes)))
-
     while not done():
-        # Step 1 to fixpoint: a pass matches all current isolated pairs at
-        # once and cannot create new ones, but later one-pair rounds can.
-        # A pass is paid for before its result may be used, so running out
-        # of budget aborts without applying the pass.
-        while sub.isolated_pair_edges() and not done():
-            cycles += len(sub.edges)
-            rounds += 1
-            if cycles * period > cfg.budget_ns:
-                aborted = True
-                break
-            before = len(sub.singletons()) if record_trace else 0
-            prematches.extend(match_isolated_pairs(sub, graph))
-            record(Step.S1, before)
-        if aborted or done():
-            break
-
-        regs = scan_candidates(sub, graph)
-        round_cost = len(sub.edges)
-        pm = _register_prematch((regs.s2_1, Step.S2_1), (regs.s2_2, Step.S2_2))
-        if pm is None:
-            pm, examined = step3_singleton_path(sub, table)
-            round_cost = max(examined, round_cost)
-        if pm is None:
-            pm = _register_prematch((regs.s4_1, Step.S4_1), (regs.s4_2, Step.S4_2))
-        cycles += round_cost
+        batch, regs = scan_candidates(sub, graph)
+        cost = len(sub.edges)
+        if not batch:
+            pm = regs.get(Step.S2_1) or regs.get(Step.S2_2)
+            if pm is None:
+                pm, examined = step3_singleton_path(sub, table)
+                cost = max(examined, cost)
+            if pm is None:
+                pm = regs.get(Step.S4_1) or regs.get(Step.S4_2)
+            batch = [pm] if pm is not None else []
+        cycles += cost
         rounds += 1
-        if cycles * period > cfg.budget_ns:
-            aborted = True
-            break
-        if pm is None:
-            # Nothing matchable remains (e.g. a lone defect that would need
-            # the boundary): the target cannot be reached in time.
+        # Out of budget, or nothing matchable remains (e.g. a lone defect
+        # that would need the boundary): the target cannot be reached.
+        if cycles * period > cfg.budget_ns or not batch:
             aborted = True
             break
 
         before = len(sub.singletons()) if record_trace else 0
-        sub.remove_pair(pm.a, pm.b)
-        prematches.append(pm)
-        record(pm.step, before)
+        for pm in batch:
+            sub.remove_pair(pm.a, pm.b)
+        prematches.extend(batch)
+        if record_trace:
+            trace.append(TraceEntry(batch[0].step, before, len(sub.singletons()),
+                                    len(sub.nodes)))
 
     residual = Syndrome(frozenset(sub.nodes), syndrome.true_observable)
     return PredecodeResult(tuple(prematches), residual, cycles, aborted, rounds,

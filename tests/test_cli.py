@@ -113,6 +113,18 @@ def test_decode_flipped_obs_defaults_to_0(capsys):
     assert code == 0 and json.loads(out)["failure"] is True
 
 
+def test_decode_adaptive_residual_over_cap_aborts(capsys):
+    # HW 7 is within the default hw_target, so the predecoder stops at once
+    # and the chain must abort the residual above --main-hw-cap
+    code, out, _ = run_cli(capsys, "decode", "--distance", "5", "--main-hw-cap", "4",
+                           "--flipped", "0,2,4,6,8,10,12")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pre_hw"] == 7 and doc["post_hw"] > 4
+    assert doc["aborted"] is True and doc["failure"] is True
+    assert doc["total_ns"] is None and "pairs" not in doc
+
+
 def test_decode_csv(capsys):
     code, out, _ = run_cli(capsys, "decode", "--distance", "3",
                            "--inject-k", "1", "--format", "csv")

@@ -181,6 +181,34 @@ def test_chain_greedy_strands_singletons_above_cap(g5, pt5):
     assert rec.predecode_cycles == 0 and rec.deepest_step is None
 
 
+def test_chain_adaptive_residual_over_cap_aborts(g5, pt5):
+    # hw_target above the cap: the predecoder is done at once (HW 8 fits
+    # the budget) but leaves a residual the main stage cannot take
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, main_hw_cap=6, hw_target=10)
+    rec = run_chain(g5, pt5, syndrome_of(independent_set(g5, 8)), cfg)
+    assert rec.pre_hw == rec.post_hw == 8 > cfg.main_hw_cap
+    assert rec.aborted and rec.failure and not rec.bypassed
+    assert rec.predecode_cycles == 0 and rec.deepest_step is None
+    assert rec.total_ns is None and rec.outcome is None
+
+
+def test_rare_event_adaptive_target_above_cap_completes(g5, pt5, monkeypatch):
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, main_hw_cap=6, hw_target=10,
+                           k_max=5, shots_per_k=200)
+    records = []
+
+    def recording(*args):
+        records.append(run_chain(*args))
+        return records[-1]
+
+    monkeypatch.setattr(harness, "run_chain", recording)
+    est = run_rare_event(cfg, g5, pt5)
+    assert [s.shots for s in est.per_k[1:]] == [200] * 5
+    assert sum(s.failures for s in est.per_k) == sum(r.failure for r in records)
+    over = [r for r in records if not r.bypassed and r.post_hw > cfg.main_hw_cap]
+    assert over and all(r.aborted and r.failure for r in over)
+
+
 # ----------------------------------------------------------- direct LER
 
 

@@ -260,6 +260,24 @@ def test_equals_enumeration_infinite_boundary(g5, pt5):
                     assert got.boundary_matches == ()
     assert raised == 4 * 6 * 2  # every odd weight, both modes
 
+    # only odd detector ids keep a boundary route: mixed eligibility
+    bw = pt5.boundary_weight.copy()
+    bw[::2] = np.inf
+    mixed = with_weights(pt5, pt5.weight, bw)
+    mixed_sets = boundary_used = 0
+    for m in (1, 2, 3, 4, 5, 8, 9, 10):
+        for _ in range(6):
+            nodes = tuple(int(x) for x in
+                          rng.choice(g5.n_detectors, m, replace=False))
+            eligible = sum(x % 2 for x in nodes)
+            mixed_sets += 0 < eligible < m
+            for allow_boundary in (True, False):
+                got = assert_equals_enumeration(nodes, mixed, 10, allow_boundary)
+                if got is not None:
+                    assert all(x % 2 for x in got.boundary_matches)
+                    boundary_used += bool(got.boundary_matches)
+    assert mixed_sets > 20 and boundary_used > 0
+
 
 # ------------------------------------------------------ caps
 
@@ -288,7 +306,6 @@ def test_decode_empty_syndrome(g3, pt3):
     assert out.correction_edges == frozenset()
     assert out.cycles_total == 1  # one modeled matching: the empty one
     assert out.matching.enumerated == 1
-    assert not out.aborted
 
 
 def test_decode_single_boundary_error_each_side(g3, pt3):
@@ -350,7 +367,7 @@ def test_decode_after_predecode_six_pairs(g5, pt5):
         g5, ErrorSet(frozenset(g5.edge_between(*p).id for p in pairs)))
     pre = adaptive_predecode(g5, pt5, syn)
     out = decode(g5, pt5, syn, predecode=pre)
-    assert not out.aborted and not out.logical_failure
+    assert not out.logical_failure
     assert out.matching.enumerated == 1
     assert out.prematches == pre.prematches
     assert out.total_weight == pytest.approx(6 * -math.log(g5.p))
@@ -359,16 +376,13 @@ def test_decode_after_predecode_six_pairs(g5, pt5):
         g5.edge_between(*p).id for p in pairs)
 
 
-def test_decode_aborted_predecode_is_failure(g5, pt5):
+def test_decode_refuses_aborted_predecode(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     syn = syndrome_of({u for p in pairs for u in p})
     pre = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=0.0))
     assert pre.aborted
-    out = decode(g5, pt5, syn, predecode=pre)
-    assert out.aborted
-    assert out.logical_failure
-    assert out.matching is None
-    assert out.cycles_total == pre.cycles
+    with pytest.raises(ValueError, match="aborted predecode"):
+        decode(g5, pt5, syn, predecode=pre)
 
 
 def test_decode_residual_over_cap_raises(g7, pt7):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from surfmatch import (ErrorSet, PredecodeConfig, Step, Syndrome,
                        adaptive_predecode, build_subgraph, creates_singleton,
-                       inject_k_errors, make_rng, match_isolated_pairs,
-                       sample_iid, scan_candidates, step3_singleton_path,
+                       inject_k_errors, make_rng, sample_iid, scan_candidates,
+                       step3_singleton_path,
                        syndrome_from_errors, trial_seed)
 from surfmatch.predecoder import predecode_result_to_json
 
@@ -38,7 +38,7 @@ def test_subgraph_empty(g3):
     assert sub.adj == {}
     assert sub.edges == {}
     assert sub.singletons() == set()
-    assert sub.isolated_pair_edges() == []
+    assert scan_candidates(sub, g3) == ([], {})
 
 
 def test_subgraph_rejects_bad_ids(g3):
@@ -55,9 +55,11 @@ def test_subgraph_adjacent_pair(g3):
     assert {i: sub.degree(i) for i in sub.nodes} == {u: 1, v: 1}
     assert {i: sub.dependents(i) for i in sub.nodes} == {u: 1, v: 1}
     assert sub.singletons() == set()
-    assert sub.isolated_pair_edges() == [(eid, *sorted((u, v)))]
-    [pm] = match_isolated_pairs(sub, g3)
+    batch, regs = scan_candidates(sub, g3)
+    [pm] = batch
+    assert (pm.a, pm.b, pm.step, pm.correction_edges) == (*sorted((u, v)), Step.S1, (eid,))
     assert pm.weight == pytest.approx(W)
+    assert regs == {}
 
 
 def test_subgraph_star_with_tail(g3):
@@ -141,20 +143,35 @@ def test_creates_singleton_matches_removal_oracle(g3):
 # ----------------------------------------------------------- S1 batching
 
 
-def test_match_isolated_pairs_six_pairs(g5):
+def test_scan_batches_six_isolated_pairs(g5):
     pairs = find_disjoint_pairs(g5, 6)
     sub = build_subgraph(g5, syndrome_of({u for p in pairs for u in p}))
-    batch = match_isolated_pairs(sub, g5)
+    batch, regs = scan_candidates(sub, g5)
     assert len(batch) == 6
     assert {(pm.a, pm.b) for pm in batch} == {tuple(sorted(p)) for p in pairs}
     assert all(pm.step is Step.S1 for pm in batch)
-    assert all(len(pm.correction_edges) == 1 for pm in batch)
-    assert sub.nodes == set()
+    assert [pm.correction_edges for pm in batch] == \
+        [(eid,) for eid in sorted(g5.edge_between(*p).id for p in pairs)]
+    assert regs == {}
+    assert len(sub.nodes) == 12  # the scan only reads the subgraph
 
 
-def test_match_isolated_pairs_skips_lone_singleton(g3):
+def test_scan_batch_leaves_registers_empty(g5):
+    # an isolated pair next to a 3-chain: the pair is batched and the
+    # chain's edges, which would fill S4_1, are not classified
+    pair, chain = find_disjoint_chains(g5, 2, 3)
+    sub = build_subgraph(g5, syndrome_of({*pair[:2], *chain}))
+    batch, regs = scan_candidates(sub, g5)
+    assert [(pm.a, pm.b, pm.step) for pm in batch] == [(*sorted(pair[:2]), Step.S1)]
+    assert regs == {}
+    sub.remove_pair(*pair[:2])
+    batch, regs = scan_candidates(sub, g5)
+    assert batch == [] and set(regs) == {Step.S4_1}
+
+
+def test_scan_skips_lone_singleton(g3):
     sub = build_subgraph(g3, syndrome_of({0}))
-    assert match_isolated_pairs(sub, g3) == []
+    assert scan_candidates(sub, g3) == ([], {})
     assert sub.nodes == {0}
 
 
@@ -164,22 +181,24 @@ def test_match_isolated_pairs_skips_lone_singleton(g3):
 def test_scan_four_chain_registers(g3):
     v1, v2, v3, v4 = find_induced_chain(g3, 4)
     sub = build_subgraph(g3, syndrome_of({v1, v2, v3, v4}))
-    regs = scan_candidates(sub, g3)
+    batch, regs = scan_candidates(sub, g3)
     end_ids = sorted((g3.edge_between(v1, v2).id, g3.edge_between(v3, v4).id))
-    assert regs.s2_1.edge_id == end_ids[0]  # weight tie -> lowest id
-    assert regs.s2_2 is None
-    assert regs.s4_1 is None
-    assert regs.s4_2.edge_id == g3.edge_between(v2, v3).id
+    assert batch == []
+    assert set(regs) == {Step.S2_1, Step.S4_2}
+    assert regs[Step.S2_1].correction_edges == (end_ids[0],)  # weight tie -> lowest id
+    assert regs[Step.S4_2].correction_edges == (g3.edge_between(v2, v3).id,)
+    assert (regs[Step.S4_2].a, regs[Step.S4_2].b) == tuple(sorted((v2, v3)))
 
 
 def test_scan_three_chain_registers(g3):
     v1, v2, v3 = find_induced_chain(g3, 3)
     sub = build_subgraph(g3, syndrome_of({v1, v2, v3}))
-    regs = scan_candidates(sub, g3)
+    batch, regs = scan_candidates(sub, g3)
     # both edges strand the opposite end; no safe move exists
-    assert regs.s2_1 is None and regs.s2_2 is None and regs.s4_2 is None
+    assert batch == [] and set(regs) == {Step.S4_1}
     ids = sorted((g3.edge_between(v1, v2).id, g3.edge_between(v2, v3).id))
-    assert regs.s4_1.edge_id == ids[0]
+    assert regs[Step.S4_1].correction_edges == (ids[0],)
+    assert regs[Step.S4_1].step is Step.S4_1
 
 
 def test_scan_four_cycle_is_s2_2(g32):
@@ -189,9 +208,9 @@ def test_scan_four_cycle_is_s2_2(g32):
     quad = {u, v, u + per_round, v + per_round}
     sub = build_subgraph(g32, syndrome_of(quad))
     assert all(sub.degree(i) == 2 for i in sub.nodes)
-    regs = scan_candidates(sub, g32)
-    assert regs.s2_1 is None and regs.s4_1 is None and regs.s4_2 is None
-    assert regs.s2_2.edge_id == min(sub.edges)
+    batch, regs = scan_candidates(sub, g32)
+    assert batch == [] and set(regs) == {Step.S2_2}
+    assert regs[Step.S2_2].correction_edges == (min(sub.edges),)
 
 
 def test_scan_prefers_cheaper_edge_over_lower_id(g3):
@@ -201,17 +220,17 @@ def test_scan_prefers_cheaper_edge_over_lower_id(g3):
     hi = max(first, last, key=lambda e: e.id)
     g = with_edge_probabilities(g3, {hi.id: 0.1})
     sub = build_subgraph(g, syndrome_of({v1, v2, v3, v4}))
-    regs = scan_candidates(sub, g)
-    assert regs.s2_1.edge_id == hi.id
-    assert regs.s2_1.weight == pytest.approx(-math.log(0.1))
+    batch, regs = scan_candidates(sub, g)
+    assert batch == []
+    assert regs[Step.S2_1].correction_edges == (hi.id,)
+    assert regs[Step.S2_1].weight == pytest.approx(-math.log(0.1))
 
 
 def test_scan_empty_registers_without_edges(g3):
     s, t = 0, g3.n_detectors - 1
     assert g3.edge_between(s, t) is None
     sub = build_subgraph(g3, syndrome_of({s, t}))
-    regs = scan_candidates(sub, g3)
-    assert (regs.s2_1, regs.s2_2, regs.s4_1, regs.s4_2) == (None,) * 4
+    assert scan_candidates(sub, g3) == ([], {})
 
 
 # ------------------------------------------------------------- step 3

@@ -76,7 +76,8 @@ def test_run_ler_sweep_bad_shots_exits_2(capsys):
     assert printed.out == "" and printed.err.startswith("error:")
 
 
-@pytest.mark.parametrize("bad", [["--distance", "4"], ["--shots-per-k", "0"]])
+@pytest.mark.parametrize("bad", [["--distance", "4"], ["--shots-per-k", "0"],
+                                 ["--hw-target", "7"]])
 def test_run_reports_bad_input_exits_2(tmp_path, capsys, bad):
     out = tmp_path / "reports.json"
     code = load_script("run_reports").main(

@@ -17,12 +17,19 @@ block takes the draws that follow those of the trials before it.  Results
 are reproducible bit-for-bit, and each block is the same whatever order the
 blocks run in, so blocks (not single trials) can run in parallel.  The
 implementation here runs them serially and reduces in index order.
+
+``run_direct`` samples each block with one ``sample_iid`` call and decodes
+only the trials with at least one error.  An error-free trial is a success
+without decoding: its syndrome is empty and its observable 0, and the chain
+bypasses the predecoder on it, admits it (0 <= main_hw_cap) and predicts 0.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass
+from itertools import repeat
+from numbers import Integral
 
 from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
 from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
@@ -43,6 +50,10 @@ _STREAM_REPORT = 3
 # Trials per generator: one SeedSequence and PCG64 serve this many trials.
 _BLOCK = 1024
 
+# ExperimentConfig fields that must be integers (``rounds`` may be None).
+_COUNT_FIELDS = ("distance", "rounds", "main_hw_cap", "k_max", "shots_per_k",
+                 "shots_direct", "master_seed")
+
 
 @dataclass
 class ExperimentConfig:
@@ -62,6 +73,14 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def validate(self, graph: DetectorGraph | None = None) -> None:
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if name == "rounds" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.distance < 3 or self.distance % 2 == 0:
             raise ValueError(f"distance must be an odd integer >= 3, got {self.distance}")
         if self.rounds is not None and self.rounds < 1:
@@ -207,29 +226,44 @@ def _graph_and_table(cfg: ExperimentConfig, graph: DetectorGraph | None,
     return graph, table
 
 
+def _block_rngs(master_seed: int, n: int, *path: int):
+    """(generator, trial count) of each block of ``n`` trials of the stream ``path``.
+
+    Block b covers trials b * _BLOCK onwards and its generator is seeded
+    from (master_seed, *path, b).
+    """
+    for b in range(-(-n // _BLOCK)):
+        yield make_rng(trial_seed(master_seed, *path, b)), min(_BLOCK, n - b * _BLOCK)
+
+
 def _trial_rngs(master_seed: int, n: int, *path: int):
     """The generator of each of ``n`` trials of the stream ``path``.
 
-    Trial i draws from the generator of block i // _BLOCK, seeded from
-    (master_seed, *path, block), right after the draws of the trials before
-    it in that block; so the trials of a block must be drawn in order.
+    Trial i draws from the generator of its block right after the draws of
+    the trials before it in that block; so the trials of a block must be
+    drawn in order.
     """
-    for i in range(n):
-        if i % _BLOCK == 0:
-            rng = make_rng(trial_seed(master_seed, *path, i // _BLOCK))
-        yield rng
+    for rng, size in _block_rngs(master_seed, n, *path):
+        yield from repeat(rng, size)
 
 
 def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                table: PathTable | None = None) -> LerEstimate:
-    """Monte-Carlo LER: decode iid samples and count failures."""
+    """Monte-Carlo LER: decode iid samples and count failures.
+
+    Each block of trials is one ``sample_iid`` draw.  Error-free trials
+    count as successes without reaching the chain, which would bypass,
+    admit and decode their empty syndrome to observable 0.
+    """
     graph, table = _graph_and_table(cfg, graph, table)
     pcfg = cfg.predecode_config()
     failures = 0
-    for rng in _trial_rngs(cfg.master_seed, cfg.shots_direct, _STREAM_DIRECT):
-        errors = sample_iid(graph, rng)
-        syndrome = syndrome_from_errors(graph, errors)
-        failures += run_chain(graph, table, syndrome, cfg, pcfg).failure
+    for rng, size in _block_rngs(cfg.master_seed, cfg.shots_direct, _STREAM_DIRECT):
+        for errors in sample_iid(graph, rng, size):
+            if not errors.edge_ids:
+                continue
+            syndrome = syndrome_from_errors(graph, errors)
+            failures += run_chain(graph, table, syndrome, cfg, pcfg).failure
     n = cfg.shots_direct
     ler = failures / n
     stderr = math.sqrt(ler * (1.0 - ler) / n)

@@ -6,6 +6,13 @@ every platform.  ``trial_seed`` derives a ``SeedSequence`` from a master
 seed plus an index path; the samplers take a seed or a ``Generator``, so a
 caller can seed each trial on its own or, as the harness does, draw a block
 of trials in order from one generator.
+
+``sample_iid`` draws a block of i.i.d. trials at once: one uniform double
+per edge per trial, taken row by row in a few numpy calls, with an edge
+flipped where its double falls below its prior.  numpy fills a
+``(rows, n_edges)`` draw in row order, so a block equals the same number of
+one-trial draws made one after another on the same generator, and a
+one-trial draw takes exactly ``rng.random(n_edges)``.
 """
 from __future__ import annotations
 
@@ -54,11 +61,35 @@ def trial_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master_seed),) + tuple(int(x) for x in path))
 
 
-def sample_iid(graph: DetectorGraph, rng_seed=0) -> ErrorSet:
-    """Flip every edge independently with its prior."""
+# Doubles per uniform draw of ``sample_iid`` (256 KiB): a block is drawn in
+# chunks of whole trials up to this size, so the buffer stays small at
+# every distance.
+_DRAW_DOUBLES = 1 << 15
+
+_NO_ERRORS = ErrorSet(frozenset())
+
+
+def sample_iid(graph: DetectorGraph, rng_seed=0, shots: int = 1) -> list[ErrorSet]:
+    """``shots`` trials, each flipping every edge independently with its prior.
+
+    Trial t takes the n_edges draws that follow those of trial t - 1.  The
+    error-free trials share one empty ``ErrorSet``.
+    """
     rng = make_rng(rng_seed)
-    hits = np.nonzero(rng.random(graph.n_edges) < graph.edge_probabilities)[0]
-    return ErrorSet(frozenset(int(i) for i in hits))
+    n = graph.n_edges
+    rows = max(1, _DRAW_DOUBLES // n)
+    out: list[ErrorSet] = []
+    for start in range(0, shots, rows):
+        hits = rng.random((min(rows, shots - start), n)) < graph.edge_probabilities
+        cols = np.nonzero(hits)[1].tolist()  # row by row, ascending within a row
+        counts = np.count_nonzero(hits, axis=1)
+        ends = np.cumsum(counts)
+        starts, ends = (ends - counts).tolist(), ends.tolist()
+        chunk = [_NO_ERRORS] * len(ends)
+        for r in np.flatnonzero(counts).tolist():
+            chunk[r] = ErrorSet(frozenset(cols[starts[r]:ends[r]]))
+        out += chunk
+    return out
 
 
 def inject_k_errors(graph: DetectorGraph, k: int, rng_seed=0) -> ErrorSet:

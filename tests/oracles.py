@@ -6,11 +6,14 @@ path enumeration, itertools partitioning, lgamma binomials), so agreement
 between the two is meaningful evidence of correctness rather than a
 tautology.  The one exception is ``enumerate_mwpm``: the exhaustive
 enumeration whose answer, floating-point sums and tie-breaks included, the
-package's pruned matcher must reproduce exactly.  The two trial-stream references seed through the
-package's own ``make_rng`` and ``trial_seed``: what they pin is which seed
-path and which draws each trial gets, not the generator.  The two graph
-builders at the end are fixtures, not references: graphs whose priors
-differ from the one uniform ``p`` the package builds.
+package's pruned matcher must reproduce exactly.  The trial-stream
+references seed through the package's own ``make_rng`` and ``trial_seed``:
+what they pin is which seed path and which draws each trial gets, not the
+generator.  ``iid_errors`` draws one trial at a time, against which the
+block sampler is checked, and ``direct_failures`` decodes every trial,
+error-free ones included.  The two graph builders at the end are
+fixtures, not references: graphs whose priors differ from the one uniform
+``p`` the package builds.
 """
 from __future__ import annotations
 
@@ -19,10 +22,13 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from surfmatch.graph import (DetectorGraph, reconstruct_boundary_path,
                              reconstruct_path)
+from surfmatch.harness import run_chain
 from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet
-from surfmatch.noise import make_rng, trial_seed
+from surfmatch.noise import ErrorSet, make_rng, syndrome_from_errors, trial_seed
 
 
 def heap_dijkstra(graph, src: int):
@@ -383,6 +389,22 @@ def per_trial_stream(master_seed: int, path: tuple, n: int, draw) -> list:
     used before it drew trials in blocks.
     """
     return [draw(make_rng(trial_seed(master_seed, *path, i))) for i in range(n)]
+
+
+def iid_errors(graph, rng) -> ErrorSet:
+    """One i.i.d. trial drawn on its own: ``rng.random(n_edges)`` compared
+    with the priors, the sampler the package had before it drew blocks."""
+    hits = np.nonzero(rng.random(graph.n_edges) < graph.edge_probabilities)[0]
+    return ErrorSet(frozenset(int(i) for i in hits))
+
+
+def direct_failures(graph, table, cfg, stream: int, block: int) -> int:
+    """``run_direct``'s failure count, one trial at a time: every trial of
+    the block stream, error-free or not, is drawn by ``iid_errors`` and
+    goes through ``run_chain``."""
+    syndromes = block_stream(cfg.master_seed, (stream,), cfg.shots_direct, block,
+                             lambda rng: syndrome_from_errors(graph, iid_errors(graph, rng)))
+    return sum(run_chain(graph, table, s, cfg).failure for s in syndromes)
 
 
 def with_edge_probabilities(graph, overrides: dict) -> DetectorGraph:

@@ -135,7 +135,7 @@ def test_criterion_2_oracle_equivalence_low_hw(g5, pt5):
     checked = 0
     worst = 0.0
     while checked < 10_000:
-        syndrome = syndrome_from_errors(g5, sample_iid(g5, rng_seed=rng))
+        syndrome = syndrome_from_errors(g5, sample_iid(g5, rng_seed=rng)[0])
         if syndrome.hamming_weight > 10:
             continue
         checked += 1
@@ -214,7 +214,7 @@ def test_criterion_6_chain_length_statistic(d7_low):
     rng = make_rng(606)
     kept = []
     while len(kept) < 10_000:
-        syndrome = syndrome_from_errors(graph, sample_iid(graph, rng_seed=rng))
+        syndrome = syndrome_from_errors(graph, sample_iid(graph, rng_seed=rng)[0])
         if 0 < syndrome.hamming_weight <= 14:
             kept.append(syndrome)
     counts = chain_length_counts(graph, table, kept)

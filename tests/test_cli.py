@@ -180,6 +180,19 @@ def test_estimate_ler_rare_json_pinned(capsys):
         "6e6f2bb96e13196c6ae206472c3bd6878b3c9c9bc3ce96fef4bb3ac96b8fdd18")
 
 
+def test_estimate_ler_direct_json_pinned(capsys):
+    """The direct-mode JSON byte for byte, 22 failures in 3,000 shots over
+    three blocks; digest taken when every trial, error-free ones included,
+    was sampled on its own and decoded."""
+    code, out, _ = run_cli(capsys, "estimate-ler", "direct", "--distance", "3",
+                           "--rounds", "2", "--p", "0.01", "--shots", "3000",
+                           "--master-seed", "5")
+    assert code == 0
+    assert json.loads(out)["ler"] == 22 / 3000
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86cd85a22757c0e90b986da5b5321a0a2aa0954f706b489d97f963d0c7b41a85")
+
+
 def test_estimate_ler_rare_csv(capsys):
     code, out, _ = run_cli(capsys, "estimate-ler", "rare", "--distance", "3",
                            "--shots-per-k", "10", "--k-max", "3",

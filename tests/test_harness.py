@@ -16,7 +16,8 @@ from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, Syndrome,
 from surfmatch.harness import _high_hw_corpus
 from surfmatch.oracle import GREEDY_LABEL
 
-from oracles import block_stream, per_trial_stream, with_edge_probabilities
+from oracles import (block_stream, direct_failures, iid_errors, per_trial_stream,
+                     with_edge_probabilities)
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -49,11 +50,18 @@ def test_config_validation_rejects_bad_fields():
         dict(shots_direct=0), dict(hw_target="adaptive"),
         dict(budget_ns=math.nan), dict(budget_ns=math.inf),
         dict(clock_mhz=math.nan), dict(clock_mhz=math.inf),
+        # counts must be integers, and the master seed non-negative
+        dict(distance=5.0), dict(rounds=3.0), dict(main_hw_cap=10.0),
+        dict(k_max=2.0), dict(shots_per_k=10.5), dict(shots_direct=2.5),
+        dict(shots_direct=True), dict(master_seed=1.0), dict(master_seed=-1),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs).validate()
     ExperimentConfig().validate()
+    ExperimentConfig(distance=np.int64(5), rounds=np.int32(3), main_hw_cap=np.int64(8),
+                     k_max=np.uint8(4), shots_per_k=np.int64(10),
+                     shots_direct=np.int16(10), master_seed=np.uint64(2**63)).validate()
 
 
 def test_config_main_hw_cap_bounded_by_matcher_cap():
@@ -192,6 +200,19 @@ def test_chain_adaptive_residual_over_cap_aborts(g5, pt5):
     assert rec.total_ns is None and rec.outcome is None
 
 
+@pytest.mark.parametrize("predecoder", harness.PREDECODERS)
+def test_chain_empty_syndrome_succeeds(g5, pt5, predecoder):
+    # run_direct scores error-free trials as successes without this call
+    for cap in (1, 10, MAX_HW_CAP):
+        for target in (6, 8, 10):
+            cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder,
+                                   main_hw_cap=cap, hw_target=target)
+            rec = run_chain(g5, pt5, syndrome_of([]), cfg)
+            assert not rec.failure and not rec.aborted
+            assert rec.bypassed and rec.pre_hw == rec.post_hw == 0
+            assert rec.outcome.predicted_observable == 0
+
+
 def test_rare_event_adaptive_target_above_cap_completes(g5, pt5, monkeypatch):
     cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, main_hw_cap=6, hw_target=10,
                            k_max=5, shots_per_k=200)
@@ -225,12 +246,14 @@ def fixed_chain(monkeypatch, failure: bool) -> list:
     return seen
 
 
-def test_direct_zero_noise(g32, pt32, monkeypatch):
+def test_direct_zero_noise(g32, pt32, monkeypatch, chain_calls):
     cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8, shots_direct=200)
-    monkeypatch.setattr(harness, "sample_iid", lambda graph, rng: ErrorSet(frozenset()))
+    monkeypatch.setattr(harness, "sample_iid",
+                        lambda graph, rng, shots: [ErrorSet(frozenset())] * shots)
     est = run_direct(cfg, g32, pt32)
     assert est.ler == 0.0 and est.stderr == 0.0
     assert est.per_k == () and est.truncation == 0.0
+    assert chain_calls == []  # error-free trials are not decoded
 
 
 def test_direct_deterministic(g3, pt3):
@@ -239,10 +262,21 @@ def test_direct_deterministic(g3, pt3):
 
 
 def test_direct_always_fails(g32, pt32, monkeypatch):
-    cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8, shots_direct=500)
-    fixed_chain(monkeypatch, True)
-    est = run_direct(cfg, g32, pt32)
+    cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8, shots_direct=1500)
+    seen = fixed_chain(monkeypatch, True)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "sample_iid",
+                  lambda graph, rng, shots: [ErrorSet(frozenset({0}))] * shots)
+        est = run_direct(cfg, g32, pt32)
     assert est.ler == 1.0 and est.stderr == 0.0
+    assert len(seen) == cfg.shots_direct
+    # Under the real sampler only the trials with an error reach the chain.
+    with_errors = sum(block_stream(cfg.master_seed, (harness._STREAM_DIRECT,),
+                                   cfg.shots_direct, 1024,
+                                   lambda rng: len(iid_errors(g32, rng)) > 0))
+    est = run_direct(cfg, g32, pt32)
+    assert 0 < with_errors < cfg.shots_direct
+    assert est.ler == with_errors / cfg.shots_direct
 
 
 # ------------------------------------------------------- rare-event LER
@@ -310,15 +344,36 @@ def chain_failures(graph, table, syndromes, cfg):
     return sum(run_chain(graph, table, s, cfg).failure for s in syndromes)
 
 
-def test_direct_stream_is_block_seeded(g3, pt3, chain_calls):
+def test_direct_stream_is_block_seeded(g3, pt3, chain_calls, monkeypatch):
     assert harness._BLOCK == 1024
     cfg = ExperimentConfig(distance=3, rounds=3, p=0.01, master_seed=11,
                            shots_direct=1024 + 3)  # crosses a block boundary
+    drawn = []
+
+    def recording(graph, rng, shots):
+        drawn.extend(sample_iid(graph, rng, shots))
+        return drawn[-shots:]
+
+    monkeypatch.setattr(harness, "sample_iid", recording)
     ref = block_stream(11, (harness._STREAM_DIRECT,), cfg.shots_direct, 1024,
-                       lambda rng: syndrome_from_errors(g3, sample_iid(g3, rng)))
+                       lambda rng: iid_errors(g3, rng))
     est = run_direct(cfg, g3, pt3)
-    assert [args[2] for args in chain_calls] == ref
-    assert round(est.ler * cfg.shots_direct) == chain_failures(g3, pt3, ref, cfg) > 0
+    assert drawn == ref
+    decoded = [syndrome_from_errors(g3, e) for e in ref if e.edge_ids]
+    assert [args[2] for args in chain_calls] == decoded
+    assert 0 < len(decoded) < len(ref)
+    assert round(est.ler * cfg.shots_direct) == chain_failures(g3, pt3, decoded, cfg) > 0
+
+
+def test_direct_triage_matches_per_trial_reference():
+    # d=3, p=0.02 over three blocks: every trial decoded, error-free or not
+    cfg = ExperimentConfig(distance=3, rounds=3, p=0.02, master_seed=21,
+                           shots_direct=2 * 1024 + 5)
+    graph, table = cfg.build()
+    est = run_direct(cfg, graph, table)
+    failures = direct_failures(graph, table, cfg, harness._STREAM_DIRECT, 1024)
+    assert round(est.ler * cfg.shots_direct) == failures > 0
+    assert est.ler == failures / cfg.shots_direct
 
 
 def test_rare_event_stream_is_block_seeded(g32, pt32):
@@ -354,7 +409,7 @@ STREAM_TRIALS = 20_000
 def test_block_streams_match_per_trial_iid_statistics(g3):
     # d=3, p=0.01: the i.i.d. error count and the HW-0 fraction
     def draw(rng):
-        errors = sample_iid(g3, rng)
+        errors = sample_iid(g3, rng)[0]
         return len(errors), syndrome_from_errors(g3, errors).hamming_weight == 0
 
     n = STREAM_TRIALS

@@ -328,7 +328,7 @@ def test_decode_self_consistency(g3, pt3):
     hot = at_rate(g3, 0.02)
     checked = 0
     for _ in range(400):
-        errors = sample_iid(hot, rng)
+        errors = sample_iid(hot, rng)[0]
         syn = syndrome_from_errors(g3, errors)
         if syn.hamming_weight > 10:
             continue
@@ -345,7 +345,7 @@ def test_decode_weight_is_oracle_minimum(g3, pt3):
     rng = make_rng(37)
     hot = at_rate(g3, 0.02)
     for _ in range(60):
-        errors = sample_iid(hot, rng)
+        errors = sample_iid(hot, rng)[0]
         syn = syndrome_from_errors(g3, errors)
         if not 0 < syn.hamming_weight <= 6:
             continue

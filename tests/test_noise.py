@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfmatch import (ErrorSet, Syndrome, inject_k_errors, make_rng,
-                       occurrence_probability, occurrence_tail, sample_iid,
-                       syndrome_from_errors, trial_seed)
+from surfmatch import (ErrorSet, Syndrome, build_decoding_graph, inject_k_errors,
+                       make_rng, noise, occurrence_probability, occurrence_tail,
+                       sample_iid, syndrome_from_errors, trial_seed)
 from surfmatch.noise import log_occurrence_probability
 
-from oracles import at_rate, log_binom_pmf
+from oracles import at_rate, iid_errors, log_binom_pmf
 from patterns import boundary_edge_ids, find_adjacent_pair
 
 
@@ -18,7 +18,7 @@ def test_sample_iid_mean(g3):
     # binomial mean check, 1e5 draws at p=0.01 on the 35-edge graph
     rng = make_rng(123)
     n_draws = 100_000
-    total = sum(len(sample_iid(g3, rng)) for _ in range(n_draws))
+    total = sum(len(errors) for errors in sample_iid(g3, rng, n_draws))
     mean = total / n_draws
     expect = g3.n_edges * g3.p
     sigma = math.sqrt(g3.n_edges * g3.p * (1 - g3.p) / n_draws)
@@ -32,6 +32,25 @@ def test_sample_iid_deterministic(g3):
     c = sample_iid(hot, trial_seed(7, 1, 1))
     assert a == b
     assert a != c  # overwhelmingly likely and frozen by the fixed seed
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("p", [1e-3, 0.05])
+def test_sample_iid_block_equals_successive_draws(d, p):
+    graph = build_decoding_graph(d, d, p)
+    chunk = noise._DRAW_DOUBLES // graph.n_edges
+    assert 1 < chunk < 1024  # a 1024-trial block spans several draws
+    for shots in (1, chunk - 1, chunk, chunk + 1, 1024, 1027):
+        seed = trial_seed(17, d, shots)
+        block = sample_iid(graph, seed, shots)
+        one_row, ref = make_rng(seed), make_rng(seed)
+        assert block == [sample_iid(graph, one_row)[0] for _ in range(shots)]
+        assert block == [iid_errors(graph, ref) for _ in range(shots)]
+        assert all(type(i) is int for errors in block for i in errors.edge_ids)
+        empty = [errors for errors in block if not errors.edge_ids]
+        assert all(errors == ErrorSet(frozenset()) for errors in empty)
+        if p == 1e-3 and shots > 1:
+            assert 0 < len(empty) < shots
 
 
 def test_inject_k_bounds(g3):

@@ -39,7 +39,7 @@ def test_oracle_against_independent_matcher(g3, pt3):
     hot = at_rate(g3, 0.02)
     compared = 0
     for _ in range(1000):
-        syn = syndrome_from_errors(g3, sample_iid(hot, rng))
+        syn = syndrome_from_errors(g3, sample_iid(hot, rng)[0])
         if syn.hamming_weight > 8:
             continue
         out = oracle_mwpm(g3, pt3, syn)
@@ -56,7 +56,7 @@ def test_oracle_never_beaten_by_chain(g5, pt5):
     rng = make_rng(43)
     checked = 0
     for _ in range(300):
-        syn = syndrome_from_errors(g5, sample_iid(g5, rng))
+        syn = syndrome_from_errors(g5, sample_iid(g5, rng)[0])
         if not 0 < syn.hamming_weight <= 12:
             continue
         pre = adaptive_predecode(g5, pt5, syn)
@@ -116,7 +116,7 @@ def test_greedy_respects_target(g7):
     rng = make_rng(47)
     hot = at_rate(g7, 0.03)
     for _ in range(50):
-        syn = syndrome_from_errors(g7, sample_iid(hot, rng))
+        syn = syndrome_from_errors(g7, sample_iid(hot, rng)[0])
         res = greedy_baseline(g7, syn, hw_target=10)
         hw = syn.hamming_weight
         assert res.residual.hamming_weight == hw - 2 * len(res.prematches)
@@ -152,7 +152,7 @@ def test_chain_histogram_frequencies_sum_to_one(g5, pt5):
     rng = make_rng(53)
     syndromes = []
     for _ in range(40):
-        syn = syndrome_from_errors(g5, sample_iid(g5, rng))
+        syn = syndrome_from_errors(g5, sample_iid(g5, rng)[0])
         if 0 < syn.hamming_weight <= 10:
             syndromes.append(syn)
     counts = chain_length_counts(g5, pt5, syndromes)
@@ -176,7 +176,7 @@ def test_chain_length_counts_pinned():
     rng = make_rng(707)
     kept = []
     while len(kept) < 300:
-        syn = syndrome_from_errors(graph, sample_iid(graph, rng_seed=rng))
+        syn = syndrome_from_errors(graph, sample_iid(graph, rng_seed=rng)[0])
         if 0 < syn.hamming_weight <= 14:
             kept.append(syn)
     assert chain_length_counts(graph, table, kept) == Counter({1: 660, 2: 17, 3: 1})

@@ -79,7 +79,7 @@ def test_remove_pair_matches_fresh_build(name, request):
     for p in (0.03, 0.06, 0.12):
         hot = at_rate(graph, p)
         for _ in range(60):
-            errors = sample_iid(hot, rng)
+            errors = sample_iid(hot, rng)[0]
             sub = build_subgraph(graph, syndrome_from_errors(graph, errors))
             while len(sub.nodes) >= 2:
                 # half the removals take an edge, half any two nodes
@@ -132,7 +132,7 @@ def test_creates_singleton_matches_removal_oracle(g3):
     hot = at_rate(g3, 0.12)
     checked = 0
     for _ in range(300):
-        errors = sample_iid(hot, rng)
+        errors = sample_iid(hot, rng)[0]
         sub = build_subgraph(g3, syndrome_from_errors(g3, errors))
         for u, v in sub.edges.values():
             assert creates_singleton(sub, u, v) == removal_strands(g3, sub, u, v)
@@ -268,7 +268,7 @@ def test_step3_agrees_with_brute_force(g3, pt3):
     hot = at_rate(g3, 0.05)
     seen = 0
     for _ in range(300):
-        errors = sample_iid(hot, rng)
+        errors = sample_iid(hot, rng)[0]
         sub = build_subgraph(g3, syndrome_from_errors(g3, errors))
         if not sub.singletons() or len(sub.nodes) < 2:
             continue
@@ -479,7 +479,7 @@ def test_adaptive_deterministic(g5, pt5):
     rng = make_rng(23)
     hot = at_rate(g5, 0.02)
     for _ in range(20):
-        syn = syndrome_from_errors(g5, sample_iid(hot, rng))
+        syn = syndrome_from_errors(g5, sample_iid(hot, rng)[0])
         a = adaptive_predecode(g5, pt5, syn, record_trace=True)
         b = adaptive_predecode(g5, pt5, syn, record_trace=True)
         assert a == b

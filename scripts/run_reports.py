@@ -23,14 +23,13 @@ def main(argv=None) -> int:
     ap.add_argument("--p", type=float, default=1e-4)
     ap.add_argument("--predecoders", nargs="+", default=["adaptive", "greedy"],
                     choices=PREDECODERS)
-    ap.add_argument("--hw-target", type=int, default=10)
     ap.add_argument("--shots-per-k", type=int, default=500)
     ap.add_argument("--master-seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional JSON path")
     args = ap.parse_args(argv)
 
     base = ExperimentConfig(distance=args.distance, rounds=args.rounds, p=args.p,
-                            hw_target=args.hw_target, master_seed=args.master_seed)
+                            master_seed=args.master_seed)
     try:
         base.validate()
         results = reports(base, args)

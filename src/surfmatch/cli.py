@@ -45,8 +45,6 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predecoder", choices=PREDECODERS, default="adaptive")
     p.add_argument("--main-hw-cap", type=int, default=10,
                    help="largest syndrome the exact matching stage accepts")
-    p.add_argument("--hw-target", type=int, default=10,
-                   help="predecoder residual-weight target: 6, 8 or 10")
     p.add_argument("--budget-ns", type=float, default=960.0)
     p.add_argument("--clock-mhz", type=float, default=250.0)
 
@@ -58,11 +56,9 @@ def _add_out_args(p: argparse.ArgumentParser) -> None:
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(distance=args.distance, rounds=args.rounds, p=args.p)
-    for attr, name in (("predecoder", "predecoder"), ("main_hw_cap", "main_hw_cap"),
-                       ("hw_target", "hw_target"), ("budget_ns", "budget_ns"),
-                       ("clock_mhz", "clock_mhz"), ("k_max", "k_max")):
+    for name in ("predecoder", "main_hw_cap", "budget_ns", "clock_mhz", "k_max"):
         if hasattr(args, name):
-            setattr(cfg, attr, getattr(args, name))
+            setattr(cfg, name, getattr(args, name))
     if getattr(args, "master_seed", None) is not None:
         cfg.master_seed = args.master_seed
     cfg.validate()
@@ -96,6 +92,9 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
 def _cmd_decode(args: argparse.Namespace) -> int:
     if args.obs is not None and args.flipped is None:
         raise ValueError("--obs goes with --flipped only")
+    for flag, value in (("--inject-k", args.inject_k), ("--seed", args.seed)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     cfg = _config(args)
     cfg.k_max = 0  # single-shot decode samples nothing by stratum
     graph, table = cfg.build()

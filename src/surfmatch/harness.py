@@ -32,7 +32,7 @@ from itertools import repeat
 from numbers import Integral
 
 from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
-from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
+from .maindecoder import DecodeOutcome, decode
 from .noise import (Syndrome, inject_k_errors, make_rng, occurrence_probability,
                     occurrence_tail, sample_iid, syndrome_from_errors, trial_seed)
 from .oracle import GREEDY_LABEL, greedy_baseline
@@ -64,7 +64,6 @@ class ExperimentConfig:
     p: float = 1e-3
     predecoder: str = "adaptive"
     main_hw_cap: int = 10
-    hw_target: int = 10
     budget_ns: float = 960.0
     clock_mhz: float = 250.0
     k_max: int = 24
@@ -89,14 +88,7 @@ class ExperimentConfig:
             raise ValueError(f"p must be in (0, 0.5), got {self.p}")
         if self.predecoder not in PREDECODERS:
             raise ValueError(f"predecoder must be one of {PREDECODERS}, got {self.predecoder!r}")
-        if not 1 <= self.main_hw_cap <= MAX_HW_CAP:
-            raise ValueError(
-                f"main_hw_cap must be in [1, {MAX_HW_CAP}], got {self.main_hw_cap}")
-        # Stricter than PredecodeConfig's budget check, which admits 0 and inf.
-        # Written so that NaN, for which every comparison is false, fails.
-        if not 0.0 < self.budget_ns < math.inf:
-            raise ValueError(f"budget_ns must be finite and positive, got {self.budget_ns}")
-        self.predecode_config()  # checks hw_target and clock_mhz
+        self.predecode_config()  # checks main_hw_cap, budget_ns and clock_mhz
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if self.shots_per_k <= 0 or self.shots_direct <= 0:
@@ -120,7 +112,7 @@ class ExperimentConfig:
         return GREEDY_LABEL if self.predecoder == "greedy" else self.predecoder
 
     def predecode_config(self) -> PredecodeConfig:
-        return PredecodeConfig(hw_target=self.hw_target,
+        return PredecodeConfig(main_hw_cap=self.main_hw_cap,
                                budget_ns=self.budget_ns,
                                clock_mhz=self.clock_mhz)
 
@@ -151,33 +143,33 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
               pcfg: PredecodeConfig | None = None) -> TrialRecord:
     """Run the configured predecode-then-match chain on one syndrome.
 
-    Syndromes at or below the main stage's cap bypass the predecoder; the
-    configured predecoder runs on the others.  One admission rule follows:
-    the chain aborts when the residual weight exceeds the main stage's cap,
-    or, after a predecoder, when the predecoder aborted or its time plus
-    the main stage's modeled latency exceeds the budget.  Otherwise the
-    main stage decodes.  An abort counts as a logical failure.
+    The cap, budget and clock come from ``pcfg`` (default
+    ``cfg.predecode_config()``).  Syndromes within the cap bypass the
+    predecoder; the configured predecoder runs on the others, and its
+    residual is admitted when it did not abort and ``pcfg.fits`` holds, the
+    rule both predecoders stop by.  Admitted syndromes go to the main
+    stage; anything else aborts, and an abort counts as a logical failure.
     """
     pcfg = pcfg if pcfg is not None else cfg.predecode_config()
+    cap = pcfg.main_hw_cap
     hw = syndrome.hamming_weight
     pre = None
-    if hw > cfg.main_hw_cap and cfg.predecoder == "adaptive":
+    if hw > cap and cfg.predecoder == "adaptive":
         pre = adaptive_predecode(graph, table, syndrome, pcfg)
-    elif hw > cfg.main_hw_cap and cfg.predecoder == "greedy":
-        pre = greedy_baseline(graph, syndrome, cfg.hw_target)
+    elif hw > cap and cfg.predecoder == "greedy":
+        pre = greedy_baseline(graph, syndrome, pcfg)
     bypassed = pre is None
     post = hw if bypassed else pre.residual.hamming_weight
     cycles = 0 if bypassed else pre.cycles
     deepest = None if bypassed else _deepest_step(pre)
     pre_ns = cycles * pcfg.cycle_ns
 
-    admitted = post <= cfg.main_hw_cap and (bypassed or not pre.aborted)
-    total = pre_ns + pcfg.main_latency(post) if admitted else None
-    if not admitted or (not bypassed and total > pcfg.budget_ns):
+    admitted = post <= cap if bypassed else not pre.aborted and pcfg.fits(post, cycles)
+    if not admitted:
         return TrialRecord(True, hw, post, cycles, pre_ns, None, True, bypassed, deepest)
-    out = decode(graph, table, syndrome, pre, cfg.main_hw_cap)
-    return TrialRecord(out.logical_failure, hw, post, cycles, pre_ns, total, False,
-                       bypassed, deepest, out)
+    out = decode(graph, table, syndrome, pre, cap)
+    return TrialRecord(out.logical_failure, hw, post, cycles, pre_ns,
+                       pre_ns + pcfg.main_latency(post), False, bypassed, deepest, out)
 
 
 def _deepest_step(pre) -> str | None:
@@ -406,19 +398,20 @@ def report_latency(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
     """Modeled predecode and total latency over high-HW syndromes."""
     strata = _high_hw_corpus(cfg, graph, table, shots_per_k)
     ok = [r for s in strata for r in s.records if not r.aborted]
-    report = {
+    # The means are over decoded records; with none, both sums are 0.0.
+    decoded_w = _weighted(strata, lambda r: float(not r.aborted)) or 1.0
+    return {
         "predecoder": cfg.predecoder_label,
         "samples": sum(len(s.records) for s in strata),
         "budget_ns": cfg.budget_ns,
         "abort_rate": _weighted(strata, lambda r: float(r.aborted)),
         "predecode_max_ns": max((r.predecode_ns for r in ok), default=0.0),
         "predecode_mean_ns": _weighted(
-            strata, lambda r: r.predecode_ns if not r.aborted else 0.0),
+            strata, lambda r: r.predecode_ns if not r.aborted else 0.0) / decoded_w,
         "total_max_ns": max((r.total_ns for r in ok), default=0.0),
         "total_mean_ns": _weighted(
-            strata, lambda r: r.total_ns if not r.aborted else 0.0),
+            strata, lambda r: r.total_ns if not r.aborted else 0.0) / decoded_w,
     }
-    return report
 
 
 def report_step_usage(cfg: ExperimentConfig, graph: DetectorGraph | None = None,

@@ -5,7 +5,8 @@ with the enlarged cap and no predecoding or time budget, so its correction
 weight is a floor for what any predecode-then-match chain can achieve.
 ``greedy_baseline`` is the ablation: repeated matching of the globally
 cheapest subgraph edge with no singleton-safety check (reported as
-"greedy-nosafety").
+"greedy-nosafety").  It stops by the adaptive predecoder's rule,
+``PredecodeConfig.fits``, so the two differ only in what they match.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from .graph import (DetectorGraph, PathTable, reconstruct_boundary_path,
                     reconstruct_path)
 from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
 from .noise import Syndrome
-from .predecoder import PredecodeResult, Prematch, Step, build_subgraph
+from .predecoder import (PredecodeConfig, PredecodeResult, Prematch, Step,
+                         build_subgraph)
 
 GREEDY_LABEL = "greedy-nosafety"
 
@@ -28,19 +30,21 @@ def oracle_mwpm(graph: DetectorGraph, table: PathTable,
 
 
 def greedy_baseline(graph: DetectorGraph, syndrome: Syndrome,
-                    hw_target: int = 10) -> PredecodeResult:
+                    config: PredecodeConfig | None = None) -> PredecodeResult:
     """Repeatedly match the globally cheapest subgraph edge, safety be damned.
 
-    Stops once the Hamming weight reaches ``hw_target`` or no subgraph
+    Stops once ``config.fits`` holds for the residual, or when no subgraph
     edges remain (any leftover singletons stay for the main stage).  Cycle
     accounting matches the adaptive predecoder: one scan round costs the
-    current edge count.
+    current edge count.  Greedy never aborts itself; the chain decides
+    whether its residual fits.
     """
+    cfg = config if config is not None else PredecodeConfig()
     sub = build_subgraph(graph, syndrome)
     prematches: list[Prematch] = []
     cycles = 0
     rounds = 0
-    while len(sub.nodes) > hw_target and sub.edges:
+    while not cfg.fits(len(sub.nodes), cycles) and sub.edges:
         cycles += len(sub.edges)
         rounds += 1
         best_eid = min(sub.edges, key=lambda eid: (graph.edges[eid].weight, eid))

@@ -30,9 +30,10 @@ clock cycles.  A round that consults the path table for S3 costs
 ``max(paths examined, edge count)`` because the table is scanned by a
 parallel pipeline.  A round is paid for before its result may be used: if
 the accumulated predecode time exceeds the budget, or nothing is
-matchable, the decode is aborted.  The loop stops once the residual weight
-is at or below the target and the predecode time plus the modeled
-main-decoder time fits the budget.
+matchable, the decode is aborted.  The loop stops as soon as
+``PredecodeConfig.fits`` holds: the residual weight is within the main
+stage's cap and the predecode time plus the modeled main-decoder time fits
+the budget.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import math
 
 from .graph import DetectorGraph, PathTable, reconstruct_path
 from .noise import Syndrome
-from .maindecoder import matching_search_size
+from .maindecoder import MAX_HW_CAP, matching_search_size
 
 
 class Step(str, Enum):
@@ -198,28 +199,30 @@ def step3_singleton_path(sub: DecodingSubgraph,
 
 @dataclass(frozen=True)
 class PredecodeConfig:
-    """Targets and timing model for the predecode loop.
+    """The real-time model: the main stage's cap, the budget and the clock.
 
-    ``hw_target`` is the residual Hamming weight the loop aims for (6, 8 or
-    10).  The loop only stops once the residual weight is at or below the
-    target *and* the modeled total time (predecode cycles plus the main
-    decoder's modeled latency at the residual weight) fits ``budget_ns``,
-    so it keeps predecoding below the target whenever the main stage would
-    be too slow; the target is effectively adaptive.  The main latency
-    model charges one cycle per matching the brute-force stage would
-    enumerate (pairings of the residual defects, e.g. 945 at weight 10).
+    ``fits(hw, cycles)`` is its one rule: a residual of weight ``hw`` left
+    after ``cycles`` predecode cycles may go to the main stage when it is
+    within ``main_hw_cap`` and the predecode time plus the main stage's
+    modeled latency fits ``budget_ns``.  The predecoders stop as soon as it
+    holds, and the chain admits a predecoded residual only if it holds, so
+    predecoding goes below the cap whenever the main stage would be too
+    slow.  The main latency model charges one cycle per matching the
+    brute-force stage would enumerate (pairings of the residual defects,
+    e.g. 945 at weight 10).
     """
 
-    hw_target: int = 10
+    main_hw_cap: int = 10
     budget_ns: float = 960.0
     clock_mhz: float = 250.0
 
     def __post_init__(self):
-        if self.hw_target not in (6, 8, 10):
-            raise ValueError(f"hw_target must be 6, 8 or 10, got {self.hw_target}")
+        if not 1 <= self.main_hw_cap <= MAX_HW_CAP:
+            raise ValueError(
+                f"main_hw_cap must be in [1, {MAX_HW_CAP}], got {self.main_hw_cap}")
         # Written so that NaN, for which every comparison is false, fails.
-        if not self.budget_ns >= 0.0:
-            raise ValueError(f"budget_ns must be >= 0, got {self.budget_ns}")
+        if not 0.0 < self.budget_ns < math.inf:
+            raise ValueError(f"budget_ns must be finite and positive, got {self.budget_ns}")
         if not 0.0 < self.clock_mhz < math.inf:
             raise ValueError(f"clock_mhz must be finite and positive, got {self.clock_mhz}")
 
@@ -229,6 +232,11 @@ class PredecodeConfig:
 
     def main_latency(self, hw: int) -> float:
         return matching_search_size(hw) * self.cycle_ns
+
+    def fits(self, hw: int, cycles: int) -> bool:
+        """May a weight-``hw`` residual after ``cycles`` cycles go to the main stage?"""
+        return (hw <= self.main_hw_cap
+                and cycles * self.cycle_ns + self.main_latency(hw) <= self.budget_ns)
 
 
 class TraceEntry(NamedTuple):
@@ -263,19 +271,13 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable,
     Aborts when the budget is exhausted or no further progress is possible.
     """
     cfg = config if config is not None else PredecodeConfig()
-    period = cfg.cycle_ns
     sub = build_subgraph(graph, syndrome)
     prematches: list[Prematch] = []
     trace: list[TraceEntry] = []
     cycles = 0
     rounds = 0
     aborted = False
-
-    def done() -> bool:
-        hw = len(sub.nodes)
-        return hw <= cfg.hw_target and cycles * period + cfg.main_latency(hw) <= cfg.budget_ns
-
-    while not done():
+    while not cfg.fits(len(sub.nodes), cycles):
         batch, regs = scan_candidates(sub, graph)
         cost = len(sub.edges)
         if not batch:
@@ -289,8 +291,8 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable,
         cycles += cost
         rounds += 1
         # Out of budget, or nothing matchable remains (e.g. a lone defect
-        # that would need the boundary): the target cannot be reached.
-        if cycles * period > cfg.budget_ns or not batch:
+        # that would need the boundary): the residual can never fit.
+        if cycles * cfg.cycle_ns > cfg.budget_ns or not batch:
             aborted = True
             break
 

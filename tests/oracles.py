@@ -11,7 +11,9 @@ references seed through the package's own ``make_rng`` and ``trial_seed``:
 what they pin is which seed path and which draws each trial gets, not the
 generator.  ``iid_errors`` draws one trial at a time, against which the
 block sampler is checked, and ``direct_failures`` decodes every trial,
-error-free ones included.  The two graph builders at the end are
+error-free ones included.  ``two_step_aborted`` is the chain's admission
+rule as two separate checks, against which the one-predicate rule is
+checked.  The two graph builders at the end are
 fixtures, not references: graphs whose priors differ from the one uniform
 ``p`` the package builds.
 """
@@ -405,6 +407,20 @@ def direct_failures(graph, table, cfg, stream: int, block: int) -> int:
     syndromes = block_stream(cfg.master_seed, (stream,), cfg.shots_direct, block,
                              lambda rng: syndrome_from_errors(graph, iid_errors(graph, rng)))
     return sum(run_chain(graph, table, s, cfg).failure for s in syndromes)
+
+
+def two_step_aborted(pre, hw: int, cap: int, pcfg) -> bool:
+    """Whether the chain aborts, by the two-step rule it had before one
+    predicate decided it: a residual above ``cap``, or an aborted
+    predecoder, aborts; after that a predecoded total (predecode time plus
+    the modeled main latency) over the budget aborts.  ``pre`` is the
+    predecode result, or None when the syndrome bypassed the predecoder."""
+    bypassed = pre is None
+    post = hw if bypassed else pre.residual.hamming_weight
+    if post > cap or (not bypassed and pre.aborted):
+        return True
+    total = (0 if bypassed else pre.cycles) * pcfg.cycle_ns + pcfg.main_latency(post)
+    return not bypassed and total > pcfg.budget_ns
 
 
 def with_edge_probabilities(graph, overrides: dict) -> DetectorGraph:

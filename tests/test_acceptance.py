@@ -85,7 +85,7 @@ def d11_sweep(d11_low):
     while stats["total"] < 100_000:
         k = int(rng.integers(6, 25))
         syndrome = syndrome_from_errors(graph, inject_k_errors(graph, k, rng))
-        if syndrome.hamming_weight <= pcfg.hw_target:
+        if syndrome.hamming_weight <= pcfg.main_hw_cap:
             continue
         result = adaptive_predecode(graph, table, syndrome, pcfg,
                                     record_trace=True)
@@ -183,8 +183,8 @@ def test_criterion_4_coverage_guarantee(d11_sweep):
     stats = d11_sweep
     abort_rate = stats["aborted"] / stats["total"]
     assert stats["total"] == 100_000
-    assert PredecodeConfig().hw_target <= 10
-    assert stats["max_residual"] <= PredecodeConfig().hw_target
+    assert PredecodeConfig().main_hw_cap <= 10
+    assert stats["max_residual"] <= PredecodeConfig().main_hw_cap
     assert abort_rate < 1e-2
     print(f"\n[PASS] criterion 4: {stats['total']} high-HW d=11 predecodes, "
           f"max residual HW {stats['max_residual']} <= 10, "

@@ -113,16 +113,16 @@ def test_decode_flipped_obs_defaults_to_0(capsys):
     assert code == 0 and json.loads(out)["failure"] is True
 
 
-def test_decode_adaptive_residual_over_cap_aborts(capsys):
-    # HW 7 is within the default hw_target, so the predecoder stops at once
-    # and the chain must abort the residual above --main-hw-cap
+def test_decode_adaptive_shrinks_to_low_cap(capsys):
+    # HW 7 would fit the budget, but not --main-hw-cap 4, so the predecoder
+    # goes on until the residual is within the cap
     code, out, _ = run_cli(capsys, "decode", "--distance", "5", "--main-hw-cap", "4",
                            "--flipped", "0,2,4,6,8,10,12")
     assert code == 0
     doc = json.loads(out)
-    assert doc["pre_hw"] == 7 and doc["post_hw"] > 4
-    assert doc["aborted"] is True and doc["failure"] is True
-    assert doc["total_ns"] is None and "pairs" not in doc
+    assert doc["pre_hw"] == 7 and doc["post_hw"] <= 4
+    assert doc["aborted"] is False and doc["predecode_cycles"] > 0
+    assert doc["total_ns"] <= 960.0 and "pairs" in doc
 
 
 def test_decode_csv(capsys):
@@ -288,16 +288,23 @@ def test_main_hw_cap_over_matcher_cap_exits_2(capsys):
     assert "main_hw_cap" in err
 
 
-def test_hw_target_takes_6_8_or_10(capsys):
-    code, _, _ = run_cli(capsys, "decode", "--distance", "3", "--errors", "0",
-                         "--hw-target", "6")
-    assert code == 0
-    code, _, err = run_cli(capsys, "decode", "--distance", "3", "--errors", "0",
-                           "--hw-target", "7")
-    assert code == 2 and "hw_target" in err
-    with pytest.raises(SystemExit) as exc:  # the "adaptive" alias is gone
-        main(["decode", "--distance", "3", "--errors", "0", "--hw-target", "adaptive"])
-    assert exc.value.code == 2
+def test_hw_target_flag_is_gone(capsys):
+    # the residual target is --main-hw-cap; --hw-target is an unknown flag
+    for value in ("6", "10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--distance", "3", "--errors", "0", "--hw-target", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --hw-target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--inject-k", "-2"), "--inject-k must be >= 0, got -2"),
+    (("--inject-k", "2", "--seed", "-1"), "--seed must be >= 0, got -1")],
+    ids=["inject-k", "seed"])
+def test_decode_negative_seed_or_k_exits_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, "decode", "--distance", "3", *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_build_graph_has_no_csv_form(capsys):

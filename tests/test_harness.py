@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, Syndrome,
-                       TrialRecord, build_decoding_graph, build_path_table,
-                       harness, inject_k_errors, make_rng,
+                       TrialRecord, adaptive_predecode, build_decoding_graph,
+                       build_path_table, greedy_baseline, harness,
+                       inject_k_errors, make_rng,
                        occurrence_probability, occurrence_tail,
                        run_chain, run_direct, run_rare_event,
                        report_hw_distribution, report_latency,
@@ -17,7 +18,7 @@ from surfmatch.harness import _high_hw_corpus
 from surfmatch.oracle import GREEDY_LABEL
 
 from oracles import (block_stream, direct_failures, iid_errors, per_trial_stream,
-                     with_edge_probabilities)
+                     two_step_aborted, with_edge_probabilities)
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -45,9 +46,9 @@ def test_config_validation_rejects_bad_fields():
     bad = [
         dict(distance=4), dict(distance=1), dict(rounds=0), dict(p=0.0),
         dict(p=0.6), dict(predecoder="fancy"), dict(main_hw_cap=0),
-        dict(main_hw_cap=15), dict(hw_target=7), dict(budget_ns=0.0),
+        dict(main_hw_cap=15), dict(budget_ns=0.0), dict(budget_ns=-1.0),
         dict(clock_mhz=0.0), dict(k_max=-1), dict(shots_per_k=0),
-        dict(shots_direct=0), dict(hw_target="adaptive"),
+        dict(shots_direct=0),
         dict(budget_ns=math.nan), dict(budget_ns=math.inf),
         dict(clock_mhz=math.nan), dict(clock_mhz=math.inf),
         # counts must be integers, and the master seed non-negative
@@ -58,6 +59,8 @@ def test_config_validation_rejects_bad_fields():
     for kwargs in bad:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs).validate()
+    with pytest.raises(TypeError):  # the residual target is the cap
+        ExperimentConfig(hw_target=10)
     ExperimentConfig().validate()
     ExperimentConfig(distance=np.int64(5), rounds=np.int32(3), main_hw_cap=np.int64(8),
                      k_max=np.uint8(4), shots_per_k=np.int64(10),
@@ -117,11 +120,11 @@ def test_corpus_memo_rejects_mismatched_graph(g5, pt5, chain_calls):
 
 
 def test_config_target_and_label():
-    assert ExperimentConfig(hw_target=6).predecode_config().hw_target == 6
+    assert ExperimentConfig(main_hw_cap=6).predecode_config().main_hw_cap == 6
     assert ExperimentConfig(predecoder="greedy").predecoder_label == GREEDY_LABEL
     assert ExperimentConfig(predecoder="adaptive").predecoder_label == "adaptive"
     pcfg = ExperimentConfig(clock_mhz=500.0).predecode_config()
-    assert pcfg.hw_target == 10 and pcfg.cycle_ns == pytest.approx(2.0)
+    assert pcfg.main_hw_cap == 10 and pcfg.cycle_ns == pytest.approx(2.0)
 
 
 def test_config_build():
@@ -168,15 +171,18 @@ def test_chain_adaptive_six_pairs(g5, pt5):
     assert rec.deepest_step == "S1"
 
 
-def test_chain_greedy_stops_at_target_and_misses_budget(g7, pt7):
-    # greedy parks at residual 10, whose modeled main stage (3780 ns)
-    # blows the deadline, so the chain calls it an abort
+def test_chain_greedy_stops_where_main_stage_fits(g7, pt7):
+    # residual 10 would model 945 matchings (3780 ns), past the budget, so
+    # greedy goes on to 8, as the adaptive predecoder does
     cfg = ExperimentConfig(distance=7, rounds=3, p=0.01, predecoder="greedy")
     chains = find_disjoint_chains(g7, 3, 4)
     rec = run_chain(g7, pt7, syndrome_of({u for ch in chains for u in ch}), cfg)
-    assert rec.pre_hw == 12 and rec.post_hw == 10
-    assert rec.aborted and rec.failure
-    assert rec.total_ns is None and rec.outcome is None
+    assert rec.pre_hw == 12 and rec.post_hw == 8
+    assert not rec.aborted and not rec.bypassed
+    assert rec.predecode_cycles == 9 + 7
+    assert rec.total_ns == pytest.approx(16 * 4.0 + 105 * 4.0)
+    assert rec.total_ns <= cfg.budget_ns
+    assert len(rec.outcome.prematches) == 2
     assert rec.deepest_step == "GREEDY"
 
 
@@ -189,32 +195,37 @@ def test_chain_greedy_strands_singletons_above_cap(g5, pt5):
     assert rec.predecode_cycles == 0 and rec.deepest_step is None
 
 
-def test_chain_adaptive_residual_over_cap_aborts(g5, pt5):
-    # hw_target above the cap: the predecoder is done at once (HW 8 fits
-    # the budget) but leaves a residual the main stage cannot take
-    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, main_hw_cap=6, hw_target=10)
+def test_chain_adaptive_shrinks_to_cap_below_10(g5, pt5):
+    # HW 8 fits the budget but not a cap of 6, so the predecoder goes on:
+    # with no subgraph edges, one S3 round (8 * 7 paths examined) pairs two
+    # singletons and leaves a residual the main stage takes
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, main_hw_cap=6)
     rec = run_chain(g5, pt5, syndrome_of(independent_set(g5, 8)), cfg)
-    assert rec.pre_hw == rec.post_hw == 8 > cfg.main_hw_cap
-    assert rec.aborted and rec.failure and not rec.bypassed
-    assert rec.predecode_cycles == 0 and rec.deepest_step is None
-    assert rec.total_ns is None and rec.outcome is None
+    assert rec.pre_hw == 8 and rec.post_hw == cfg.main_hw_cap
+    assert not rec.aborted and not rec.bypassed
+    assert rec.predecode_cycles == 56 and rec.deepest_step == "S3"
+    assert rec.total_ns == pytest.approx(56 * 4.0 + 15 * 4.0)
+    assert rec.total_ns <= cfg.budget_ns
+    assert rec.outcome is not None and rec.failure == rec.outcome.logical_failure
 
 
 @pytest.mark.parametrize("predecoder", harness.PREDECODERS)
 def test_chain_empty_syndrome_succeeds(g5, pt5, predecoder):
     # run_direct scores error-free trials as successes without this call
-    for cap in (1, 10, MAX_HW_CAP):
-        for target in (6, 8, 10):
-            cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder,
-                                   main_hw_cap=cap, hw_target=target)
-            rec = run_chain(g5, pt5, syndrome_of([]), cfg)
-            assert not rec.failure and not rec.aborted
-            assert rec.bypassed and rec.pre_hw == rec.post_hw == 0
-            assert rec.outcome.predicted_observable == 0
+    for cap in (1, 6, 8, 10, MAX_HW_CAP):
+        cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder,
+                               main_hw_cap=cap)
+        rec = run_chain(g5, pt5, syndrome_of([]), cfg)
+        assert not rec.failure and not rec.aborted
+        assert rec.bypassed and rec.pre_hw == rec.post_hw == 0
+        assert rec.outcome.predicted_observable == 0
 
 
 def test_rare_event_adaptive_target_above_cap_completes(g5, pt5, monkeypatch):
-    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, main_hw_cap=6, hw_target=10,
+    # A cap below 10: the predecoder goes down to the cap, so no predecoded
+    # record aborts.  The pinned LER equals that of the earlier code with
+    # its separate residual target set to the cap.
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, main_hw_cap=6,
                            k_max=5, shots_per_k=200)
     records = []
 
@@ -226,8 +237,59 @@ def test_rare_event_adaptive_target_above_cap_completes(g5, pt5, monkeypatch):
     est = run_rare_event(cfg, g5, pt5)
     assert [s.shots for s in est.per_k[1:]] == [200] * 5
     assert sum(s.failures for s in est.per_k) == sum(r.failure for r in records)
-    over = [r for r in records if not r.bypassed and r.post_hw > cfg.main_hw_cap]
-    assert over and all(r.aborted and r.failure for r in over)
+    predecoded = [r for r in records if not r.bypassed]
+    assert len(predecoded) == 262
+    assert not any(r.aborted for r in predecoded)
+    assert all(r.post_hw <= cfg.main_hw_cap for r in predecoded)
+    assert est.ler == 0.0002035042721420369
+
+
+def d5_corpus(graph, hw_lo, hw_hi, per_hw, seed):
+    """Up to ``per_hw`` d=5 syndromes of each weight in [hw_lo, hw_hi]."""
+    rng = make_rng(seed)
+    by_hw = {hw: [] for hw in range(hw_lo, hw_hi + 1)}
+    for _ in range(200):
+        for k in range(1, 13):
+            syn = syndrome_from_errors(graph, inject_k_errors(graph, k, rng))
+            if len(by_hw.get(syn.hamming_weight, (None,) * per_hw)) < per_hw:
+                by_hw[syn.hamming_weight].append(syn)
+    return [syn for hw in sorted(by_hw) for syn in by_hw[hw]]
+
+
+def test_chain_admission_matches_two_step_rule(g5, pt5):
+    corpus = d5_corpus(g5, 1, 20, 8, seed=909)
+    assert {syn.hamming_weight for syn in corpus} == set(range(1, 21))
+    seen = set()
+    for cap in (6, 8, 10, 12, 14):
+        for budget in (120.0, 960.0, 5000.0):
+            for predecoder in ("adaptive", "greedy"):
+                cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder,
+                                       main_hw_cap=cap, budget_ns=budget)
+                pcfg = cfg.predecode_config()
+                for syn in corpus:
+                    hw = syn.hamming_weight
+                    pre = None
+                    if hw > cap and predecoder == "adaptive":
+                        pre = adaptive_predecode(g5, pt5, syn, pcfg)
+                    elif hw > cap:
+                        pre = greedy_baseline(g5, syn, pcfg)
+                    aborted = run_chain(g5, pt5, syn, cfg, pcfg).aborted
+                    assert aborted == two_step_aborted(pre, hw, cap, pcfg)
+                    seen.add((pre is None, pre is not None and pre.aborted, aborted))
+    # bypassed, predecoded and admitted, predecoder aborted, residual refused
+    assert seen == {(True, False, False), (False, False, False),
+                    (False, True, True), (False, False, True)}
+
+
+def test_greedy_chain_decodes_heavy_syndromes(g5, pt5):
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder="greedy")
+    corpus = d5_corpus(g5, 11, 14, 100, seed=910)
+    assert len(corpus) == 400
+    records = [run_chain(g5, pt5, syn, cfg) for syn in corpus]
+    assert sum(r.aborted for r in records) < 0.01 * len(records)
+    decoded = [r for r in records if not r.aborted]
+    assert all(r.post_hw <= cfg.main_hw_cap for r in decoded)
+    assert all(r.total_ns <= cfg.budget_ns for r in decoded)
 
 
 # ----------------------------------------------------------- direct LER
@@ -490,6 +552,33 @@ def test_report_latency_fields_and_budget(g5, pt5):
     assert rep["total_mean_ns"] <= rep["total_max_ns"]
 
 
+def test_report_latency_means_over_decoded_records():
+    # a tight budget, so that some heavy syndromes abort
+    cfg = ExperimentConfig(distance=7, p=1e-3, budget_ns=120.0, k_max=16, master_seed=1)
+    graph, table = cfg.build()
+    rep = report_latency(cfg, graph, table, shots_per_k=40)
+    ref_w = ref_pre = ref_total = 0.0
+    for s in _high_hw_corpus(cfg, graph, table, shots_per_k=40):
+        for r in s.records:
+            if not r.aborted:
+                w = s.weight / len(s.records)
+                ref_w += w
+                ref_pre += w * r.predecode_ns
+                ref_total += w * r.total_ns
+    assert 0.05 < rep["abort_rate"] < 0.06
+    assert rep["predecode_mean_ns"] == pytest.approx(ref_pre / ref_w, rel=1e-12)
+    assert rep["total_mean_ns"] == pytest.approx(ref_total / ref_w, rel=1e-12)
+    assert rep["total_mean_ns"] == pytest.approx(55.61, abs=0.01)
+    assert rep["predecode_mean_ns"] <= rep["predecode_max_ns"]
+    assert rep["total_mean_ns"] <= rep["total_max_ns"] <= cfg.budget_ns
+
+
+def test_report_latency_nothing_decoded(g5, pt5):
+    rep = report_latency(report_corpus_cfg(predecoder="none"), g5, pt5, shots_per_k=40)
+    assert rep["samples"] > 0 and rep["abort_rate"] == 1.0
+    assert rep["predecode_mean_ns"] == rep["total_mean_ns"] == 0.0
+
+
 def test_report_latency_empty_corpus(g32, pt32):
     # 8 detectors can never exceed a cap of 12, so no samples qualify
     cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, main_hw_cap=12,
@@ -568,7 +657,7 @@ def test_corpus_recomputed_when_key_changes(g5, pt5, chain_calls, change):
     elif change == "table":
         table = build_path_table(g5)
     else:
-        cfg.hw_target = 8
+        cfg.budget_ns = 480.0
     report_latency(cfg, g5, table, shots_per_k=shots)
     assert len(chain_calls) > n
 
@@ -587,10 +676,10 @@ def test_corpus_memo_validates_every_call(g5, pt5, chain_calls):
 def test_reports_pinned_behaviour(g5, pt5):
     """Every report field for three predecoders over a fixed d=5 corpus.
 
-    The digest was taken after trials were drawn in blocks from one
-    generator per block (it did not move when the reports came to share
-    one corpus pass).  A change to it is a change of report contents and
-    must be declared.
+    The digest was taken after greedy came to stop by the adaptive
+    predecoder's rule; the adaptive and no-predecoder reports are those of
+    block-seeded trials, unchanged since.  A change to it is a change of
+    report contents and must be declared.
     """
     digest = hashlib.sha256()
     for predecoder in ("adaptive", "greedy", "none"):
@@ -599,4 +688,4 @@ def test_reports_pinned_behaviour(g5, pt5):
         assert [r["samples"] for r in reps] == [155] * 3
         digest.update(json.dumps(reps, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "9937473b50a44ffa040eac8bdad48d08250e312c95b15976efac9b7d97a0eda3")
+        "06b96de5ff07528281136a5fb73e8c200c29db46957b8b09f2bec05eebdaca73")

@@ -379,7 +379,7 @@ def test_decode_after_predecode_six_pairs(g5, pt5):
 def test_decode_refuses_aborted_predecode(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     syn = syndrome_of({u for p in pairs for u in p})
-    pre = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=0.0))
+    pre = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=1.0))
     assert pre.aborted
     with pytest.raises(ValueError, match="aborted predecode"):
         decode(g5, pt5, syn, predecode=pre)

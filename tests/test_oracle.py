@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from surfmatch import (ErrorSet, Step, Syndrome, adaptive_predecode,
+from surfmatch import (ErrorSet, PredecodeConfig, Step, Syndrome, adaptive_predecode,
                        build_decoding_graph, build_path_table, chain_length_counts,
                        greedy_baseline, make_rng, oracle_mwpm, sample_iid,
                        syndrome_from_errors)
@@ -83,7 +83,8 @@ def test_greedy_strands_chain_ends(g3):
     v1, v2, v3, v4 = find_induced_chain(g3, 4)
     mid = g3.edge_between(v2, v3)
     g = with_edge_probabilities(g3, {mid.id: 0.02})
-    res = greedy_baseline(g, syndrome_of({v1, v2, v3, v4}), hw_target=2)
+    res = greedy_baseline(g, syndrome_of({v1, v2, v3, v4}),
+                          PredecodeConfig(main_hw_cap=2))
     assert len(res.prematches) == 1
     assert res.prematches[0].correction_edges == (mid.id,)
     assert res.prematches[0].step is Step.GREEDY
@@ -94,7 +95,7 @@ def test_greedy_strands_chain_ends(g3):
 def test_greedy_equals_adaptive_on_disjoint_pairs(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     syn = syndrome_of({u for p in pairs for u in p})
-    greedy = greedy_baseline(g5, syn, hw_target=0)
+    greedy = greedy_baseline(g5, syn, PredecodeConfig(main_hw_cap=1))
     adaptive = adaptive_predecode(g5, pt5, syn)
     assert {(pm.a, pm.b) for pm in greedy.prematches} == \
         {(pm.a, pm.b) for pm in adaptive.prematches}
@@ -106,7 +107,7 @@ def test_greedy_equals_adaptive_on_disjoint_pairs(g5, pt5):
 def test_greedy_stops_without_edges(g3):
     s, t = 0, g3.n_detectors - 1
     assert g3.edge_between(s, t) is None
-    res = greedy_baseline(g3, syndrome_of({s, t}), hw_target=0)
+    res = greedy_baseline(g3, syndrome_of({s, t}), PredecodeConfig(main_hw_cap=1))
     assert res.prematches == ()
     assert res.residual.flipped == {s, t}
     assert res.cycles == 0
@@ -115,12 +116,13 @@ def test_greedy_stops_without_edges(g3):
 def test_greedy_respects_target(g7):
     rng = make_rng(47)
     hot = at_rate(g7, 0.03)
+    cfg = PredecodeConfig()
     for _ in range(50):
         syn = syndrome_from_errors(g7, sample_iid(hot, rng)[0])
-        res = greedy_baseline(g7, syn, hw_target=10)
+        res = greedy_baseline(g7, syn)
         hw = syn.hamming_weight
         assert res.residual.hamming_weight == hw - 2 * len(res.prematches)
-        if res.residual.hamming_weight > 10:
+        if not cfg.fits(res.residual.hamming_weight, res.cycles):
             # only legal if the subgraph ran out of edges
             from surfmatch import build_subgraph
             assert not build_subgraph(g7, res.residual).edges

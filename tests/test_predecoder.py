@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfmatch import (ErrorSet, PredecodeConfig, Step, Syndrome,
+from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Step, Syndrome,
                        adaptive_predecode, build_subgraph, creates_singleton,
                        inject_k_errors, make_rng, sample_iid, scan_candidates,
                        step3_singleton_path,
@@ -292,15 +292,26 @@ def test_step3_none_without_singletons(g3, pt3):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PredecodeConfig(hw_target=7)
-    for bad in (dict(clock_mhz=0), dict(clock_mhz=math.nan), dict(clock_mhz=math.inf),
-                dict(budget_ns=math.nan), dict(budget_ns=-1.0)):
+    for bad in (dict(main_hw_cap=0), dict(main_hw_cap=MAX_HW_CAP + 1),
+                dict(clock_mhz=0), dict(clock_mhz=math.nan), dict(clock_mhz=math.inf),
+                dict(budget_ns=math.nan), dict(budget_ns=-1.0), dict(budget_ns=0.0),
+                dict(budget_ns=math.inf)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             PredecodeConfig(**bad)
-    for target in (6, 8, 10):
-        assert PredecodeConfig(hw_target=target).hw_target == target
-    assert PredecodeConfig(budget_ns=0.0).budget_ns == 0.0  # forces an abort
+    for cap in (1, 6, 7, 8, 10, MAX_HW_CAP):
+        assert PredecodeConfig(main_hw_cap=cap).main_hw_cap == cap
+    assert PredecodeConfig(budget_ns=1.0).budget_ns == 1.0  # forces an abort
+
+
+def test_config_fits_edges():
+    # 4 ns cycles; the main stage models 105 pairings (420 ns) at HW 8
+    cfg = PredecodeConfig(main_hw_cap=8, budget_ns=500.0)
+    assert cfg.fits(8, 20)  # HW at the cap, time exactly the budget
+    assert not cfg.fits(8, 21)  # one cycle over
+    assert not PredecodeConfig(main_hw_cap=8, budget_ns=1e6).fits(9, 0)  # cap + 1
+    assert cfg.fits(0, 124) and not cfg.fits(0, 125)  # 4 ns left for HW 0
+    assert not cfg.fits(0, 126)  # predecode alone is already over the budget
+    assert PredecodeConfig().fits(8, 135) and not PredecodeConfig().fits(10, 0)
 
 
 def test_config_timing_model():
@@ -351,7 +362,7 @@ def test_adaptive_three_chains_step_sequence(g7, pt7):
         mid_ids.add(g7.edge_between(v2, v3).id)
 
     res = adaptive_predecode(g7, pt7, syn,
-                             PredecodeConfig(hw_target=6), record_trace=True)
+                             PredecodeConfig(main_hw_cap=6), record_trace=True)
     assert not res.aborted
     assert [pm.step for pm in res.prematches] == [Step.S2_1, Step.S1, Step.S2_1]
     used = {eid for pm in res.prematches for eid in pm.correction_edges}
@@ -369,12 +380,12 @@ def test_adaptive_target_walks_down_when_main_too_slow(g7, pt7):
     # so the loop keeps going and settles at 8
     chains = find_disjoint_chains(g7, 3, 4)
     res = adaptive_predecode(g7, pt7, chain_union_syndrome(chains),
-                             PredecodeConfig(hw_target=10))
+                             PredecodeConfig(main_hw_cap=10))
     assert not res.aborted
     assert [pm.step for pm in res.prematches] == [Step.S2_1, Step.S1]
     assert res.residual.hamming_weight == 8
     assert res.cycles == 9 + 7
-    cfg = PredecodeConfig(hw_target=10)
+    cfg = PredecodeConfig(main_hw_cap=10)
     assert res.cycles * cfg.cycle_ns + cfg.main_latency(8) <= cfg.budget_ns
 
 
@@ -409,7 +420,8 @@ def test_adaptive_s3_then_s4(g7, pt7):
 def test_adaptive_budget_zero_aborts_before_any_match(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     syn = syndrome_of({u for p in pairs for u in p})
-    res = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=0.0))
+    # 1 ns is less than one 4 ns cycle, so no round can be paid for
+    res = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=1.0))
     assert res.aborted
     assert res.prematches == ()
     assert res.residual.flipped == syn.flipped
@@ -457,7 +469,7 @@ def check_invariants(graph, syndrome, res, cfg):
         assert covered.hamming_weight == 2
     if not res.aborted:
         hw = res.residual.hamming_weight
-        assert hw <= cfg.hw_target
+        assert hw <= cfg.main_hw_cap
         assert res.cycles * cfg.cycle_ns + cfg.main_latency(hw) <= cfg.budget_ns
 
 
@@ -466,7 +478,7 @@ def check_invariants(graph, syndrome, res, cfg):
 def test_adaptive_random_syndrome_invariants(g3, pt3, data):
     ids = data.draw(st.frozensets(st.integers(0, g3.n_edges - 1), max_size=14))
     syn = syndrome_from_errors(g3, ErrorSet(ids))
-    cfg = PredecodeConfig(hw_target=6)
+    cfg = PredecodeConfig(main_hw_cap=6)
     res = adaptive_predecode(g3, pt3, syn, cfg, record_trace=True)
     check_invariants(g3, syn, res, cfg)
     safe = {Step.S1, Step.S2_1, Step.S2_2, Step.S3}
@@ -494,7 +506,7 @@ def test_adaptive_pinned_behaviour(g7, pt7):
     """
     digest = hashlib.sha256()
     decoded = 0
-    for cfg in (PredecodeConfig(), PredecodeConfig(hw_target=6)):
+    for cfg in (PredecodeConfig(), PredecodeConfig(main_hw_cap=6)):
         for k in range(6, 21):
             for i in range(80):
                 errors = inject_k_errors(g7, k, trial_seed(7007, k, i))

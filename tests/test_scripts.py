@@ -77,7 +77,7 @@ def test_run_ler_sweep_bad_shots_exits_2(capsys):
 
 
 @pytest.mark.parametrize("bad", [["--distance", "4"], ["--shots-per-k", "0"],
-                                 ["--hw-target", "7"]])
+                                 ["--p", "0.6"]])
 def test_run_reports_bad_input_exits_2(tmp_path, capsys, bad):
     out = tmp_path / "reports.json"
     code = load_script("run_reports").main(
@@ -85,4 +85,14 @@ def test_run_reports_bad_input_exits_2(tmp_path, capsys, bad):
     assert code == 2
     printed = capsys.readouterr()
     assert printed.out == "" and printed.err.startswith("error:")
+    assert not out.exists()
+
+
+def test_run_reports_has_no_hw_target_flag(tmp_path, capsys):
+    out = tmp_path / "reports.json"
+    with pytest.raises(SystemExit) as exc:
+        load_script("run_reports").main(
+            ["--distance", "3", "--p", "0.01", "--out", str(out), "--hw-target", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --hw-target" in capsys.readouterr().err
     assert not out.exists()

@@ -24,7 +24,7 @@ from .graph import build_decoding_graph, build_path_table
 from .harness import (PREDECODERS, SCHEMA_VERSION, ExperimentConfig,
                       report_hw_distribution, report_latency, report_step_usage,
                       run_chain, run_direct, run_rare_event)
-from .noise import Syndrome, inject_k_errors, syndrome_from_errors, trial_seed
+from .noise import ErrorSet, Syndrome, inject_k_errors, syndrome_from_errors, trial_seed
 
 
 def _int_list(text: str) -> list[int]:
@@ -103,10 +103,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                                  trial_seed(args.seed, 0, args.inject_k))
         syndrome = syndrome_from_errors(graph, errors)
     elif args.errors is not None:
-        bad = [e for e in args.errors if not 0 <= e < graph.n_edges]
-        if bad:
-            raise ValueError(f"edge ids out of range: {bad}")
-        from .noise import ErrorSet
         syndrome = syndrome_from_errors(graph, ErrorSet(frozenset(args.errors)))
     else:
         bad = [d for d in args.flipped if not 0 <= d < graph.n_detectors]

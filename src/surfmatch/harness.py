@@ -21,7 +21,7 @@ implementation here runs them serially and reduces in index order.
 ``run_direct`` samples each block with one ``sample_iid`` call and decodes
 only the trials with at least one error.  An error-free trial is a success
 without decoding: its syndrome is empty and its observable 0, and the chain
-bypasses the predecoder on it, admits it (0 <= main_hw_cap) and predicts 0.
+bypasses the predecoder on it (``fits(0, 0)`` holds), admits it and predicts 0.
 """
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ _STREAM_REPORT = 3
 _BLOCK = 1024
 
 # ExperimentConfig fields that must be integers (``rounds`` may be None).
-_COUNT_FIELDS = ("distance", "rounds", "main_hw_cap", "k_max", "shots_per_k",
-                 "shots_direct", "master_seed")
+_COUNT_FIELDS = ("distance", "rounds", "k_max", "shots_per_k", "shots_direct",
+                 "master_seed")
 
 
 @dataclass
@@ -144,19 +144,19 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     """Run the configured predecode-then-match chain on one syndrome.
 
     The cap, budget and clock come from ``pcfg`` (default
-    ``cfg.predecode_config()``).  Syndromes within the cap bypass the
-    predecoder; the configured predecoder runs on the others, and its
-    residual is admitted when it did not abort and ``pcfg.fits`` holds, the
-    rule both predecoders stop by.  Admitted syndromes go to the main
-    stage; anything else aborts, and an abort counts as a logical failure.
+    ``cfg.predecode_config()``).  The adaptive and greedy chains bypass the
+    predecoder where ``pcfg.fits(hw, 0)`` holds and admit a residual their
+    predecoder did not abort, as it stops only where ``fits`` holds.  The
+    offline baseline, no predecoder, admits a syndrome within the cap at
+    any modeled time.  An abort counts as a logical failure.
     """
     pcfg = pcfg if pcfg is not None else cfg.predecode_config()
     cap = pcfg.main_hw_cap
     hw = syndrome.hamming_weight
     pre = None
-    if hw > cap and cfg.predecoder == "adaptive":
+    if cfg.predecoder == "adaptive" and not pcfg.fits(hw, 0):
         pre = adaptive_predecode(graph, table, syndrome, pcfg)
-    elif hw > cap and cfg.predecoder == "greedy":
+    elif cfg.predecoder == "greedy" and not pcfg.fits(hw, 0):
         pre = greedy_baseline(graph, syndrome, pcfg)
     bypassed = pre is None
     post = hw if bypassed else pre.residual.hamming_weight
@@ -164,7 +164,7 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     deepest = None if bypassed else _deepest_step(pre)
     pre_ns = cycles * pcfg.cycle_ns
 
-    admitted = post <= cap if bypassed else not pre.aborted and pcfg.fits(post, cycles)
+    admitted = post <= cap if bypassed else not pre.aborted
     if not admitted:
         return TrialRecord(True, hw, post, cycles, pre_ns, None, True, bypassed, deepest)
     out = decode(graph, table, syndrome, pre, cap)

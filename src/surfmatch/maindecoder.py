@@ -225,6 +225,13 @@ class DecodeOutcome:
     cycles_total: int
 
 
+def check_detector_ids(graph: DetectorGraph, flipped) -> None:
+    """Refuse flipped ids outside ``[0, n_detectors)``."""
+    if flipped and not (min(flipped) >= 0 and max(flipped) < graph.n_detectors):
+        bad = sorted(i for i in flipped if not 0 <= i < graph.n_detectors)
+        raise ValueError(f"flipped ids outside detector range: {bad}")
+
+
 def _observable_parity(graph: DetectorGraph, edge_ids) -> int:
     obs = 0
     for eid in edge_ids:
@@ -251,6 +258,7 @@ def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     pre_cycles = predecode.cycles if predecode is not None else 0
 
     flipped = predecode.residual.flipped if predecode is not None else syndrome.flipped
+    check_detector_ids(graph, flipped)
     if len(flipped) > hw_cap:
         raise ValueError(
             f"residual Hamming weight {len(flipped)} exceeds cap {hw_cap}")

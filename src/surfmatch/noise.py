@@ -103,9 +103,13 @@ def inject_k_errors(graph: DetectorGraph, k: int, rng_seed=0) -> ErrorSet:
 
 def syndrome_from_errors(graph: DetectorGraph, errors: ErrorSet) -> Syndrome:
     """Detectors with odd incidence, plus the parity of observable-crossing errors."""
+    n = graph.n_edges
     flipped: set[int] = set()
     obs = 0
     for eid in errors.edge_ids:
+        if not 0 <= eid < n:
+            bad = sorted(i for i in errors.edge_ids if not 0 <= i < n)
+            raise ValueError(f"edge ids out of range: {bad}")
         e = graph.edges[eid]
         for node in (e.u, e.v):
             if node == graph.boundary_id:

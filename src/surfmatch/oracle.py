@@ -5,8 +5,9 @@ with the enlarged cap and no predecoding or time budget, so its correction
 weight is a floor for what any predecode-then-match chain can achieve.
 ``greedy_baseline`` is the ablation: repeated matching of the globally
 cheapest subgraph edge with no singleton-safety check (reported as
-"greedy-nosafety").  It stops by the adaptive predecoder's rule,
-``PredecodeConfig.fits``, so the two differ only in what they match.
+"greedy-nosafety").  It runs the adaptive predecoder's loop, with the
+same charging, abort and ``PredecodeConfig.fits`` stop, so the two differ
+only in what each round matches.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ from .graph import (DetectorGraph, PathTable, reconstruct_boundary_path,
                     reconstruct_path)
 from .maindecoder import MAX_HW_CAP, DecodeOutcome, decode
 from .noise import Syndrome
-from .predecoder import (PredecodeConfig, PredecodeResult, Prematch, Step,
-                         build_subgraph)
+from .predecoder import PredecodeConfig, PredecodeResult, Prematch, Step, run_rounds
 
 GREEDY_LABEL = "greedy-nosafety"
 
@@ -33,27 +33,21 @@ def greedy_baseline(graph: DetectorGraph, syndrome: Syndrome,
                     config: PredecodeConfig | None = None) -> PredecodeResult:
     """Repeatedly match the globally cheapest subgraph edge, safety be damned.
 
-    Stops once ``config.fits`` holds for the residual, or when no subgraph
-    edges remain (any leftover singletons stay for the main stage).  Cycle
-    accounting matches the adaptive predecoder: one scan round costs the
-    current edge count.  Greedy never aborts itself; the chain decides
-    whether its residual fits.
+    Runs the adaptive predecoder's loop, ``run_rounds``, with this round:
+    one scan costing the current edge count that picks the cheapest edge.
+    Once no subgraph edges remain (only singletons are left) nothing is
+    matchable, so the decode aborts unless the residual already fits.
     """
-    cfg = config if config is not None else PredecodeConfig()
-    sub = build_subgraph(graph, syndrome)
-    prematches: list[Prematch] = []
-    cycles = 0
-    rounds = 0
-    while not cfg.fits(len(sub.nodes), cycles) and sub.edges:
-        cycles += len(sub.edges)
-        rounds += 1
-        best_eid = min(sub.edges, key=lambda eid: (graph.edges[eid].weight, eid))
-        u, v = sub.edges[best_eid]
-        prematches.append(Prematch(u, v, Step.GREEDY, (best_eid,),
-                                   graph.edges[best_eid].weight))
-        sub.remove_pair(u, v)
-    residual = Syndrome(frozenset(sub.nodes), syndrome.true_observable)
-    return PredecodeResult(tuple(prematches), residual, cycles, False, rounds)
+    return run_rounds(graph, syndrome, config, lambda sub: _greedy_round(sub, graph))
+
+
+def _greedy_round(sub, graph: DetectorGraph) -> tuple[list[Prematch], int]:
+    """The cheapest edge (lowest weight, then lowest id), for one scan."""
+    if not sub.edges:
+        return [], 0
+    eid = min(sub.edges, key=lambda e: (graph.edges[e].weight, e))
+    pm = Prematch(*sub.edges[eid], Step.GREEDY, (eid,), graph.edges[eid].weight)
+    return [pm], len(sub.edges)
 
 
 def _chain_lengths(table: PathTable, outcome: DecodeOutcome) -> list[int]:

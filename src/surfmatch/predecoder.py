@@ -28,24 +28,25 @@ subgraph in place, and node statistics are read off what remains.
 Cycle model: each round costs the edge count of the subgraph it scans, in
 clock cycles.  A round that consults the path table for S3 costs
 ``max(paths examined, edge count)`` because the table is scanned by a
-parallel pipeline.  A round is paid for before its result may be used: if
-the accumulated predecode time exceeds the budget, or nothing is
-matchable, the decode is aborted.  The loop stops as soon as
-``PredecodeConfig.fits`` holds: the residual weight is within the main
-stage's cap and the predecode time plus the modeled main-decoder time fits
-the budget.
+parallel pipeline.  Every predecoder, the greedy baseline too, runs one
+loop, ``run_rounds``: a round is paid for before it is applied, and if the
+predecode time exceeds the budget, or nothing is matchable, the decode is
+aborted.  The loop stops as soon as ``PredecodeConfig.fits`` holds: the
+residual is within the main stage's cap and the predecode time plus the
+modeled main-decoder time fits the budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from numbers import Integral
+from typing import Callable, NamedTuple
 import json
 import math
 
 from .graph import DetectorGraph, PathTable, reconstruct_path
 from .noise import Syndrome
-from .maindecoder import MAX_HW_CAP, matching_search_size
+from .maindecoder import MAX_HW_CAP, check_detector_ids, matching_search_size
 
 
 class Step(str, Enum):
@@ -114,9 +115,7 @@ class DecodingSubgraph:
 def build_subgraph(graph: DetectorGraph, syndrome: Syndrome) -> DecodingSubgraph:
     """Decoding subgraph induced by the syndrome's flipped detectors."""
     flipped = syndrome.flipped
-    bad = [i for i in flipped if not 0 <= i < graph.n_detectors]
-    if bad:
-        raise ValueError(f"flipped ids outside detector range: {bad}")
+    check_detector_ids(graph, flipped)
     adj = {i: {j: eid for j, eid in graph.detector_neighbors[i] if j in flipped}
            for i in flipped}
     edges = {eid: (i, j) for i, nbrs in adj.items() for j, eid in nbrs.items() if i < j}
@@ -201,15 +200,13 @@ def step3_singleton_path(sub: DecodingSubgraph,
 class PredecodeConfig:
     """The real-time model: the main stage's cap, the budget and the clock.
 
-    ``fits(hw, cycles)`` is its one rule: a residual of weight ``hw`` left
-    after ``cycles`` predecode cycles may go to the main stage when it is
-    within ``main_hw_cap`` and the predecode time plus the main stage's
-    modeled latency fits ``budget_ns``.  The predecoders stop as soon as it
-    holds, and the chain admits a predecoded residual only if it holds, so
-    predecoding goes below the cap whenever the main stage would be too
-    slow.  The main latency model charges one cycle per matching the
-    brute-force stage would enumerate (pairings of the residual defects,
-    e.g. 945 at weight 10).
+    ``fits(hw, cycles)`` is its one rule: a residual of weight ``hw`` after
+    ``cycles`` predecode cycles may go to the main stage when it is within
+    ``main_hw_cap`` and the predecode time plus the main stage's modeled
+    latency, one cycle per pairing the brute-force stage would enumerate
+    (945 at weight 10), fits ``budget_ns``.  The chain bypasses the
+    predecoder where ``fits(hw, 0)`` holds and the predecoders stop where it
+    holds.  The budget is at least one cycle, so the empty syndrome fits.
     """
 
     main_hw_cap: int = 10
@@ -217,14 +214,16 @@ class PredecodeConfig:
     clock_mhz: float = 250.0
 
     def __post_init__(self):
+        if isinstance(self.main_hw_cap, bool) or not isinstance(self.main_hw_cap, Integral):
+            raise ValueError(f"main_hw_cap must be an integer, got {self.main_hw_cap!r}")
         if not 1 <= self.main_hw_cap <= MAX_HW_CAP:
             raise ValueError(
                 f"main_hw_cap must be in [1, {MAX_HW_CAP}], got {self.main_hw_cap}")
         # Written so that NaN, for which every comparison is false, fails.
-        if not 0.0 < self.budget_ns < math.inf:
-            raise ValueError(f"budget_ns must be finite and positive, got {self.budget_ns}")
         if not 0.0 < self.clock_mhz < math.inf:
             raise ValueError(f"clock_mhz must be finite and positive, got {self.clock_mhz}")
+        if not self.cycle_ns <= self.budget_ns < math.inf:
+            raise ValueError(f"budget_ns must be finite and >= 1 cycle, got {self.budget_ns}")
 
     @property
     def cycle_ns(self) -> float:
@@ -258,19 +257,14 @@ class PredecodeResult:
     trace: tuple[TraceEntry, ...] | None = None
 
 
-def adaptive_predecode(graph: DetectorGraph, table: PathTable,
-                       syndrome: Syndrome,
-                       config: PredecodeConfig | None = None,
-                       record_trace: bool = False) -> PredecodeResult:
-    """Reduce a syndrome's Hamming weight until the main stage fits its budget.
+def run_rounds(graph: DetectorGraph, syndrome: Syndrome, config: PredecodeConfig | None,
+               pick: Callable, record_trace: bool = False) -> PredecodeResult:
+    """Predecode until ``fits`` holds; ``pick(sub)`` gives a round's batch and cycles.
 
-    Intended for syndromes with Hamming weight above the main decoder's
-    cap (lower weights bypass straight to the main stage); callable on any
-    syndrome.  Each round scans the subgraph once and applies one prematch,
-    except that step S1 matches all isolated pairs of the scan at once.
-    Aborts when the budget is exhausted or no further progress is possible.
+    A round is charged before its batch is applied, and an empty batch or a
+    charge over the budget aborts, so a result that did not abort fits.
     """
-    cfg = config if config is not None else PredecodeConfig()
+    cfg = config or PredecodeConfig()
     sub = build_subgraph(graph, syndrome)
     prematches: list[Prematch] = []
     trace: list[TraceEntry] = []
@@ -278,16 +272,7 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable,
     rounds = 0
     aborted = False
     while not cfg.fits(len(sub.nodes), cycles):
-        batch, regs = scan_candidates(sub, graph)
-        cost = len(sub.edges)
-        if not batch:
-            pm = regs.get(Step.S2_1) or regs.get(Step.S2_2)
-            if pm is None:
-                pm, examined = step3_singleton_path(sub, table)
-                cost = max(examined, cost)
-            if pm is None:
-                pm = regs.get(Step.S4_1) or regs.get(Step.S4_2)
-            batch = [pm] if pm is not None else []
+        batch, cost = pick(sub)
         cycles += cost
         rounds += 1
         # Out of budget, or nothing matchable remains (e.g. a lone defect
@@ -307,6 +292,33 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable,
     residual = Syndrome(frozenset(sub.nodes), syndrome.true_observable)
     return PredecodeResult(tuple(prematches), residual, cycles, aborted, rounds,
                            tuple(trace) if record_trace else None)
+
+
+def _adaptive_round(sub: DecodingSubgraph, graph: DetectorGraph, table: PathTable):
+    """One scan, and the first category in priority order with a match."""
+    batch, regs = scan_candidates(sub, graph)
+    cost = len(sub.edges)
+    if not batch:
+        pm = regs.get(Step.S2_1) or regs.get(Step.S2_2)
+        if pm is None:
+            pm, examined = step3_singleton_path(sub, table)
+            cost = max(examined, cost)
+        if pm is None:
+            pm = regs.get(Step.S4_1) or regs.get(Step.S4_2)
+        batch = [pm] if pm is not None else []
+    return batch, cost
+
+
+def adaptive_predecode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
+                       config: PredecodeConfig | None = None,
+                       record_trace: bool = False) -> PredecodeResult:
+    """Reduce a syndrome's Hamming weight until the main stage fits its budget.
+
+    Each round scans the subgraph once and applies one prematch, except
+    that step S1 matches all isolated pairs of the scan at once.
+    """
+    return run_rounds(graph, syndrome, config,
+                      lambda sub: _adaptive_round(sub, graph, table), record_trace)
 
 
 def predecode_result_to_json(result: PredecodeResult) -> str:

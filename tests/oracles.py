@@ -11,9 +11,9 @@ references seed through the package's own ``make_rng`` and ``trial_seed``:
 what they pin is which seed path and which draws each trial gets, not the
 generator.  ``iid_errors`` draws one trial at a time, against which the
 block sampler is checked, and ``direct_failures`` decodes every trial,
-error-free ones included.  ``two_step_aborted`` is the chain's admission
-rule as two separate checks, against which the one-predicate rule is
-checked.  The two graph builders at the end are
+error-free ones included.  ``real_time_chain`` is the chain's bypass and
+admission rule written as separate checks, the residual's ``fits`` among
+them.  The two graph builders at the end are
 fixtures, not references: graphs whose priors differ from the one uniform
 ``p`` the package builds.
 """
@@ -409,18 +409,19 @@ def direct_failures(graph, table, cfg, stream: int, block: int) -> int:
     return sum(run_chain(graph, table, s, cfg).failure for s in syndromes)
 
 
-def two_step_aborted(pre, hw: int, cap: int, pcfg) -> bool:
-    """Whether the chain aborts, by the two-step rule it had before one
-    predicate decided it: a residual above ``cap``, or an aborted
-    predecoder, aborts; after that a predecoded total (predecode time plus
-    the modeled main latency) over the budget aborts.  ``pre`` is the
-    predecode result, or None when the syndrome bypassed the predecoder."""
-    bypassed = pre is None
-    post = hw if bypassed else pre.residual.hamming_weight
-    if post > cap or (not bypassed and pre.aborted):
-        return True
-    total = (0 if bypassed else pre.cycles) * pcfg.cycle_ns + pcfg.main_latency(post)
-    return not bypassed and total > pcfg.budget_ns
+def real_time_chain(syndrome, predecoder: str, pcfg, predecode):
+    """(predecode result or None, admitted) by the chain's real-time rule,
+    one check at a time.  A syndrome bypasses the predecoder when there is
+    none (``predecoder == "none"``) or when ``pcfg.fits(hw, 0)`` holds, and
+    is admitted within the cap.  Otherwise ``predecode(syndrome)`` runs, and
+    its residual is admitted when it did not abort and still fits after the
+    cycles it took: the chain leaves that second check to the predecoder's
+    loop, and this one makes it."""
+    hw = syndrome.hamming_weight
+    if predecoder == "none" or pcfg.fits(hw, 0):
+        return None, hw <= pcfg.main_hw_cap
+    pre = predecode(syndrome)
+    return pre, not pre.aborted and pcfg.fits(pre.residual.hamming_weight, pre.cycles)
 
 
 def with_edge_probabilities(graph, overrides: dict) -> DetectorGraph:

@@ -255,8 +255,24 @@ def test_criterion_8_step_usage_dominance(d11_low):
           f"{report['abort_rate']:.1e})")
 
 
-def test_criterion_9_budget_enforcement(d11_low, d11_sweep):
+def test_criterion_9_budget_enforcement(g5, pt5, d11_low, d11_sweep):
     graph, table = d11_low
+    # every chain record of the real-time predecoders, bypassed ones too,
+    # over d=5 exact-k syndromes at HW 1-14
+    rng = make_rng(909)
+    corpus = []
+    for k in range(1, 11):
+        for _ in range(100):
+            syndrome = syndrome_from_errors(g5, inject_k_errors(g5, k, rng))
+            if 1 <= syndrome.hamming_weight <= 14:
+                corpus.append(syndrome)
+    assert {s.hamming_weight for s in corpus} == set(range(1, 15))
+    for predecoder in ("adaptive", "greedy"):
+        cfg5 = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder)
+        for syndrome in corpus:
+            record = run_chain(g5, pt5, syndrome, cfg5)
+            if not record.aborted:
+                _MODELED_TOTALS.append(record.total_ns)
     assert len(_MODELED_TOTALS) > 0
     worst = max(_MODELED_TOTALS)
     assert worst <= BUDGET_NS

@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 from dataclasses import FrozenInstanceError
+from functools import partial
 
 import numpy as np
 import pytest
 
-from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, Syndrome,
-                       TrialRecord, adaptive_predecode, build_decoding_graph,
-                       build_path_table, greedy_baseline, harness,
+from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, PredecodeConfig,
+                       Syndrome, TrialRecord, adaptive_predecode, build_decoding_graph,
+                       build_path_table, build_subgraph, greedy_baseline, harness,
                        inject_k_errors, make_rng,
                        occurrence_probability, occurrence_tail,
                        run_chain, run_direct, run_rare_event,
@@ -18,7 +19,7 @@ from surfmatch.harness import _high_hw_corpus
 from surfmatch.oracle import GREEDY_LABEL
 
 from oracles import (block_stream, direct_failures, iid_errors, per_trial_stream,
-                     two_step_aborted, with_edge_probabilities)
+                     real_time_chain, with_edge_probabilities)
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -55,6 +56,7 @@ def test_config_validation_rejects_bad_fields():
         dict(distance=5.0), dict(rounds=3.0), dict(main_hw_cap=10.0),
         dict(k_max=2.0), dict(shots_per_k=10.5), dict(shots_direct=2.5),
         dict(shots_direct=True), dict(master_seed=1.0), dict(master_seed=-1),
+        dict(main_hw_cap=9.5), dict(main_hw_cap=True), dict(budget_ns=3.9),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -195,6 +197,16 @@ def test_chain_greedy_strands_singletons_above_cap(g5, pt5):
     assert rec.predecode_cycles == 0 and rec.deepest_step is None
 
 
+@pytest.mark.parametrize("predecoder", harness.PREDECODERS)
+def test_chain_refuses_detector_ids_out_of_range(g5, pt5, predecoder):
+    # HW 3 is within the cap and fits, so the syndrome bypasses to decode
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder)
+    u, v = find_adjacent_pair(g5)
+    for bad in (g5.n_detectors, -1):
+        with pytest.raises(ValueError, match="flipped ids outside detector range"):
+            run_chain(g5, pt5, syndrome_of({u, v, bad}), cfg)
+
+
 def test_chain_adaptive_shrinks_to_cap_below_10(g5, pt5):
     # HW 8 fits the budget but not a cap of 6, so the predecoder goes on:
     # with no subgraph edges, one S3 round (8 * 7 paths examined) pairs two
@@ -256,7 +268,7 @@ def d5_corpus(graph, hw_lo, hw_hi, per_hw, seed):
     return [syn for hw in sorted(by_hw) for syn in by_hw[hw]]
 
 
-def test_chain_admission_matches_two_step_rule(g5, pt5):
+def test_chain_admission_matches_real_time_rule(g5, pt5):
     corpus = d5_corpus(g5, 1, 20, 8, seed=909)
     assert {syn.hamming_weight for syn in corpus} == set(range(1, 21))
     seen = set()
@@ -266,19 +278,40 @@ def test_chain_admission_matches_two_step_rule(g5, pt5):
                 cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder,
                                        main_hw_cap=cap, budget_ns=budget)
                 pcfg = cfg.predecode_config()
+                if predecoder == "adaptive":
+                    predecode = partial(adaptive_predecode, g5, pt5, config=pcfg)
+                else:
+                    predecode = partial(greedy_baseline, g5, config=pcfg)
                 for syn in corpus:
-                    hw = syn.hamming_weight
-                    pre = None
-                    if hw > cap and predecoder == "adaptive":
-                        pre = adaptive_predecode(g5, pt5, syn, pcfg)
-                    elif hw > cap:
-                        pre = greedy_baseline(g5, syn, pcfg)
-                    aborted = run_chain(g5, pt5, syn, cfg, pcfg).aborted
-                    assert aborted == two_step_aborted(pre, hw, cap, pcfg)
-                    seen.add((pre is None, pre is not None and pre.aborted, aborted))
-    # bypassed, predecoded and admitted, predecoder aborted, residual refused
-    assert seen == {(True, False, False), (False, False, False),
-                    (False, True, True), (False, False, True)}
+                    rec = run_chain(g5, pt5, syn, cfg, pcfg)
+                    pre, admitted = real_time_chain(syn, predecoder, pcfg, predecode)
+                    assert rec.bypassed == (pre is None)
+                    assert rec.aborted == (not admitted)
+                    if pre is not None:
+                        assert rec.post_hw == pre.residual.hamming_weight
+                        assert rec.predecode_cycles == pre.cycles
+                    seen.add((pre is None, pre is not None and pre.aborted, rec.aborted))
+    # bypassed, predecoded and admitted, predecoder aborted; a residual the
+    # predecoder did not abort always fits, so none is refused after it
+    assert seen == {(True, False, False), (False, False, False), (False, True, True)}
+
+
+def test_greedy_never_ends_over_budget(g5):
+    # a tight budget that greedy used to run past, keeping on matching
+    pcfg = PredecodeConfig(budget_ns=120.0)
+    rng = make_rng(11)
+    results = []
+    for k in range(6, 13):
+        for _ in range(300):
+            syn = syndrome_from_errors(g5, inject_k_errors(g5, k, rng))
+            if syn.hamming_weight > pcfg.main_hw_cap:
+                results.append(greedy_baseline(g5, syn, pcfg))
+    done = [r for r in results if not r.aborted]
+    assert len(results) > 1000 and 0 < len(done) < len(results)
+    assert all(pcfg.fits(r.residual.hamming_weight, r.cycles) for r in done)
+    # an abort stops on the round that crosses the budget
+    assert all(r.cycles * pcfg.cycle_ns > pcfg.budget_ns
+               for r in results if r.aborted and build_subgraph(g5, r.residual).edges)
 
 
 def test_greedy_chain_decodes_heavy_syndromes(g5, pt5):
@@ -425,6 +458,22 @@ def test_direct_stream_is_block_seeded(g3, pt3, chain_calls, monkeypatch):
     assert [args[2] for args in chain_calls] == decoded
     assert 0 < len(decoded) < len(ref)
     assert round(est.ler * cfg.shots_direct) == chain_failures(g3, pt3, decoded, cfg) > 0
+
+
+def test_direct_triage_exact_at_budget_floor():
+    # one 4 ns cycle, the lowest budget: the empty syndrome still fits, so
+    # skipping error-free trials stays exact while most decodes abort
+    cfg = ExperimentConfig(distance=3, rounds=3, p=0.02, master_seed=21,
+                           shots_direct=3000, budget_ns=4.0)
+    graph, table = cfg.build()
+    est = run_direct(cfg, graph, table)
+    failures = direct_failures(graph, table, cfg, harness._STREAM_DIRECT, 1024)
+    assert est.ler == failures / cfg.shots_direct
+    assert 0 < failures < cfg.shots_direct
+    # below one cycle even the empty syndrome would abort: refused
+    cfg.budget_ns = 3.9
+    with pytest.raises(ValueError, match="budget_ns"):
+        run_direct(cfg, graph, table)
 
 
 def test_direct_triage_matches_per_trial_reference():

@@ -295,6 +295,17 @@ def test_decode_cap_error(g3, pt3):
         decode(g3, pt3, syndrome_of(range(12)))
 
 
+
+def test_decode_refuses_detector_ids_out_of_range(g3, pt3):
+    # n_detectors is the boundary node, past the path table's rows; -1 is
+    # no detector at all
+    u, v = find_adjacent_pair(g3)
+    for bad in (g3.n_detectors, -1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"flipped ids outside detector range: [{bad}]")):
+            decode(g3, pt3, syndrome_of({u, v, bad}))
+
+
 # ------------------------------------------------------ decode
 
 
@@ -379,7 +390,7 @@ def test_decode_after_predecode_six_pairs(g5, pt5):
 def test_decode_refuses_aborted_predecode(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     syn = syndrome_of({u for p in pairs for u in p})
-    pre = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=1.0))
+    pre = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=4.0))
     assert pre.aborted
     with pytest.raises(ValueError, match="aborted predecode"):
         decode(g5, pt5, syn, predecode=pre)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,14 @@ def test_syndrome_single_interior_edge(g3):
     syn = syndrome_from_errors(g3, ErrorSet(frozenset({eid})))
     assert syn.flipped == frozenset({u, v})
     assert syn.hamming_weight == 2
+
+
+def test_syndrome_refuses_edge_ids_out_of_range(g3):
+    # -1 would otherwise index the last edge, and n_edges past the end
+    eid = g3.edge_between(*find_adjacent_pair(g3)).id
+    for bad in (-1, g3.n_edges):
+        with pytest.raises(ValueError, match=re.escape(f"edge ids out of range: [{bad}]")):
+            syndrome_from_errors(g3, ErrorSet(frozenset({eid, bad})))
 
 
 def test_syndrome_single_boundary_edge(g3):

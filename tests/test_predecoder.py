@@ -295,12 +295,16 @@ def test_config_validation():
     for bad in (dict(main_hw_cap=0), dict(main_hw_cap=MAX_HW_CAP + 1),
                 dict(clock_mhz=0), dict(clock_mhz=math.nan), dict(clock_mhz=math.inf),
                 dict(budget_ns=math.nan), dict(budget_ns=-1.0), dict(budget_ns=0.0),
-                dict(budget_ns=math.inf)):
+                dict(budget_ns=math.inf),
+                # the cap is a count; a budget below one 4 ns cycle fits nothing
+                dict(main_hw_cap=9.5), dict(main_hw_cap=True), dict(budget_ns=1.0),
+                dict(budget_ns=3.9)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             PredecodeConfig(**bad)
     for cap in (1, 6, 7, 8, 10, MAX_HW_CAP):
         assert PredecodeConfig(main_hw_cap=cap).main_hw_cap == cap
-    assert PredecodeConfig(budget_ns=1.0).budget_ns == 1.0  # forces an abort
+    assert PredecodeConfig(budget_ns=4.0).fits(0, 0)  # one cycle: the floor
+    assert PredecodeConfig(budget_ns=2.0, clock_mhz=500.0).fits(0, 0)
 
 
 def test_config_fits_edges():
@@ -420,8 +424,8 @@ def test_adaptive_s3_then_s4(g7, pt7):
 def test_adaptive_budget_zero_aborts_before_any_match(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     syn = syndrome_of({u for p in pairs for u in p})
-    # 1 ns is less than one 4 ns cycle, so no round can be paid for
-    res = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=1.0))
+    # 4 ns is one cycle, less than the 6-cycle first round
+    res = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=4.0))
     assert res.aborted
     assert res.prematches == ()
     assert res.residual.flipped == syn.flipped
@@ -442,13 +446,19 @@ def test_adaptive_budget_cuts_between_rounds(g7, pt7):
 
 
 def test_adaptive_stuck_singleton_aborts(g3, pt3):
-    # a lone defect needs the boundary; its 4 ns main latency never fits 2 ns
-    cfg = PredecodeConfig(budget_ns=2.0)
-    res = adaptive_predecode(g3, pt3, syndrome_of({0}), cfg)
-    assert res.aborted
-    assert res.prematches == ()
-    assert res.rounds_executed == 1
-    assert res.residual.flipped == frozenset({0})
+    # an adjacent pair plus a lone defect: S1 pays one cycle (4 ns) for the
+    # pair; the lone defect then needs the boundary, its 4 ns main latency
+    # never fits beside that cycle, and there is nothing left to match
+    u, v = find_adjacent_pair(g3)
+    near = {u, v} | {x for n in (u, v) for x, _ in g3.detector_neighbors[n]}
+    lone = next(i for i in range(g3.n_detectors) if i not in near)
+    for budget_ns in (4.0, 6.0, 7.0):
+        res = adaptive_predecode(g3, pt3, syndrome_of({u, v, lone}),
+                                 PredecodeConfig(budget_ns=budget_ns))
+        assert res.aborted
+        assert [(pm.step, {pm.a, pm.b}) for pm in res.prematches] == [(Step.S1, {u, v})]
+        assert res.rounds_executed == 2 and res.cycles == 1
+        assert res.residual.flipped == frozenset({lone})
 
 
 # ------------------------------------------------- whole-run invariants

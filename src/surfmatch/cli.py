@@ -105,9 +105,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     elif args.errors is not None:
         syndrome = syndrome_from_errors(graph, ErrorSet(frozenset(args.errors)))
     else:
-        bad = [d for d in args.flipped if not 0 <= d < graph.n_detectors]
-        if bad:
-            raise ValueError(f"detector ids out of range: {bad}")
         syndrome = Syndrome(frozenset(args.flipped), args.obs or 0)
     rec = run_chain(graph, table, syndrome, cfg)
     payload = {

@@ -18,21 +18,29 @@ are reproducible bit-for-bit, and each block is the same whatever order the
 blocks run in, so blocks (not single trials) can run in parallel.  The
 implementation here runs them serially and reduces in index order.
 
-``run_direct`` samples each block with one ``sample_iid`` call and decodes
-only the trials with at least one error.  An error-free trial is a success
-without decoding: its syndrome is empty and its observable 0, and the chain
-bypasses the predecoder on it (``fits(0, 0)`` holds), admits it and predicts 0.
+The three estimators run their trials through one loop,
+``_decoded_trials``.  An error-free trial is a success without decoding: its
+syndrome is empty and its observable 0, and the chain bypasses the
+predecoder on it (``fits(0, 0)`` holds), admits it and predicts 0.  Every
+other trial's record is a pure function of its error set under a fixed
+config, so within one estimator call the loop decodes each distinct light
+error set once and gives its repeats the same record object.  Light means a
+weight (number of edges) with at most ``_MEMO_ENTRIES`` distinct sets, one
+edge at d=5: under i.i.d. noise most trials with an error are that light,
+while the sets of a heavier weight are too many to repeat often.  The memo
+lives for that call only and admits at most ``_MEMO_ENTRIES`` error sets;
+any other error set is decoded every time it occurs.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from numbers import Integral
 
 from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
-from .maindecoder import DecodeOutcome, decode
+from .maindecoder import DecodeOutcome, check_detector_ids, decode
 from .noise import (Syndrome, inject_k_errors, make_rng, occurrence_probability,
                     occurrence_tail, sample_iid, syndrome_from_errors, trial_seed)
 from .oracle import GREEDY_LABEL, greedy_baseline
@@ -49,6 +57,10 @@ _STREAM_REPORT = 3
 
 # Trials per generator: one SeedSequence and PCG64 serve this many trials.
 _BLOCK = 1024
+
+# Distinct error sets one estimator call remembers the records of; only
+# weights with at most this many error sets are admitted (``_memo_weight``).
+_MEMO_ENTRIES = 4096
 
 # ExperimentConfig fields that must be integers (``rounds`` may be None).
 _COUNT_FIELDS = ("distance", "rounds", "k_max", "shots_per_k", "shots_direct",
@@ -148,8 +160,10 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     predecoder where ``pcfg.fits(hw, 0)`` holds and admit a residual their
     predecoder did not abort, as it stops only where ``fits`` holds.  The
     offline baseline, no predecoder, admits a syndrome within the cap at
-    any modeled time.  An abort counts as a logical failure.
+    any modeled time.  An abort counts as a logical failure.  Flipped ids
+    outside the graph's detectors raise ``ValueError`` on every path.
     """
+    check_detector_ids(graph, syndrome.flipped)
     pcfg = pcfg if pcfg is not None else cfg.predecode_config()
     cap = pcfg.main_hw_cap
     hw = syndrome.hamming_weight
@@ -239,23 +253,67 @@ def _trial_rngs(master_seed: int, n: int, *path: int):
         yield from repeat(rng, size)
 
 
+def _exact_k_trials(graph: DetectorGraph, master_seed: int, shots: int,
+                    stream: int, ks):
+    """``shots`` exact-k error sets of the stream for each k of ``ks`` in turn."""
+    for k in ks:
+        for rng in _trial_rngs(master_seed, shots, stream, k):
+            yield inject_k_errors(graph, k, rng)
+
+
+def _memo_weight(n_edges: int) -> int:
+    """The heaviest error-set weight w the trial memo admits.
+
+    Every weight up to w has at most ``_MEMO_ENTRIES`` distinct sets, so a
+    stream of such trials repeats soon.  A heavier set is one of too many to
+    repeat often, and keeping its record until the call ends costs more
+    garbage-collector time than its repeats would save.
+    """
+    w = 0
+    while w < n_edges and math.comb(n_edges, w + 1) <= _MEMO_ENTRIES:
+        w += 1
+    return w
+
+
+def _decoded_trials(graph: DetectorGraph, table: PathTable, cfg: ExperimentConfig,
+                    trials, min_hw: int = 0):
+    """The ``TrialRecord`` of each ``ErrorSet`` of ``trials``, or None.
+
+    None marks a trial that is not decoded: an error-free one, or one whose
+    syndrome weighs less than ``min_hw``.  A repeated error set the memo
+    holds gets the record object of its first occurrence without a new
+    syndrome or chain (see the module docstring).
+    """
+    pcfg = cfg.predecode_config()
+    memo: dict[frozenset, TrialRecord | None] = {}
+    w_max = _memo_weight(graph.n_edges)
+    for errors in trials:
+        edges = errors.edge_ids
+        if not edges:
+            yield None
+        elif edges in memo:
+            yield memo[edges]
+        else:
+            syndrome = syndrome_from_errors(graph, errors)
+            record = (run_chain(graph, table, syndrome, cfg, pcfg)
+                      if syndrome.hamming_weight >= min_hw else None)
+            if len(edges) <= w_max and len(memo) < _MEMO_ENTRIES:
+                memo[edges] = record
+            yield record
+
+
 def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                table: PathTable | None = None) -> LerEstimate:
     """Monte-Carlo LER: decode iid samples and count failures.
 
-    Each block of trials is one ``sample_iid`` draw.  Error-free trials
-    count as successes without reaching the chain, which would bypass,
-    admit and decode their empty syndrome to observable 0.
+    Each block of trials is one ``sample_iid`` draw.
     """
     graph, table = _graph_and_table(cfg, graph, table)
-    pcfg = cfg.predecode_config()
-    failures = 0
-    for rng, size in _block_rngs(cfg.master_seed, cfg.shots_direct, _STREAM_DIRECT):
-        for errors in sample_iid(graph, rng, size):
-            if not errors.edge_ids:
-                continue
-            syndrome = syndrome_from_errors(graph, errors)
-            failures += run_chain(graph, table, syndrome, cfg, pcfg).failure
+    trials = (errors for rng, size in _block_rngs(cfg.master_seed, cfg.shots_direct,
+                                                  _STREAM_DIRECT)
+              for errors in sample_iid(graph, rng, size))
+    failures = sum(r.failure for r in _decoded_trials(graph, table, cfg, trials)
+                   if r is not None)
     n = cfg.shots_direct
     ler = failures / n
     stderr = math.sqrt(ler * (1.0 - ler) / n)
@@ -266,20 +324,15 @@ def run_rare_event(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                    table: PathTable | None = None) -> LerEstimate:
     """Rare-event LER: per-k failure rates combined with occurrence weights."""
     graph, table = _graph_and_table(cfg, graph, table)
-    pcfg = cfg.predecode_config()
-    strata: list[KStratum] = []
-    for k in range(cfg.k_max + 1):
-        p_occ = occurrence_probability(k, graph.n_edges, graph.p)
-        if k == 0:
-            strata.append(KStratum(0, p_occ, 0.0, 0, 0))
-            continue
-        failures = 0
-        for rng in _trial_rngs(cfg.master_seed, cfg.shots_per_k, _STREAM_RARE, k):
-            errors = inject_k_errors(graph, k, rng)
-            syndrome = syndrome_from_errors(graph, errors)
-            failures += run_chain(graph, table, syndrome, cfg, pcfg).failure
-        strata.append(KStratum(k, p_occ, failures / cfg.shots_per_k,
-                               failures, cfg.shots_per_k))
+    shots = cfg.shots_per_k
+    ks = range(1, cfg.k_max + 1)
+    records = _decoded_trials(graph, table, cfg, _exact_k_trials(
+        graph, cfg.master_seed, shots, _STREAM_RARE, ks))
+    strata = [KStratum(0, occurrence_probability(0, graph.n_edges, graph.p), 0.0, 0, 0)]
+    for k in ks:
+        failures = sum(r.failure for r in islice(records, shots))
+        strata.append(KStratum(k, occurrence_probability(k, graph.n_edges, graph.p),
+                               failures / shots, failures, shots))
     ler = sum(s.p_occ * s.p_fail for s in strata)
     var = sum((s.p_occ ** 2) * s.p_fail * (1.0 - s.p_fail) / s.shots
               for s in strata if s.shots > 0)
@@ -330,19 +383,12 @@ def _high_hw_corpus(cfg: ExperimentConfig, graph: DetectorGraph | None,
     memo = _last_corpus
     if memo and memo[0] is graph and memo[1] is table and memo[2] == key:
         return memo[3]
-    pcfg = cfg.predecode_config()
-    k_lo = cfg.main_hw_cap // 2 + 1
-    strata = []
-    for k in range(k_lo, cfg.k_max + 1):
-        records = []
-        for rng in _trial_rngs(cfg.master_seed, shots, _STREAM_REPORT, k):
-            errors = inject_k_errors(graph, k, rng)
-            syndrome = syndrome_from_errors(graph, errors)
-            if syndrome.hamming_weight <= cfg.main_hw_cap:
-                continue
-            records.append(run_chain(graph, table, syndrome, cfg, pcfg))
-        strata.append(_Stratum(k, occurrence_probability(k, graph.n_edges, graph.p),
-                               shots, tuple(records)))
+    ks = range(cfg.main_hw_cap // 2 + 1, cfg.k_max + 1)
+    records = _decoded_trials(graph, table, cfg, _exact_k_trials(
+        graph, cfg.master_seed, shots, _STREAM_REPORT, ks), cfg.main_hw_cap + 1)
+    strata = [_Stratum(k, occurrence_probability(k, graph.n_edges, graph.p), shots,
+                       tuple(r for r in islice(records, shots) if r is not None))
+              for k in ks]
     _last_corpus = (graph, table, key, tuple(strata))
     return _last_corpus[3]
 

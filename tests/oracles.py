@@ -10,8 +10,9 @@ package's pruned matcher must reproduce exactly.  The trial-stream
 references seed through the package's own ``make_rng`` and ``trial_seed``:
 what they pin is which seed path and which draws each trial gets, not the
 generator.  ``iid_errors`` draws one trial at a time, against which the
-block sampler is checked, and ``direct_failures`` decodes every trial,
-error-free ones included.  ``real_time_chain`` is the chain's bypass and
+block sampler is checked; ``direct_failures`` decodes every trial,
+error-free ones included, and ``rare_failures`` every exact-k trial, each
+on its own, repeats included.  ``real_time_chain`` is the chain's bypass and
 admission rule written as separate checks, the residual's ``fits`` among
 them.  The two graph builders at the end are
 fixtures, not references: graphs whose priors differ from the one uniform
@@ -30,7 +31,8 @@ from surfmatch.graph import (DetectorGraph, reconstruct_boundary_path,
                              reconstruct_path)
 from surfmatch.harness import run_chain
 from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet
-from surfmatch.noise import ErrorSet, make_rng, syndrome_from_errors, trial_seed
+from surfmatch.noise import (ErrorSet, inject_k_errors, make_rng, syndrome_from_errors,
+                             trial_seed)
 
 
 def heap_dijkstra(graph, src: int):
@@ -407,6 +409,19 @@ def direct_failures(graph, table, cfg, stream: int, block: int) -> int:
     syndromes = block_stream(cfg.master_seed, (stream,), cfg.shots_direct, block,
                              lambda rng: syndrome_from_errors(graph, iid_errors(graph, rng)))
     return sum(run_chain(graph, table, s, cfg).failure for s in syndromes)
+
+
+def rare_failures(graph, table, cfg, stream: int, block: int) -> list[int]:
+    """``run_rare_event``'s failure count of each k in 1..k_max, one trial
+    at a time: every exact-k trial of the block stream goes through
+    ``run_chain``, however often its error set has come before."""
+    out = []
+    for k in range(1, cfg.k_max + 1):
+        syndromes = block_stream(cfg.master_seed, (stream, k), cfg.shots_per_k, block,
+                                 lambda rng: syndrome_from_errors(
+                                     graph, inject_k_errors(graph, k, rng)))
+        out.append(sum(run_chain(graph, table, s, cfg).failure for s in syndromes))
+    return out
 
 
 def real_time_chain(syndrome, predecoder: str, pcfg, predecode):

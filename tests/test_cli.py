@@ -143,6 +143,18 @@ def test_decode_rejects_out_of_range_ids(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("predecoder", ["adaptive", "greedy", "none"])
+@pytest.mark.parametrize("flipped", ["0,999", "0,1,2,3,4,5,6,7,8,9,10,999"])
+def test_decode_rejects_out_of_range_detector_ids(capsys, predecoder, flipped):
+    # HW 2 bypasses to the matcher; HW 12 is above the cap of 10, where
+    # "none" aborts and the others predecode: each path refuses the id
+    code, out, err = run_cli(capsys, "decode", "--distance", "5", "--rounds", "2",
+                             "--p", "0.01", "--predecoder", predecoder,
+                             "--flipped", flipped)
+    assert code == 2 and out == ""
+    assert err == "error: flipped ids outside detector range: [999]\n"
+
+
 # --------------------------------------------------------- estimate-ler
 
 

@@ -19,7 +19,7 @@ from surfmatch.harness import _high_hw_corpus
 from surfmatch.oracle import GREEDY_LABEL
 
 from oracles import (block_stream, direct_failures, iid_errors, per_trial_stream,
-                     real_time_chain, with_edge_probabilities)
+                     rare_failures, real_time_chain, with_edge_probabilities)
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -328,6 +328,11 @@ def test_greedy_chain_decodes_heavy_syndromes(g5, pt5):
 # ----------------------------------------------------------- direct LER
 
 
+def distinct_nonempty(error_sets) -> list:
+    """The distinct non-empty error sets, in first-seen order."""
+    return list(dict.fromkeys(e for e in error_sets if e.edge_ids))
+
+
 def fixed_chain(monkeypatch, failure: bool) -> list:
     """Make every chain report ``failure``; returns the syndromes it is given."""
     seen = []
@@ -364,14 +369,19 @@ def test_direct_always_fails(g32, pt32, monkeypatch):
                   lambda graph, rng, shots: [ErrorSet(frozenset({0}))] * shots)
         est = run_direct(cfg, g32, pt32)
     assert est.ler == 1.0 and est.stderr == 0.0
-    assert len(seen) == cfg.shots_direct
-    # Under the real sampler only the trials with an error reach the chain.
-    with_errors = sum(block_stream(cfg.master_seed, (harness._STREAM_DIRECT,),
-                                   cfg.shots_direct, 1024,
-                                   lambda rng: len(iid_errors(g32, rng)) > 0))
+    # one error set repeated: the chain sees its syndrome once
+    assert seen == [syndrome_from_errors(g32, ErrorSet(frozenset({0})))]
+    # Under the real sampler only the trials with an error count, and the
+    # chain sees each distinct error set once, in first-seen order.
+    drawn = block_stream(cfg.master_seed, (harness._STREAM_DIRECT,),
+                         cfg.shots_direct, 1024, lambda rng: iid_errors(g32, rng))
+    with_errors = sum(len(e) > 0 for e in drawn)
+    seen.clear()
     est = run_direct(cfg, g32, pt32)
     assert 0 < with_errors < cfg.shots_direct
     assert est.ler == with_errors / cfg.shots_direct
+    assert seen == [syndrome_from_errors(g32, e) for e in distinct_nonempty(drawn)]
+    assert len(seen) < with_errors
 
 
 # ------------------------------------------------------- rare-event LER
@@ -454,9 +464,11 @@ def test_direct_stream_is_block_seeded(g3, pt3, chain_calls, monkeypatch):
                        lambda rng: iid_errors(g3, rng))
     est = run_direct(cfg, g3, pt3)
     assert drawn == ref
+    # the chain sees each distinct non-empty error set once, in first-seen order
     decoded = [syndrome_from_errors(g3, e) for e in ref if e.edge_ids]
-    assert [args[2] for args in chain_calls] == decoded
-    assert 0 < len(decoded) < len(ref)
+    distinct = [syndrome_from_errors(g3, e) for e in distinct_nonempty(ref)]
+    assert [args[2] for args in chain_calls] == distinct
+    assert 0 < len(distinct) < len(decoded) < len(ref)
     assert round(est.ler * cfg.shots_direct) == chain_failures(g3, pt3, decoded, cfg) > 0
 
 
@@ -485,6 +497,106 @@ def test_direct_triage_matches_per_trial_reference():
     failures = direct_failures(graph, table, cfg, harness._STREAM_DIRECT, 1024)
     assert round(est.ler * cfg.shots_direct) == failures > 0
     assert est.ler == failures / cfg.shots_direct
+
+
+# ------------------------------------------------------- trial memo
+#
+# Each estimator call decodes a distinct error set once and reuses its
+# record for repeats.  These configs repeat often: at d=3, rounds=2 most
+# light trials are one of a few dozen single-edge sets.
+
+
+def memo_cfg(**kwargs):
+    base = dict(distance=3, rounds=2, p=0.02, master_seed=13,
+                shots_direct=2 * 1024 + 5, k_max=4, shots_per_k=300)
+    base.update(kwargs)
+    return ExperimentConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def hot32():
+    """The d=3, rounds=2, p=0.02 graph and path table."""
+    return memo_cfg().build()
+
+
+@pytest.mark.parametrize("predecoder", harness.PREDECODERS)
+def test_direct_memo_matches_per_trial_reference(hot32, chain_calls, predecoder):
+    g32, pt32 = hot32
+    cfg = memo_cfg(predecoder=predecoder)
+    est = run_direct(cfg, g32, pt32)
+    failures = direct_failures(g32, pt32, cfg, harness._STREAM_DIRECT, 1024)
+    assert est.ler == failures / cfg.shots_direct
+    assert failures > 0
+    drawn = block_stream(cfg.master_seed, (harness._STREAM_DIRECT,), cfg.shots_direct,
+                         1024, lambda rng: iid_errors(g32, rng))
+    nonempty = sum(len(e) > 0 for e in drawn)
+    assert len(chain_calls) == len(distinct_nonempty(drawn)) < nonempty / 2
+
+
+@pytest.mark.parametrize("predecoder", harness.PREDECODERS)
+def test_rare_event_memo_matches_per_trial_reference(hot32, chain_calls, predecoder):
+    g32, pt32 = hot32
+    cfg = memo_cfg(predecoder=predecoder)
+    est = run_rare_event(cfg, g32, pt32)
+    ref = rare_failures(g32, pt32, cfg, harness._STREAM_RARE, 1024)
+    assert [s.failures for s in est.per_k[1:]] == ref
+    assert sum(ref) > 0
+    assert len(chain_calls) < cfg.k_max * cfg.shots_per_k
+
+
+def test_memo_bound_changes_no_output(hot32, monkeypatch):
+    g32, pt32 = hot32
+    cfg = memo_cfg()
+    rcfg = report_corpus_cfg(distance=3, rounds=2, p=0.02, main_hw_cap=2, k_max=4)
+
+    def outputs():
+        monkeypatch.setattr(harness, "_last_corpus", None)
+        reps = [report(rcfg, g32, pt32, shots_per_k=300) for report in REPORTS]
+        return run_direct(cfg, g32, pt32), run_rare_event(cfg, g32, pt32), reps
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run_chain(*args)
+
+    monkeypatch.setattr(harness, "run_chain", counting)
+    full = outputs()
+    n_full = len(calls)
+    monkeypatch.setattr(harness, "_MEMO_ENTRIES", 1)
+    assert outputs() == full
+    assert len(calls) - n_full > n_full  # the bound holds one error set per call
+
+
+def test_memo_admits_only_light_weights(g32, pt32, chain_calls, monkeypatch):
+    # d=3, rounds=2: 22 edges, so weights 1-3 (22, 231 and 1,540 sets) are
+    # admitted and weight 4 (7,315 sets) is not; one edge at d=5 (173, 14,878)
+    assert [harness._memo_weight(n) for n in (22, 35, 173, 1931, 10)] == [3, 2, 1, 1, 10]
+    cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8, shots_direct=50)
+    for weight, calls in ((3, 1), (4, 50)):
+        errors = ErrorSet(frozenset(range(weight)))
+        monkeypatch.setattr(harness, "sample_iid", lambda graph, rng, shots: [errors] * shots)
+        chain_calls.clear()
+        run_direct(cfg, g32, pt32)
+        assert len(chain_calls) == calls
+
+
+def test_corpus_repeats_share_one_record(hot32, chain_calls):
+    g32, pt32 = hot32
+    cfg = report_corpus_cfg(distance=3, rounds=2, p=0.02, main_hw_cap=2, k_max=4)
+    records = [r for s in _high_hw_corpus(cfg, g32, pt32, shots_per_k=300)
+               for r in s.records]
+    assert len({id(r) for r in records}) == len(chain_calls) < len(records)
+
+
+def test_direct_memo_lives_for_one_call(hot32, chain_calls):
+    g32, pt32 = hot32
+    cfg = memo_cfg()
+    first = run_direct(cfg, g32, pt32)
+    n = len(chain_calls)
+    assert n > 0
+    assert run_direct(cfg, g32, pt32) == first
+    assert len(chain_calls) == 2 * n
 
 
 def test_rare_event_stream_is_block_seeded(g32, pt32):

@@ -96,3 +96,86 @@ def test_run_reports_has_no_hw_target_flag(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --hw-target" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ------------------------------------------------------------ bench_record
+#
+# The aggregation runs on canned perfbench output; no subprocess is started.
+
+END_TO_END = [{"name": "shots_per_s", "better": "higher"},
+              {"name": "setup_s", "better": "lower"}]
+
+
+def perfbench_stdout(rate, setup, sha, trace=0, correct=True):
+    """The stdout lines of one ``perfbench/run.py`` run, shortened."""
+    lines = [{"machine": {"nproc": 2, "cpu_model": "X"}, "scope": "s",
+              "run": {"workload": "direct-d5", "trace": trace}}]
+    if trace:
+        lines.append({"spans": {}})
+        lines.append({"fingerprint": {"pass0": {}, "counts": {"records": 7}},
+                      "sha256": sha})
+    else:
+        lines.append({"fingerprint": {"pass0": {}}, "sha256": sha})
+        lines.append({"unscaled": {"passes": 3}})
+    metrics = ({"trace.coverage": {"value": 1.0, "unit": "ratio"}} if trace else
+               {"shots_per_s": {"value": rate, "unit": "1/s"},
+                "setup_s": {"value": setup, "unit": "s"}})
+    lines.append({"correct": correct, "attempted": 10, "failed": 0 if correct else 1,
+                  "metrics": metrics})
+    return "\n".join(json.dumps(line) for line in lines) + "\nnot json\n"
+
+
+def test_bench_record_parses_perfbench_and_pytest_output():
+    bench = load_script("bench_record")
+    run = bench.parse_run(perfbench_stdout(100.0, 0.5, "ab"))
+    assert run["sha256"] == "ab" and run["correct"] and run["counts"] is None
+    assert run["metrics"] == {"shots_per_s": 100.0, "setup_s": 0.5}
+    assert run["machine"]["nproc"] == 2
+    assert not bench.parse_run(perfbench_stdout(1.0, 1.0, "ab", correct=False))["correct"]
+    with pytest.raises(ValueError, match="lacks"):
+        bench.parse_run("Traceback (most recent call last):\n")
+    log = ("==== test session starts ====\n"
+           "======= 229 passed, 2 failed in 97.25s (0:01:37) =======\n")
+    assert bench.parse_tier1(log) == {"passed": 229, "failed": 2, "seconds": 97.25}
+    with pytest.raises(ValueError, match="summary"):
+        bench.parse_tier1("no summary")
+
+
+def test_bench_record_alternates_sides_and_aggregates():
+    bench = load_script("bench_record")
+    # (side, seed) -> (shots_per_s, setup_s, sha) of the untraced run
+    canned = {("parent", 5): (100.0, 0.50, "s5"), ("change", 5): (190.0, 0.40, "s5"),
+              ("parent", 6): (110.0, 0.30, "s6"), ("change", 6): (200.0, 0.60, "s6"),
+              ("parent", 7): (120.0, 0.40, "s7"), ("change", 7): (100.0, 0.45, "sX")}
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, seed, trace))
+        if trace:
+            return perfbench_stdout(0.0, 0.0, f"t-{checkout}", trace=1)
+        return perfbench_stdout(*canned[(checkout, seed)])
+
+    doc = bench.collect({"parent": "parent", "change": "change"}, ["direct-d5"],
+                        END_TO_END, pairs=3, seed=5, seconds=36.0, traced_seed=3001,
+                        traced_seconds=12.0, run=run, log=lambda msg: None)
+    assert calls == [("parent", 5, 0), ("change", 5, 0), ("change", 6, 0),
+                     ("parent", 6, 0), ("parent", 7, 0), ("change", 7, 0),
+                     ("parent", 3001, 1), ("change", 3001, 1)]
+    wl = doc["untraced"]["workloads"]["direct-d5"]
+    assert wl["pairs"] == 3 and wl["seeds"] == [5, 6, 7]
+    rate = wl["shots_per_s"]
+    assert rate["parent"]["values"] == [100.0, 110.0, 120.0]
+    assert rate["parent"]["median"] == 110.0 and rate["change"]["median"] == 190.0
+    assert (rate["parent"]["q1"], rate["parent"]["q3"]) == (105.0, 115.0)
+    assert rate["change_over_parent"] == 190.0 / 110.0
+    assert rate["change_better_pairs"] == 2
+    assert rate["parent_iqr_over_median"] == 10.0 / 110.0
+    setup = wl["setup_s"]
+    assert setup["change_better_pairs"] == 1  # lower is better: 0.40 < 0.50
+    assert wl["sha256"] == {"parent": ["s5", "s6", "s7"], "change": ["s5", "s6", "sX"]}
+    assert wl["fingerprints_equal"] is False and wl["correct"] is True
+    traced = doc["traced"]["workloads"]["direct-d5"]
+    assert traced["change"] == {"sha256": "t-change", "counts": {"records": 7},
+                                "correct": True, "metrics": {"trace.coverage": 1.0}}
+    assert doc["machine"] == {"nproc": 2, "cpu_model": "X"}
+    assert doc["traced"]["seed"] == 3001 and doc["untraced"]["seconds"] == 36.0

@@ -11,11 +11,14 @@ the change, and writes one JSON document with:
 - the machine block perfbench prints;
 - the tier-1 pass count and seconds, read from a saved pytest log.
 
-Pair i runs both sides at seed ``--seed + i``; the side that runs first
-alternates from pair to pair, so a drift in the host's speed falls on both.
-Example, from the change checkout:
+There are ``PAIRS`` untraced pairs per workload, each run as long as
+BENCHMARK.json's ``run_seconds``.  Pair i runs both sides at seed
+``--seed + i``; the side that runs first alternates from pair to pair, so a
+drift in the host's speed falls on both.  The traced runs take
+``TRACED_SECONDS`` at seed ``TRACED_SEED``.  Example, from the change
+checkout:
 
-    python3 scripts/bench_record.py --pr N --parent ../parent --pairs 10 \\
+    python3 scripts/bench_record.py --pr N --parent ../parent \\
         --tier1-log test_output.txt
 """
 from __future__ import annotations
@@ -31,6 +34,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# Untraced parent/change pairs per workload: ten is the fewest that can
+# show a change better in nine of ten pairs.
+PAIRS = 10
+# The traced run's seed and length (the seed the fingerprints are quoted at).
+TRACED_SEED = 3001
+TRACED_SECONDS = 12.0
 
 
 def parse_run(stdout: str) -> dict:
@@ -115,10 +124,18 @@ def summarize_traced(runs: dict) -> dict:
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
                   trace: int) -> str:
+    """One perfbench run's stdout; its stderr passes through to ours.
+
+    perfbench exits 1 when a verification fails but still prints its
+    metrics, which the record keeps; any other failure raises.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    return subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          check=False).stdout
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True,
+                          check=False)
+    if proc.returncode != 0 and '"metrics"' not in proc.stdout:
+        raise RuntimeError(f"perfbench exited {proc.returncode} without metrics")
+    return proc.stdout
 
 
 def collect(checkouts: dict, workloads: list[str], end_to_end: list[dict], *,
@@ -130,20 +147,28 @@ def collect(checkouts: dict, workloads: list[str], end_to_end: list[dict], *,
                  "traced": {"seed": traced_seed, "seconds": traced_seconds,
                             "workloads": {}}}
     machine = None
+
+    def measure(side, wl, seed, seconds, trace):
+        try:
+            return parse_run(run(checkouts[side], wl, seed, seconds, trace))
+        except (RuntimeError, ValueError) as exc:
+            raise RuntimeError(f"{side} checkout {checkouts[side]}, workload {wl}, "
+                               f"seed {seed}, trace {trace}: {exc}") from exc
+
     for wl in workloads:
         done = []
         for i in range(pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed + i}
             for side in order:
-                pair[side] = parse_run(run(checkouts[side], wl, seed + i, seconds, 0))
+                pair[side] = measure(side, wl, seed + i, seconds, 0)
                 machine = machine or pair[side]["machine"]
                 log(f"{wl} pair {i} {side}: shots_per_s "
                     f"{pair[side]['metrics']['shots_per_s']:.1f}")
             done.append(pair)
         doc["untraced"]["workloads"][wl] = summarize_untraced(done, end_to_end)
-        traced = {side: parse_run(run(checkouts[side], wl, traced_seed,
-                                      traced_seconds, 1)) for side in SIDES}
+        traced = {side: measure(side, wl, traced_seed, traced_seconds, 1)
+                  for side in SIDES}
         doc["traced"]["workloads"][wl] = summarize_traced(traced)
     doc["machine"] = machine
     return doc
@@ -155,18 +180,12 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
     ap.add_argument("--change", type=Path, default=ROOT,
                     help="change checkout (default: this one)")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=3001, help="seed of pair 0")
-    ap.add_argument("--seconds", type=float, default=36.0)
-    ap.add_argument("--traced-seed", type=int, default=3001)
-    ap.add_argument("--traced-seconds", type=float, default=12.0)
     ap.add_argument("--tier1-log", type=Path, default=None,
                     help="pytest log of the change's tier-1 run")
     ap.add_argument("--out", type=Path, default=None,
                     help="default: BENCH_<pr>.json in the change checkout")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0 or args.traced_seconds <= 0:
-        ap.error("--pairs must be >= 1 and the run lengths > 0")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     tier1 = (parse_tier1(args.tier1_log.read_text(encoding="utf-8"))
              if args.tier1_log else None)
@@ -175,10 +194,9 @@ def main(argv=None) -> int:
     doc = {"pr": args.pr,
            "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
            "command": spec["command"]}
-    doc.update(collect(checkouts, workloads, spec["end_to_end"], pairs=args.pairs,
-                       seed=args.seed, seconds=args.seconds,
-                       traced_seed=args.traced_seed,
-                       traced_seconds=args.traced_seconds,
+    doc.update(collect(checkouts, workloads, spec["end_to_end"], pairs=PAIRS,
+                       seed=args.seed, seconds=spec["run_seconds"],
+                       traced_seed=TRACED_SEED, traced_seconds=TRACED_SECONDS,
                        log=lambda msg: print(msg, file=sys.stderr, flush=True)))
     doc["tier1"] = tier1
     out = args.out or args.change / f"BENCH_{args.pr}.json"

@@ -25,11 +25,12 @@ predecoder on it (``fits(0, 0)`` holds), admits it and predicts 0.  Every
 other trial's record is a pure function of its error set under a fixed
 config, so within one estimator call the loop decodes each distinct light
 error set once and gives its repeats the same record object.  Light means a
-weight (number of edges) with at most ``_MEMO_ENTRIES`` distinct sets, one
-edge at d=5: under i.i.d. noise most trials with an error are that light,
-while the sets of a heavier weight are too many to repeat often.  The memo
-lives for that call only and admits at most ``_MEMO_ENTRIES`` error sets;
-any other error set is decoded every time it occurs.
+weight (number of edges) up to the largest w for which weights 1..w have at
+most ``_MEMO_ENTRIES`` distinct sets in all, one edge at d=5: under i.i.d.
+noise most trials with an error are that light, while the sets of a heavier
+weight are too many to repeat often.  The memo lives for that call only and
+so holds at most ``_MEMO_ENTRIES`` error sets by construction; any heavier
+error set is decoded every time it occurs.
 """
 from __future__ import annotations
 
@@ -58,8 +59,9 @@ _STREAM_REPORT = 3
 # Trials per generator: one SeedSequence and PCG64 serve this many trials.
 _BLOCK = 1024
 
-# Distinct error sets one estimator call remembers the records of; only
-# weights with at most this many error sets are admitted (``_memo_weight``).
+# Distinct error sets one estimator call may remember the records of: the
+# memo admits the weights 1..w that have at most this many sets in all
+# (``_memo_weight``).
 _MEMO_ENTRIES = 4096
 
 # ExperimentConfig fields that must be integers (``rounds`` may be None).
@@ -264,13 +266,17 @@ def _exact_k_trials(graph: DetectorGraph, master_seed: int, shots: int,
 def _memo_weight(n_edges: int) -> int:
     """The heaviest error-set weight w the trial memo admits.
 
-    Every weight up to w has at most ``_MEMO_ENTRIES`` distinct sets, so a
-    stream of such trials repeats soon.  A heavier set is one of too many to
-    repeat often, and keeping its record until the call ends costs more
-    garbage-collector time than its repeats would save.
+    The weights 1..w have at most ``_MEMO_ENTRIES`` distinct sets in all, so
+    the memo cannot outgrow that bound and a stream of such trials repeats
+    soon.  A heavier set is one of too many to repeat often, and keeping its
+    record until the call ends costs more garbage-collector time than its
+    repeats would save.
     """
-    w = 0
-    while w < n_edges and math.comb(n_edges, w + 1) <= _MEMO_ENTRIES:
+    w, sets = 0, 0
+    while w < n_edges:
+        sets += math.comb(n_edges, w + 1)
+        if sets > _MEMO_ENTRIES:
+            break
         w += 1
     return w
 
@@ -297,7 +303,7 @@ def _decoded_trials(graph: DetectorGraph, table: PathTable, cfg: ExperimentConfi
             syndrome = syndrome_from_errors(graph, errors)
             record = (run_chain(graph, table, syndrome, cfg, pcfg)
                       if syndrome.hamming_weight >= min_hw else None)
-            if len(edges) <= w_max and len(memo) < _MEMO_ENTRIES:
+            if len(edges) <= w_max:
                 memo[edges] = record
             yield record
 

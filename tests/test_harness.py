@@ -569,9 +569,14 @@ def test_memo_bound_changes_no_output(hot32, monkeypatch):
 
 
 def test_memo_admits_only_light_weights(g32, pt32, chain_calls, monkeypatch):
-    # d=3, rounds=2: 22 edges, so weights 1-3 (22, 231 and 1,540 sets) are
-    # admitted and weight 4 (7,315 sets) is not; one edge at d=5 (173, 14,878)
+    # d=3, rounds=2: 22 edges, so weights 1-3 (22 + 231 + 1,540 = 1,793 sets)
+    # are admitted and weight 4 (7,315 more) is not; one edge at d=5 (173, 14,878)
     assert [harness._memo_weight(n) for n in (22, 35, 173, 1931, 10)] == [3, 2, 1, 1, 10]
+    for n in range(1, 200):  # the memo is bounded by the weight rule alone
+        w = harness._memo_weight(n)
+        sets = sum(math.comb(n, i) for i in range(1, w + 1))
+        assert sets <= harness._MEMO_ENTRIES
+        assert w == n or sets + math.comb(n, w + 1) > harness._MEMO_ENTRIES
     cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8, shots_direct=50)
     for weight, calls in ((3, 1), (4, 50)):
         errors = ErrorSet(frozenset(range(weight)))

@@ -179,3 +179,35 @@ def test_bench_record_alternates_sides_and_aggregates():
                                 "correct": True, "metrics": {"trace.coverage": 1.0}}
     assert doc["machine"] == {"nproc": 2, "cpu_model": "X"}
     assert doc["traced"]["seed"] == 3001 and doc["untraced"]["seconds"] == 36.0
+
+
+def test_bench_record_names_the_failed_run():
+    bench = load_script("bench_record")
+
+    def run(checkout, workload, seed, seconds, trace):
+        return "Traceback (most recent call last):\n"
+
+    with pytest.raises(RuntimeError, match="parent checkout p, workload direct-d5, "
+                                           "seed 5, trace 0: perfbench output lacks"):
+        bench.collect({"parent": "p", "change": "c"}, ["direct-d5"], END_TO_END,
+                      pairs=1, seed=5, seconds=1.0, traced_seed=3001,
+                      traced_seconds=1.0, run=run, log=lambda msg: None)
+
+
+def test_bench_record_takes_run_length_from_benchmark(tmp_path, monkeypatch, capsys):
+    bench = load_script("bench_record")
+    seen = {}
+
+    def collect(checkouts, workloads, end_to_end, **kwargs):
+        seen.update(kwargs, workloads=workloads)
+        return {}
+
+    monkeypatch.setattr(bench, "collect", collect)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--pr", "7", "--parent", str(tmp_path), "--out", str(out)]) == 0
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    assert seen["seconds"] == spec["run_seconds"]
+    assert seen["workloads"] == [w["name"] for w in spec["workloads"]]
+    assert (seen["pairs"], seen["traced_seed"]) == (10, 3001)
+    assert json.loads(out.read_text())["pr"] == 7
+    assert "wrote" in capsys.readouterr().out

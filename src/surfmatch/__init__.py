@@ -12,10 +12,10 @@ from .maindecoder import (DEFAULT_HW_CAP, MAX_HW_CAP, DecodeOutcome, MatchingSet
 from .noise import (ErrorSet, Syndrome, inject_k_errors, make_rng,
                     occurrence_probability, occurrence_tail, sample_iid,
                     syndrome_from_errors, trial_seed)
-from .oracle import chain_length_counts, greedy_baseline, oracle_mwpm
-from .predecoder import (DecodingSubgraph, Prematch, PredecodeConfig, PredecodeResult,
-                         Step, adaptive_predecode, build_subgraph, creates_singleton,
-                         scan_candidates, step3_singleton_path)
+from .predecoder import (GREEDY_LABEL, DecodingSubgraph, Prematch, PredecodeConfig,
+                         PredecodeResult, Step, adaptive_predecode, build_subgraph,
+                         creates_singleton, greedy_baseline, scan_candidates,
+                         step3_singleton_path)
 
 __version__ = "0.1.0"
 
@@ -28,10 +28,9 @@ __all__ = [
     "occurrence_tail",
     "Step", "Prematch", "DecodingSubgraph", "PredecodeConfig", "PredecodeResult",
     "build_subgraph", "creates_singleton", "scan_candidates", "step3_singleton_path",
-    "adaptive_predecode",
+    "adaptive_predecode", "GREEDY_LABEL", "greedy_baseline",
     "DEFAULT_HW_CAP", "MAX_HW_CAP", "MatchingSet", "DecodeOutcome",
     "matching_search_size", "brute_force_mwpm", "decode",
-    "oracle_mwpm", "greedy_baseline", "chain_length_counts",
     "ExperimentConfig", "TrialRecord", "KStratum", "LerEstimate", "run_chain",
     "run_direct", "run_rare_event", "report_hw_distribution", "report_latency",
     "report_step_usage",

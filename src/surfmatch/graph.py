@@ -184,22 +184,6 @@ class DetectorGraph:
         }
         return json.dumps(doc)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DetectorGraph":
-        doc = json.loads(text)
-        nodes = [Detector(n["id"], (n["x"], n["y"]), n["round"])
-                 for n in doc["nodes"]]
-        boundary_id = len(nodes)
-        edges = []
-        for e in doc["edges"]:
-            v = boundary_id if e["v"] == BOUNDARY_JSON_ID else e["v"]
-            edges.append(Edge(e["id"], e["u"], v, e["prob"], e["weight"],
-                              bool(e["obs"])))
-        g = cls(doc["distance"], doc["rounds"], doc["p"], nodes, edges,
-                boundary_id)
-        g.validate()
-        return g
-
 
 def build_decoding_graph(distance: int, rounds: int | None = None,
                          p: float = 1e-3) -> DetectorGraph:
@@ -255,59 +239,66 @@ def build_decoding_graph(distance: int, rounds: int | None = None,
 
 
 class PathTable:
-    """All-pairs shortest paths between detectors, plus boundary routes.
+    """All-pairs fewest-edge paths between detectors, plus boundary routes.
 
-    Detector-to-detector paths never pass through the boundary node.  The
-    node-to-boundary route for ``i`` is the cheapest detector path from
-    ``i`` to some detector plus that detector's cheapest boundary edge.
+    Every edge of a built graph has the same prior ``p``, so a path weighs
+    its hop count times ``edge_weight`` = -ln p, and the table stores hop
+    counts: ``hops[i, j]`` between detectors and ``boundary_hops[i]`` for
+    the route out through the boundary.  Detector-to-detector paths never
+    pass through the boundary node.  The boundary route of ``i`` is the
+    shortest detector path from ``i`` to the lowest-id nearest detector
+    with a boundary edge, ``boundary_via[i]``, plus that detector's first
+    boundary edge, ``boundary_edge[i]``.
 
     ``route[i, j]`` is the predecessor of ``j`` on the chosen shortest path
     from ``i``; together with the graph's edge lookup it reconstructs the
     full edge list of any path.
     """
 
-    def __init__(self, graph: DetectorGraph, weight: np.ndarray,
-                 route: np.ndarray, boundary_weight: np.ndarray,
+    def __init__(self, graph: DetectorGraph, hops: np.ndarray,
+                 route: np.ndarray, boundary_hops: np.ndarray,
                  boundary_via: np.ndarray, boundary_edge: np.ndarray):
         self.graph = graph
         self.n = graph.n_detectors
-        self.weight = weight
+        self.hops = hops
         self.route = route
-        self.boundary_weight = boundary_weight
+        self.boundary_hops = boundary_hops
         self.boundary_via = boundary_via
         self.boundary_edge = boundary_edge
+        self.edge_weight = -math.log(graph.p)
+
+
+def check_uniform_priors(graph: DetectorGraph) -> None:
+    """Refuse a graph whose edge priors are not all ``graph.p``.
+
+    Only then does a path weigh its hop count times -ln p, and only then do
+    the rare-event estimator's occurrence probabilities hold.
+    """
+    if any(e.probability != graph.p for e in graph.edges):
+        raise ValueError(f"every edge prior must equal the graph's p = {graph.p}")
 
 
 def build_path_table(graph: DetectorGraph) -> PathTable:
-    """Precompute shortest paths among detectors and to the boundary."""
+    """Precompute fewest-edge paths among detectors and to the boundary."""
+    check_uniform_priors(graph)
     n = graph.n_detectors
-    rows, cols, data = [], [], []
+    rows, cols = [], []
     for e in graph.edges:
-        if e.v == graph.boundary_id:
-            continue
-        rows.extend((e.u, e.v))
-        cols.extend((e.v, e.u))
-        data.extend((e.weight, e.weight))
-    mat = csr_matrix((data, (rows, cols)), shape=(n, n))
+        if e.v != graph.boundary_id:
+            rows.extend((e.u, e.v))
+            cols.extend((e.v, e.u))
+    mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     dist, pred = _dijkstra(mat, directed=True, return_predecessors=True)
-
     if not np.all(np.isfinite(dist)):
         raise ValueError("detector subgraph is not connected")
+    hops = dist.astype(np.int16)
 
-    direct_bw = np.full(n, np.inf)
-    direct_bedge = np.full(n, -1, dtype=np.int64)
-    for u in range(n):
-        for eid in graph.boundary_edges_of(u):
-            w = graph.edges[eid].weight
-            if w < direct_bw[u]:
-                direct_bw[u] = w
-                direct_bedge[u] = eid
-    total = dist + direct_bw[None, :]
-    via = np.argmin(total, axis=1)
-    boundary_weight = total[np.arange(n), via]
-    boundary_edge = direct_bedge[via]
-
-    return PathTable(graph, dist, pred, boundary_weight, via, boundary_edge)
+    # The nearest boundary-adjacent detector; argmin keeps the lowest id.
+    exits = np.array([u for u in range(n) if graph.boundary_edges_of(u)])
+    via = exits[np.argmin(hops[:, exits], axis=1)]
+    boundary_hops = (hops[np.arange(n), via] + 1).astype(np.int16)
+    boundary_edge = np.array([graph.boundary_edges_of(int(u))[0] for u in via])
+    return PathTable(graph, hops, pred, boundary_hops, via, boundary_edge)
 
 
 def reconstruct_path(table: PathTable, i: int, j: int) -> list[int]:
@@ -332,9 +323,6 @@ def reconstruct_path(table: PathTable, i: int, j: int) -> list[int]:
 def reconstruct_boundary_path(table: PathTable, i: int) -> list[int]:
     """Edge ids of the chosen shortest path from detector i to the boundary."""
     via = int(table.boundary_via[i])
-    eid = int(table.boundary_edge[i])
-    if eid < 0:
-        raise ValueError(f"no boundary route from {i}")
     path = [] if via == i else reconstruct_path(table, i, via)
-    path.append(eid)
+    path.append(int(table.boundary_edge[i]))
     return path

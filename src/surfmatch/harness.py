@@ -40,12 +40,13 @@ from dataclasses import astuple, dataclass
 from itertools import islice, repeat
 from numbers import Integral
 
-from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
+from .graph import (DetectorGraph, PathTable, build_decoding_graph, build_path_table,
+                    check_uniform_priors)
 from .maindecoder import DecodeOutcome, check_detector_ids, decode
 from .noise import (Syndrome, inject_k_errors, make_rng, occurrence_probability,
                     occurrence_tail, sample_iid, syndrome_from_errors, trial_seed)
-from .oracle import GREEDY_LABEL, greedy_baseline
-from .predecoder import STEP_RANK, PredecodeConfig, adaptive_predecode
+from .predecoder import (GREEDY_LABEL, STEP_RANK, PredecodeConfig, adaptive_predecode,
+                         greedy_baseline)
 
 SCHEMA_VERSION = 1
 
@@ -114,9 +115,7 @@ class ExperimentConfig:
         if have != want:
             raise ValueError(f"graph (distance, rounds, p) {have} does not match "
                              f"the config's {want}")
-        # The occurrence probabilities assume one uniform prior.
-        if any(e.probability != graph.p for e in graph.edges):
-            raise ValueError(f"every edge prior must equal the graph's p = {graph.p}")
+        check_uniform_priors(graph)
         if self.k_max > graph.n_edges:
             raise ValueError(
                 f"k_max {self.k_max} exceeds the {graph.n_edges} edges of the graph")

@@ -3,10 +3,11 @@
 The main stage pairs every remaining flipped detector with another defect
 or with the boundary and keeps the lightest complete pairing: exactly the
 one that enumerating every pairing, as the paper's hardware does, would
-keep.  The software reaches it through a subset dynamic program plus a
-bounded replay of that enumeration.  The stage is only modeled as viable
-up to a small Hamming weight cap.  Pair costs come from the precomputed
-shortest-path table; corrections are the symmetric difference of the
+keep.  Pair costs are the integer hop counts of the precomputed path
+table, so ties are exact and the answer does not depend on p; the software
+reaches the enumeration's answer through a subset dynamic program and one
+walk back down it.  The stage is only modeled as viable up to a small
+Hamming weight cap.  Corrections are the symmetric difference of the
 constituent shortest paths.
 """
 from __future__ import annotations
@@ -24,11 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_HW_CAP = 10
 MAX_HW_CAP = 14
-
-# Up to this many defects there are at most four complete pairings: the
-# replay runs unbounded, because setting up the subset DP costs more than
-# it could prune.
-_UNBOUNDED_HW = 3
 
 
 def matching_search_size(hw: int) -> int:
@@ -79,17 +75,17 @@ def _pairings(m: int, nb: int) -> int:
                for j in range(m % 2, min(nb, m) + 1, 2))
 
 
-def _subset_dp(w, bw, bok, m: int) -> list:
-    """Cheapest completion weight per mask.
+def _subset_dp(w, bw, m: int) -> list:
+    """Fewest hops completing each mask.
 
     ``best[mask]`` covers the unmatched positions in ``mask``, branching as
     the enumeration does: the lowest unmatched position pairs with each
-    later one, then takes the boundary when ``bok`` allows.  Only masks
+    later one, then takes the boundary unless ``bw`` is None.  Only masks
     reachable from the full one are filled.
     """
     full = (1 << m) - 1
     best: list = [None] * (full + 1)
-    best[0] = 0.0
+    best[0] = 0
 
     def solve(mask: int) -> None:
         low = mask & -mask
@@ -107,7 +103,7 @@ def _subset_dp(w, bw, bok, m: int) -> list:
             x = wa[lb.bit_length() - 1] + best[sub]
             if x < top:
                 top = x
-        if bok[a]:
+        if bw is not None:
             if best[rest] is None:
                 solve(rest)
             x = bw[a] + best[rest]
@@ -125,20 +121,18 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
 
     The result equals exhaustive enumeration of every way to partition the
     defects into pairs plus boundary-matched nodes (boundary branches are
-    skipped when disabled or when a node has no finite boundary route),
-    ``total_weight`` and ``enumerated`` included.  The enumeration pairs the
-    smallest unmatched node with every later partner in ascending order,
-    then with the boundary, summing weights head-first; ties keep the first
+    skipped when disabled), ``total_weight`` and ``enumerated`` included.
+    The enumeration pairs the smallest unmatched node with every later
+    partner in ascending order, then with the boundary; ties keep the first
     minimum found, which is the lexicographically smallest canonical pair
     list.
 
     Instead of visiting every pairing, a subset DP over the bitmask of
-    unmatched defects gives the optimum ``opt`` and the cheapest completion
-    of every reachable mask.  The enumeration is then replayed in its own
-    order and summation, cutting each branch whose prefix weight plus
-    cheapest completion exceeds ``opt + 1e-9 * max(1, |opt|)``.  That slack
-    is far above the rounding between head-first and tail-first sums, so
-    no branch holding the enumeration's answer is cut.
+    unmatched defects gives the fewest hops completing every reachable
+    mask.  A walk down from the full mask then takes, at each step, the
+    first branch in enumeration order whose hops plus its completion equal
+    the mask's: with integer hops that is exactly the enumeration's first
+    minimum.  ``total_weight`` is the optimum's hops times -ln p.
     """
     nodes = tuple(sorted(flipped))
     m = len(nodes)
@@ -146,70 +140,44 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
         raise ValueError(f"Hamming weight {m} exceeds cap {hw_cap}")
     if hw_cap > MAX_HW_CAP:
         raise ValueError(f"hw_cap must be at most {MAX_HW_CAP}")
+    if m % 2 and not allow_boundary:
+        raise ValueError("no complete matching exists for this defect set")
     if not m:
         return MatchingSet((), (), 0.0, frozenset(), 1)
 
-    # Plain-float tables indexed by position in ``nodes``.
-    w = [[float(table.weight[a, b]) for b in nodes] for a in nodes]
-    bw = [float(table.boundary_weight[a]) for a in nodes]
-    bok = [allow_boundary and math.isfinite(x) for x in bw]
-
+    # Plain-int tables indexed by position in ``nodes``.
+    w = table.hops.take(nodes, 0).take(nodes, 1).tolist()
+    bw = [table.boundary_hops.item(a) for a in nodes] if allow_boundary else None
+    best = _subset_dp(w, bw, m)
     full = (1 << m) - 1
-    if m <= _UNBOUNDED_HW:
-        best, limit = [0.0] * (full + 1), math.inf
-    else:
-        best = _subset_dp(w, bw, bok, m)
-        opt = best[full]
-        if not opt < math.inf:
-            raise ValueError("no complete matching exists for this defect set")
-        limit = opt + 1e-9 * max(1.0, abs(opt))
 
-    found = math.inf
-    found_pairs = found_bnd = None
-    pair_stack: list[tuple[int, int]] = []
-    bnd_stack: list[int] = []
-
-    def replay(mask: int, acc: float) -> None:
-        nonlocal found, found_pairs, found_bnd
-        if not mask:
-            if acc < found:
-                found = acc
-                found_pairs = tuple(pair_stack)
-                found_bnd = tuple(bnd_stack)
-            return
-        a = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << a)
+    pairs: list[tuple[int, int]] = []
+    boundary: list[int] = []
+    mask = full
+    while mask:
+        low = mask & -mask
+        a = low.bit_length() - 1
+        rest = mask ^ low
         wa = w[a]
         mm = rest
         while mm:
-            low = mm & -mm
-            mm ^= low
-            b = low.bit_length() - 1
-            x = acc + wa[b]
-            if x + best[rest ^ low] <= limit:
-                pair_stack.append((a, b))
-                replay(rest ^ low, x)
-                pair_stack.pop()
-        if bok[a]:
-            x = acc + bw[a]
-            if x + best[rest] <= limit:
-                bnd_stack.append(a)
-                replay(rest, x)
-                bnd_stack.pop()
+            lb = mm & -mm
+            mm ^= lb
+            if wa[lb.bit_length() - 1] + best[rest ^ lb] == best[mask]:
+                pairs.append((nodes[a], nodes[lb.bit_length() - 1]))
+                mask = rest ^ lb
+                break
+        else:
+            boundary.append(nodes[a])
+            mask = rest
 
-    replay(full, 0.0)
-    if found_pairs is None:
-        raise ValueError("no complete matching exists for this defect set")
-
-    pairs = tuple((nodes[a], nodes[b]) for a, b in found_pairs)
-    boundary = tuple(nodes[a] for a in found_bnd)
     correction: set[int] = set()
     for a, b in pairs:
         correction ^= set(reconstruct_path(table, a, b))
     for a in boundary:
         correction ^= set(reconstruct_boundary_path(table, a))
-    return MatchingSet(pairs, boundary, found, frozenset(correction),
-                       _pairings(m, sum(bok)))
+    return MatchingSet(tuple(pairs), tuple(boundary), best[full] * table.edge_weight,
+                       frozenset(correction), _pairings(m, m if allow_boundary else 0))
 
 
 @dataclass(frozen=True)

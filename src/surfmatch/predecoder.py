@@ -11,13 +11,14 @@ any flipped neighbor (a singleton) can later only be paired through a
 multi-edge path, which is both slower and easier to get wrong.  The loop
 is a sequence of rounds, and each round makes one pass over the subgraph
 edges in ascending id order.  The pass collects every isolated pair and
-fills one candidate register per category; the round then applies the
-first category, in this priority order, that has something to match:
+fills one candidate register per category with its first edge (every edge
+weighs the same); the round then applies the first category, in this
+priority order, that has something to match:
 
   S1    isolated pairs (two-node components); the whole batch at once
   S2_1  singleton-safe edges with an endpoint of degree 1
   S2_2  singleton-safe edges otherwise
-  S3    an existing singleton paired through the cheapest table path
+  S3    an existing singleton paired through the fewest-hop table path
   S4_1  singleton-creating edges with an endpoint of degree 1
   S4_2  singleton-creating edges otherwise
 
@@ -28,12 +29,14 @@ subgraph in place, and node statistics are read off what remains.
 Cycle model: each round costs the edge count of the subgraph it scans, in
 clock cycles.  A round that consults the path table for S3 costs
 ``max(paths examined, edge count)`` because the table is scanned by a
-parallel pipeline.  Every predecoder, the greedy baseline too, runs one
-loop, ``run_rounds``: a round is paid for before it is applied, and if the
-predecode time exceeds the budget, or nothing is matchable, the decode is
-aborted.  The loop stops as soon as ``PredecodeConfig.fits`` holds: the
-residual is within the main stage's cap and the predecode time plus the
-modeled main-decoder time fits the budget.
+parallel pipeline.  Every predecoder runs one loop, ``run_rounds``; so
+does ``greedy_baseline``, the ablation that matches the lowest-id subgraph
+edge with no singleton-safety check.  A round is paid for before it is
+applied, and if the predecode time exceeds the budget, or nothing is
+matchable, the decode is aborted.  The loop stops as soon as
+``PredecodeConfig.fits`` holds: the residual is within the main stage's
+cap and the predecode time plus the modeled main-decoder time fits the
+budget.
 """
 from __future__ import annotations
 
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
 from typing import Callable, NamedTuple
-import json
 import math
 
 from .graph import DetectorGraph, PathTable, reconstruct_path
@@ -60,6 +62,9 @@ class Step(str, Enum):
     S4_2 = "S4_2"
     GREEDY = "GREEDY"  # produced by the no-safety baseline, not by the scan
 
+
+# Report label of ``greedy_baseline``, the predecoder without the safety check.
+GREEDY_LABEL = "greedy-nosafety"
 
 # Order used to find the "deepest" step a decode needed: definition order.
 STEP_RANK = {step: rank for rank, step in enumerate(Step)}
@@ -139,40 +144,37 @@ def scan_candidates(sub: DecodingSubgraph,
     """One pass over the subgraph edges in ascending id order.
 
     Returns the S1 batch, one prematch per isolated pair, and the S2_1,
-    S2_2, S4_1 and S4_2 registers, each holding its category's cheapest
-    edge (lowest weight, then lowest id).  A non-empty batch is applied
+    S2_2, S4_1 and S4_2 registers, each holding its category's first edge
+    in id order (every edge weighs the same).  A non-empty batch is applied
     before any register, so once one is found the remaining edges are not
     classified and the registers come back empty.
     """
     batch: list[Prematch] = []
-    best: dict[Step, tuple[float, int]] = {}
+    first: dict[Step, int] = {}
     adj = sub.adj
     for eid in sorted(sub.edges):
         u, v = sub.edges[eid]
-        w = graph.edges[eid].weight
         du, dv = len(adj[u]), len(adj[v])
         if du == 1 and dv == 1:
-            batch.append(Prematch(u, v, Step.S1, (eid,), w))
+            batch.append(Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight))
         elif not batch:
             if creates_singleton(sub, u, v):
                 step = Step.S4_1 if min(du, dv) == 1 else Step.S4_2
             else:
                 step = Step.S2_1 if min(du, dv) == 1 else Step.S2_2
-            cur = best.get(step)
-            if cur is None or w < cur[0]:
-                best[step] = (w, eid)
+            first.setdefault(step, eid)
     if batch:
         return batch, {}
-    return batch, {step: Prematch(*sub.edges[eid], step, (eid,), w)
-                   for step, (w, eid) in best.items()}
+    return batch, {step: Prematch(*sub.edges[eid], step, (eid,), graph.edges[eid].weight)
+                   for step, eid in first.items()}
 
 
 def step3_singleton_path(sub: DecodingSubgraph,
                          table: PathTable) -> tuple[Prematch | None, int]:
-    """Match an existing singleton through the cheapest table path (step S3).
+    """Match an existing singleton through the shortest table path (step S3).
 
-    Returns the cheapest (singleton, partner) prematch that strands no new
-    singleton, or None, and the number of paths examined.  Removing the
+    Returns the fewest-hop (singleton, partner) prematch that strands no
+    new singleton, or None, and the number of paths examined.  Removing the
     partner t must not leave any of its degree-1 neighbors stranded; the
     singleton s itself has no neighbors to strand.
     """
@@ -180,20 +182,21 @@ def step3_singleton_path(sub: DecodingSubgraph,
     best = None
     examined = 0
     for s in sorted(sub.singletons()):
-        row = table.weight[s]
+        row = table.hops[s]
         for t in nodes:
             if t == s:
                 continue
             examined += 1
             if sub.dependents(t) > 0:
                 continue
-            w = float(row[t])
-            if best is None or w < best[2]:
-                best = (s, t, w)
+            h = row.item(t)
+            if best is None or h < best[2]:
+                best = (s, t, h)
     if best is None:
         return None, examined
-    s, t, w = best
-    return Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)), w), examined
+    s, t, h = best
+    return (Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)),
+                     h * table.edge_weight), examined)
 
 
 @dataclass(frozen=True)
@@ -309,6 +312,15 @@ def _adaptive_round(sub: DecodingSubgraph, graph: DetectorGraph, table: PathTabl
     return batch, cost
 
 
+def _greedy_round(sub: DecodingSubgraph, graph: DetectorGraph) -> tuple[list[Prematch], int]:
+    """The lowest-id subgraph edge (every edge weighs the same), for one scan."""
+    if not sub.edges:
+        return [], 0
+    eid = min(sub.edges)
+    pm = Prematch(*sub.edges[eid], Step.GREEDY, (eid,), graph.edges[eid].weight)
+    return [pm], len(sub.edges)
+
+
 def adaptive_predecode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
                        config: PredecodeConfig | None = None,
                        record_trace: bool = False) -> PredecodeResult:
@@ -321,14 +333,14 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable, syndrome: Syndrom
                       lambda sub: _adaptive_round(sub, graph, table), record_trace)
 
 
-def predecode_result_to_json(result: PredecodeResult) -> str:
-    return json.dumps({
-        "prematches": [
-            {"a": pm.a, "b": pm.b, "step": pm.step.value,
-             "weight": pm.weight, "edges": list(pm.correction_edges)}
-            for pm in result.prematches
-        ],
-        "residual": sorted(result.residual.flipped),
-        "cycles": result.cycles,
-        "aborted": result.aborted,
-    })
+def greedy_baseline(graph: DetectorGraph, syndrome: Syndrome,
+                    config: PredecodeConfig | None = None) -> PredecodeResult:
+    """Repeatedly match the lowest-id subgraph edge, safety be damned.
+
+    The ablation reported as ``GREEDY_LABEL``: no singleton-safety check.
+    Runs the adaptive predecoder's loop, ``run_rounds``, with one scan per
+    round costing the current edge count.  Once no subgraph edges remain
+    (only singletons are left) nothing is matchable, so the decode aborts
+    unless the residual already fits.
+    """
+    return run_rounds(graph, syndrome, config, lambda sub: _greedy_round(sub, graph))

@@ -5,8 +5,8 @@ than the package (dict-based heapq Dijkstra, breadth-first hop counts, DFS
 path enumeration, itertools partitioning, lgamma binomials), so agreement
 between the two is meaningful evidence of correctness rather than a
 tautology.  The one exception is ``enumerate_mwpm``: the exhaustive
-enumeration whose answer, floating-point sums and tie-breaks included, the
-package's pruned matcher must reproduce exactly.  The trial-stream
+enumeration over the table's integer hop counts whose answer, tie-breaks
+included, the package's subset-DP matcher must reproduce exactly.  The trial-stream
 references seed through the package's own ``make_rng`` and ``trial_seed``:
 what they pin is which seed path and which draws each trial gets, not the
 generator.  ``iid_errors`` draws one trial at a time, against which the
@@ -14,23 +14,28 @@ block sampler is checked; ``direct_failures`` decodes every trial,
 error-free ones included, and ``rare_failures`` every exact-k trial, each
 on its own, repeats included.  ``real_time_chain`` is the chain's bypass and
 admission rule written as separate checks, the residual's ``fits`` among
-them.  The two graph builders at the end are
-fixtures, not references: graphs whose priors differ from the one uniform
-``p`` the package builds.
+them.  The two graph builders are fixtures, not references: graphs whose
+priors differ from the one uniform ``p`` the package builds.  The helpers
+at the end serve the tests only: ``graph_from_json`` reads what
+``DetectorGraph.to_json`` writes, ``predecode_result_to_json`` serialises a
+predecode for digests, and ``oracle_mwpm`` and ``chain_length_counts`` run
+the exact matcher on a whole syndrome.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
-from surfmatch.graph import (DetectorGraph, reconstruct_boundary_path,
-                             reconstruct_path)
+from surfmatch.graph import (BOUNDARY_JSON_ID, Detector, DetectorGraph, Edge,
+                             reconstruct_boundary_path, reconstruct_path)
 from surfmatch.harness import run_chain
-from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet
+from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet, decode
 from surfmatch.noise import (ErrorSet, inject_k_errors, make_rng, syndrome_from_errors,
                              trial_seed)
 
@@ -195,10 +200,10 @@ def enumerate_mwpm(flipped, table, hw_cap: int = DEFAULT_HW_CAP,
 
     The reference ``brute_force_mwpm`` must equal field for field.
     Enumerates every way to partition the defects into pairs plus
-    boundary-matched nodes (boundary branches are skipped when disabled or
-    when a node has no finite boundary route).  Ties in total weight keep
-    the lexicographically smallest canonical pair list, which is the first
-    one found since partners are explored in ascending id order with the
+    boundary-matched nodes (boundary branches are skipped when disabled),
+    summing the table's integer hop counts.  Ties in total hops keep the
+    lexicographically smallest canonical pair list, which is the first one
+    found since partners are explored in ascending id order with the
     boundary last.
     """
     nodes = tuple(sorted(flipped))
@@ -208,20 +213,19 @@ def enumerate_mwpm(flipped, table, hw_cap: int = DEFAULT_HW_CAP,
     if hw_cap > MAX_HW_CAP:
         raise ValueError(f"hw_cap must be at most {MAX_HW_CAP}")
 
-    # Plain-float tables indexed by position in ``nodes``; the recursion
+    # Plain-int tables indexed by position in ``nodes``; the recursion
     # walks a bitmask of unmatched positions.  The smallest unmatched node
     # is paired with every later partner in ascending order, then with the
     # boundary, so the first minimum found is the lexicographically
     # smallest canonical pair list and strict < keeps it on ties.
-    w = [[float(table.weight[a, b]) for b in nodes] for a in nodes]
-    bw = [float(table.boundary_weight[a]) for a in nodes]
-    bok = [allow_boundary and math.isfinite(x) for x in bw]
+    w = [[int(table.hops[a, b]) for b in nodes] for a in nodes]
+    bw = [int(table.boundary_hops[a]) for a in nodes]
 
     state = {"count": 0, "best": math.inf, "pairs": None, "boundary": None}
     pair_stack: list[tuple[int, int]] = []
     bnd_stack: list[int] = []
 
-    def recurse(mask: int, acc: float) -> None:
+    def recurse(mask: int, acc: int) -> None:
         if not mask:
             state["count"] += 1
             if acc < state["best"]:
@@ -240,12 +244,12 @@ def enumerate_mwpm(flipped, table, hw_cap: int = DEFAULT_HW_CAP,
             pair_stack.append((a, b))
             recurse(rest ^ low, acc + wa[b])
             pair_stack.pop()
-        if bok[a]:
+        if allow_boundary:
             bnd_stack.append(a)
             recurse(rest, acc + bw[a])
             bnd_stack.pop()
 
-    recurse((1 << m) - 1, 0.0)
+    recurse((1 << m) - 1, 0)
     if state["pairs"] is None and m > 0:
         raise ValueError("no complete matching exists for this defect set")
 
@@ -256,7 +260,7 @@ def enumerate_mwpm(flipped, table, hw_cap: int = DEFAULT_HW_CAP,
         correction ^= set(reconstruct_path(table, a, b))
     for a in boundary:
         correction ^= set(reconstruct_boundary_path(table, a))
-    total = 0.0 if m == 0 else state["best"]
+    total = 0.0 if m == 0 else state["best"] * table.edge_weight
     return MatchingSet(pairs, boundary, total, frozenset(correction),
                        state["count"])
 
@@ -299,7 +303,8 @@ def removal_strands(graph, sub, i: int, j: int) -> bool:
 
 
 def brute_step3(graph, sub, table):
-    """Best (singleton, partner) by exhaustive search with simulated safety."""
+    """Fewest-hop (singleton, partner, hops) by exhaustive search with
+    simulated safety."""
     nbrs = induced_neighbors(graph, set(sub.nodes))
     best = None
     for s in sorted(u for u in nbrs if not nbrs[u]):
@@ -308,9 +313,9 @@ def brute_step3(graph, sub, table):
                 continue
             if removal_strands(graph, sub, s, t):
                 continue
-            w = float(table.weight[s, t])
-            if best is None or w < best[2] - 1e-12:
-                best = (s, t, w)
+            h = int(table.hops[s, t])
+            if best is None or h < best[2]:
+                best = (s, t, h)
     return best
 
 
@@ -457,3 +462,52 @@ def at_rate(graph, p: float) -> DetectorGraph:
     """``graph`` with every prior set to ``p``: ``sample_iid`` on it draws
     i.i.d. flips at rate ``p`` over the same edge ids."""
     return with_edge_probabilities(graph, dict.fromkeys(range(graph.n_edges), p))
+
+
+def graph_from_json(text: str) -> DetectorGraph:
+    """The graph ``DetectorGraph.to_json`` wrote, validated."""
+    doc = json.loads(text)
+    nodes = [Detector(n["id"], (n["x"], n["y"]), n["round"]) for n in doc["nodes"]]
+    boundary_id = len(nodes)
+    edges = [Edge(e["id"], e["u"], boundary_id if e["v"] == BOUNDARY_JSON_ID else e["v"],
+                  e["prob"], e["weight"], bool(e["obs"]))
+             for e in doc["edges"]]
+    graph = DetectorGraph(doc["distance"], doc["rounds"], doc["p"], nodes, edges,
+                          boundary_id)
+    graph.validate()
+    return graph
+
+
+def predecode_result_to_json(result) -> str:
+    """Prematches, residual, cycles and abort flag of a predecode, as JSON."""
+    return json.dumps({
+        "prematches": [
+            {"a": pm.a, "b": pm.b, "step": pm.step.value,
+             "weight": pm.weight, "edges": list(pm.correction_edges)}
+            for pm in result.prematches
+        ],
+        "residual": sorted(result.residual.flipped),
+        "cycles": result.cycles,
+        "aborted": result.aborted,
+    })
+
+
+def oracle_mwpm(graph, table, syndrome):
+    """Exact matching of the full syndrome (Hamming weight up to 14), with no
+    predecoding or time budget: a weight floor for any predecode-then-match
+    chain."""
+    return decode(graph, table, syndrome, predecode=None, hw_cap=MAX_HW_CAP)
+
+
+def chain_length_counts(graph, table, syndromes) -> Counter:
+    """Matched-chain lengths under ``oracle_mwpm``, as hop count -> count.
+
+    Each matched pair contributes the edge count of its shortest path;
+    boundary matches contribute the edge count of their boundary route.
+    """
+    counts: Counter = Counter()
+    for syndrome in syndromes:
+        m = oracle_mwpm(graph, table, syndrome).matching
+        counts.update(len(reconstruct_path(table, a, b)) for a, b in m.pairs)
+        counts.update(len(reconstruct_boundary_path(table, a)) for a in m.boundary_matches)
+    return counts

@@ -70,6 +70,22 @@ def find_induced_chain(graph, length: int = 4, forbidden: set[int] | None = None
     raise AssertionError("no induced chain of requested length")
 
 
+def find_chain_with_lowest_middle(graph):
+    """An induced 4-chain v1..v4 whose middle edge (v2, v3) has a lower id
+    than both end edges."""
+    for mid in graph.edges:
+        if mid.v == graph.boundary_id:
+            continue
+        for v2, v3 in ((mid.u, mid.v), (mid.v, mid.u)):
+            for v1, e1 in graph.detector_neighbors[v2]:
+                for v4, e4 in graph.detector_neighbors[v3]:
+                    if (len({v1, v2, v3, v4}) == 4 and min(e1, e4) > mid.id
+                            and not _neighbors(graph, v4) & {v1, v2}
+                            and v3 not in _neighbors(graph, v1)):
+                        return (v1, v2, v3, v4)
+    raise AssertionError("no 4-chain with a lowest-id middle edge")
+
+
 def find_disjoint_chains(graph, n_chains: int, length: int = 4):
     """Induced chains that are also mutually non-adjacent (union is disjoint)."""
     chains = []
@@ -102,16 +118,15 @@ def find_disjoint_pairs(graph, n_pairs: int):
 
 
 def find_two_hop_singletons(graph, table, forbidden: set[int] | None = None):
-    """Non-adjacent detectors (s, t) at shortest-path weight = 2 edges."""
+    """Non-adjacent detectors (s, t) two hops apart."""
     forbidden = forbidden or set()
-    two_edge = 2.0 * min(e.weight for e in graph.edges)
     for s in range(graph.n_detectors):
         if s in forbidden:
             continue
         for t in range(s + 1, graph.n_detectors):
             if t in forbidden or t in _neighbors(graph, s):
                 continue
-            if abs(float(table.weight[s, t]) - two_edge) < 1e-9:
+            if table.hops[s, t] == 2:
                 return (s, t)
     raise AssertionError("no two-hop pair found")
 

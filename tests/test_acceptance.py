@@ -19,15 +19,14 @@ import pytest
 
 from surfmatch import (ExperimentConfig, PredecodeConfig, Step,
                        adaptive_predecode, brute_force_mwpm,
-                       build_decoding_graph, build_path_table,
-                       chain_length_counts, decode, inject_k_errors,
-                       make_rng, occurrence_probability, oracle_mwpm,
+                       build_decoding_graph, build_path_table, decode,
+                       inject_k_errors, make_rng, occurrence_probability,
                        report_latency, report_step_usage, run_chain,
                        run_direct, run_rare_event, sample_iid,
                        syndrome_from_errors)
-from surfmatch.predecoder import predecode_result_to_json
 
-from oracles import double_factorial, enumerate_mwpm
+from oracles import (chain_length_counts, double_factorial, enumerate_mwpm,
+                     oracle_mwpm, predecode_result_to_json)
 
 BUDGET_NS = 960.0
 SAFE_STEPS = {Step.S1, Step.S2_1, Step.S2_2, Step.S3}
@@ -143,7 +142,7 @@ def test_criterion_2_oracle_equivalence_low_hw(g5, pt5):
         floor = oracle_mwpm(g5, pt5, syndrome)
         diff = abs(main.total_weight - floor.total_weight)
         worst = max(worst, diff)
-        assert diff <= 1e-9
+        assert main.total_weight == floor.total_weight
     print(f"\n[PASS] criterion 2: {checked} low-HW decodes match the oracle "
           f"weight exactly (max |diff| = {worst:.2e})")
 

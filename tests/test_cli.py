@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from surfmatch import MAX_HW_CAP, DetectorGraph, build_decoding_graph
+from surfmatch import MAX_HW_CAP, build_decoding_graph
 from surfmatch.cli import main
 
+from oracles import graph_from_json
 from patterns import find_adjacent_pair
 
 
@@ -26,7 +27,7 @@ def test_build_graph_stdout(capsys):
     assert doc["schema_version"] == 1
     assert len(doc["nodes"]) == 8
     assert any(e["v"] == -1 for e in doc["edges"])
-    graph = DetectorGraph.from_json(out)
+    graph = graph_from_json(out)
     assert (graph.distance, graph.rounds, graph.p) == (3, 2, 0.01)
 
 
@@ -35,7 +36,7 @@ def test_build_graph_to_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "build-graph", "--distance", "3",
                            "--out", str(path))
     assert code == 0 and out == ""
-    graph = DetectorGraph.from_json(path.read_text())
+    graph = graph_from_json(path.read_text())
     assert graph.distance == 3 and graph.rounds == 3
 
 
@@ -182,14 +183,18 @@ def test_estimate_ler_rare_json(capsys):
 
 
 def test_estimate_ler_rare_json_pinned(capsys):
-    """The rare-mode JSON byte for byte; digest taken when the CLI still
-    wrote ``per_k`` key by key instead of through ``LerEstimate.to_dict``."""
-    code, out, _ = run_cli(capsys, "estimate-ler", "rare", "--distance", "5",
-                           "--p", "0.003", "--shots-per-k", "40", "--k-max", "6",
-                           "--master-seed", "9")
+    """The rare-mode JSON byte for byte; digest taken when the matcher came
+    to compare integer hop counts, so the per-k failures are those of the
+    same run at p = 1e-3 (k = 6: 7 of 40, where float ties gave 8)."""
+    argv = ("estimate-ler", "rare", "--distance", "5", "--shots-per-k", "40",
+            "--k-max", "6", "--master-seed", "9", "--p")
+    code, out, _ = run_cli(capsys, *argv, "0.003")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "6e6f2bb96e13196c6ae206472c3bd6878b3c9c9bc3ce96fef4bb3ac96b8fdd18")
+        "53d7c2aa21c2c1b652965a2edb82697e315ef7b5bc6e13c86966216fd2d618a1")
+    _, at_1e3, _ = run_cli(capsys, *argv, "0.001")
+    failures = [[s["failures"] for s in json.loads(doc)["per_k"]] for doc in (out, at_1e3)]
+    assert failures[0] == failures[1] == [0, 0, 0, 0, 0, 1, 7]
 
 
 def test_estimate_ler_direct_json_pinned(capsys):

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from surfmatch import (BOUNDARY_JSON_ID, DetectorGraph, build_decoding_graph,
+from surfmatch import (BOUNDARY_JSON_ID, ExperimentConfig, build_decoding_graph,
                        build_path_table, reconstruct_boundary_path, reconstruct_path)
 
 from oracles import (apsp_weights, bfs_boundary_hops, bfs_hops,
                      boundary_route_weight, enumerate_simple_path_weights,
-                     heap_dijkstra, with_edge_probabilities)
+                     graph_from_json, heap_dijkstra, with_edge_probabilities)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
@@ -87,7 +87,7 @@ def test_deterministic_construction():
 def test_json_round_trip(g3):
     doc = json.loads(g3.to_json())
     assert any(e["v"] == BOUNDARY_JSON_ID for e in doc["edges"])
-    g2 = DetectorGraph.from_json(g3.to_json())
+    g2 = graph_from_json(g3.to_json())
     assert g2.n_detectors == g3.n_detectors
     assert g2.to_json() == g3.to_json()
 
@@ -96,7 +96,7 @@ def test_from_json_rejects_corrupt_weight(g32):
     doc = json.loads(g32.to_json())
     doc["edges"][0]["weight"] = 1.0
     with pytest.raises(ValueError):
-        DetectorGraph.from_json(json.dumps(doc))
+        graph_from_json(json.dumps(doc))
 
 
 def test_with_edge_probabilities(g32):
@@ -112,11 +112,28 @@ def test_with_edge_probabilities(g32):
         with_edge_probabilities(g32, {0: 0.0})
 
 
+def test_build_path_table_rejects_non_uniform_priors(g32):
+    # a path weighs its hops times -ln p only under one uniform prior, the
+    # one rule the config check applies too
+    graph = with_edge_probabilities(g32, {0: 0.02})
+    cfg = ExperimentConfig(distance=3, rounds=2, p=0.01)
+    for check in (build_path_table, cfg.validate):
+        with pytest.raises(ValueError, match="every edge prior must equal"):
+            check(graph)
+
+
+def test_path_table_holds_hop_counts(g5, pt5):
+    assert pt5.hops.dtype == pt5.boundary_hops.dtype == np.int16
+    assert pt5.hops.shape == (g5.n_detectors, g5.n_detectors)
+    assert pt5.edge_weight == -math.log(g5.p)
+
+
 def test_path_table_matches_independent_dijkstra(g32, pt32):
     oracle = apsp_weights(g32)
     for i in range(g32.n_detectors):
         for j in range(g32.n_detectors):
-            assert pt32.weight[i, j] == pytest.approx(oracle[i][j], abs=1e-12)
+            assert pt32.hops[i, j] * pt32.edge_weight == pytest.approx(oracle[i][j],
+                                                                       abs=1e-12)
 
 
 def test_path_table_sampled_rows_d5(g5, pt5):
@@ -124,13 +141,13 @@ def test_path_table_sampled_rows_d5(g5, pt5):
     for i in rng.choice(g5.n_detectors, size=6, replace=False):
         dist, _ = heap_dijkstra(g5, int(i))
         for j in range(g5.n_detectors):
-            assert pt5.weight[i, j] == pytest.approx(dist[j], abs=1e-12)
+            assert pt5.hops[i, j] * pt5.edge_weight == pytest.approx(dist[j], abs=1e-12)
 
 
 def test_boundary_weights_match_oracle(g3, pt3):
     for i in range(g3.n_detectors):
         dist, _ = heap_dijkstra(g3, i)
-        assert pt3.boundary_weight[i] == pytest.approx(
+        assert pt3.boundary_hops[i] * pt3.edge_weight == pytest.approx(
             boundary_route_weight(g3, dist), abs=1e-12)
 
 
@@ -143,9 +160,8 @@ def test_two_spacelike_steps_weight(g32, pt32):
         hops = bfs_hops(g32, i)
         for j in range(i + 1, g32.n_detectors):
             if g32.nodes[i].round == g32.nodes[j].round and hops[j] == 2:
-                assert len(reconstruct_path(pt32, i, j)) == 2
-                assert pt32.weight[i, j] == pytest.approx(expect, rel=1e-12)
-                assert pt32.weight[i, j] == pytest.approx(9.210340371976182)
+                assert len(reconstruct_path(pt32, i, j)) == pt32.hops[i, j] == 2
+                assert 2 * pt32.edge_weight == pytest.approx(9.210340371976182)
                 # cross-check against exhaustive path enumeration
                 all_paths = enumerate_simple_path_weights(g32, i, int(j))
                 assert min(all_paths) == pytest.approx(expect, rel=1e-12)
@@ -154,16 +170,16 @@ def test_two_spacelike_steps_weight(g32, pt32):
 
 
 def test_adjacent_pair_weight_and_hops(g32, pt32):
-    w = -math.log(g32.p)
+    assert pt32.edge_weight == -math.log(g32.p)
     for e in g32.edges:
         if e.v == g32.boundary_id:
             continue
-        assert pt32.weight[e.u, e.v] == pytest.approx(w, rel=1e-12)
-        assert len(reconstruct_path(pt32, e.u, e.v)) == bfs_hops(g32, e.u)[e.v] == 1
+        assert len(reconstruct_path(pt32, e.u, e.v)) == bfs_hops(g32, e.u)[e.v] == \
+            pt32.hops[e.u, e.v] == 1
 
 
 def test_diagonal_is_zero(pt32):
-    assert np.allclose(np.diag(pt32.weight), 0.0)
+    assert not np.diag(pt32.hops).any()
 
 
 def test_hops_one_iff_adjacent(g3, pt3):
@@ -172,7 +188,7 @@ def test_hops_one_iff_adjacent(g3, pt3):
         for j in range(g3.n_detectors):
             if i == j:
                 continue
-            assert len(reconstruct_path(pt3, i, j)) == hops[j]
+            assert len(reconstruct_path(pt3, i, j)) == pt3.hops[i, j] == hops[j]
             assert (hops[j] == 1) == (g3.edge_between(i, j) is not None)
 
 
@@ -180,9 +196,9 @@ def test_triangle_inequality_sampled(pt5):
     n = pt5.n
     rng = np.random.default_rng(0)
     i, j, k = (rng.integers(0, n, size=20_000) for _ in range(3))
-    lhs = pt5.weight[i, k]
-    rhs = pt5.weight[i, j] + pt5.weight[j, k]
-    assert np.all(lhs <= rhs + 1e-9)
+    lhs = pt5.hops[i, k].astype(int)
+    rhs = pt5.hops[i, j].astype(int) + pt5.hops[j, k]
+    assert np.all(lhs <= rhs)
 
 
 def _walk_endpoints(graph, path, start):
@@ -200,8 +216,8 @@ def test_reconstruct_path_consistency(g5, pt5):
         i, j = rng.choice(g5.n_detectors, size=2, replace=False)
         path = reconstruct_path(pt5, int(i), int(j))
         total = sum(g5.edges[eid].weight for eid in path)
-        assert total == pytest.approx(float(pt5.weight[i, j]), rel=1e-9)
-        assert len(path) == bfs_hops(g5, int(i))[int(j)]
+        assert total == pytest.approx(pt5.hops[i, j] * pt5.edge_weight, rel=1e-9)
+        assert len(path) == pt5.hops[i, j] == bfs_hops(g5, int(i))[int(j)]
         assert _walk_endpoints(g5, path, int(i)) == int(j)
 
 
@@ -214,8 +230,8 @@ def test_reconstruct_boundary_path(g3, pt3):
     for i in range(g3.n_detectors):
         path = reconstruct_boundary_path(pt3, i)
         total = sum(g3.edges[eid].weight for eid in path)
-        assert total == pytest.approx(float(pt3.boundary_weight[i]), rel=1e-9)
+        assert total == pytest.approx(pt3.boundary_hops[i] * pt3.edge_weight, rel=1e-9)
         assert g3.edges[path[-1]].v == g3.boundary_id
-        assert len(path) == bfs_boundary_hops(g3, i)
+        assert len(path) == pt3.boundary_hops[i] == bfs_boundary_hops(g3, i)
         end = _walk_endpoints(g3, path[:-1], i)
         assert end == int(pt3.boundary_via[i])

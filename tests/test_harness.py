@@ -7,8 +7,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, PredecodeConfig,
-                       Syndrome, TrialRecord, adaptive_predecode, build_decoding_graph,
+from surfmatch import (GREEDY_LABEL, MAX_HW_CAP, ErrorSet, ExperimentConfig,
+                       PredecodeConfig, Syndrome, TrialRecord, adaptive_predecode,
+                       build_decoding_graph,
                        build_path_table, build_subgraph, greedy_baseline, harness,
                        inject_k_errors, make_rng,
                        occurrence_probability, occurrence_tail,
@@ -16,7 +17,6 @@ from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, PredecodeConfig,
                        report_hw_distribution, report_latency,
                        report_step_usage, sample_iid, syndrome_from_errors)
 from surfmatch.harness import _high_hw_corpus
-from surfmatch.oracle import GREEDY_LABEL
 
 from oracles import (block_stream, direct_failures, iid_errors, per_trial_stream,
                      rare_failures, real_time_chain, with_edge_probabilities)
@@ -133,7 +133,7 @@ def test_config_build():
     cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8)
     graph, table = cfg.build()
     assert (graph.distance, graph.rounds, graph.p) == (3, 2, 0.01)
-    assert table.weight.shape == (graph.n_detectors, graph.n_detectors)
+    assert table.hops.shape == (graph.n_detectors, graph.n_detectors)
 
 
 # ------------------------------------------------------------ run_chain
@@ -429,6 +429,20 @@ def test_rare_event_recomputable_from_strata(g32, pt32):
 
 def test_rare_event_deterministic(g32, pt32):
     assert run_rare_event(rare_cfg(), g32, pt32) == run_rare_event(rare_cfg(), g32, pt32)
+
+
+@pytest.mark.parametrize("predecoder", ["adaptive", "greedy"])
+@pytest.mark.parametrize("d", [3, 5])
+def test_rare_event_failures_do_not_depend_on_p(d, predecoder):
+    # the exact-k streams, the predecoders and the hop-count matcher read
+    # nothing that depends on p, so only P_occ(k) moves with it
+    per_k = set()
+    for p in (1e-4, 1e-3, 1e-2, 0.05):
+        cfg = ExperimentConfig(distance=d, p=p, predecoder=predecoder, k_max=10,
+                               shots_per_k=150, master_seed=7)
+        per_k.add(tuple((s.k, s.failures, s.shots) for s in run_rare_event(cfg).per_k))
+    assert len(per_k) == 1
+    assert sum(failures for _, failures, _ in next(iter(per_k))) > 0
 
 
 def test_rare_event_distance_ordering():

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Syndrome,
-                       adaptive_predecode, brute_force_mwpm, decode,
-                       inject_k_errors, make_rng, matching_search_size,
-                       sample_iid, syndrome_from_errors)
+                       adaptive_predecode, brute_force_mwpm, build_decoding_graph,
+                       decode, inject_k_errors, make_rng, matching_search_size,
+                       sample_iid, syndrome_from_errors, trial_seed)
 from surfmatch.graph import PathTable, build_path_table
 
 from oracles import (at_rate, double_factorial, enumerate_mwpm, exact_matching,
-                     involutions, observable_parity, with_edge_probabilities)
+                     involutions, observable_parity)
 from patterns import (boundary_edge_ids, find_adjacent_pair,
                       find_disjoint_pairs, find_induced_chain)
 
@@ -22,15 +22,10 @@ def syndrome_of(nodes, obs=0):
     return Syndrome(frozenset(nodes), obs)
 
 
-def with_weights(table: PathTable, weight, boundary_weight) -> PathTable:
-    """``table`` with its costs replaced; routes and corrections unchanged."""
-    return PathTable(table.graph, weight, table.route, boundary_weight,
+def with_hops(table: PathTable, hops, boundary_hops) -> PathTable:
+    """``table`` with its hop counts replaced; routes and corrections unchanged."""
+    return PathTable(table.graph, hops, table.route, boundary_hops,
                      table.boundary_via, table.boundary_edge)
-
-
-def infinite_boundary(table: PathTable) -> PathTable:
-    return with_weights(table, table.weight,
-                        np.full_like(table.boundary_weight, np.inf))
 
 
 def pair_sets(matching):
@@ -65,6 +60,9 @@ def test_enumeration_count_without_boundary(pt5):
         assert enumerate_mwpm(range(m), pt5, allow_boundary=False).enumerated \
             == out.enumerated
     assert brute_force_mwpm(range(10), pt5, allow_boundary=False).enumerated == 945
+    for m in (1, 3, 9):  # an odd weight needs the boundary
+        with pytest.raises(ValueError, match="no complete matching"):
+            brute_force_mwpm(range(m), pt5, allow_boundary=False)
 
 
 def test_enumeration_count_with_boundary(pt5):
@@ -76,17 +74,6 @@ def test_enumeration_count_with_boundary(pt5):
         out = brute_force_mwpm(range(m), pt5, hw_cap=MAX_HW_CAP)
         assert out.enumerated == involutions(m)
     assert brute_force_mwpm(range(10), pt5).enumerated == 9496
-
-
-def test_unreachable_boundary_prunes_to_perfect_pairings(pt5):
-    inf_table = infinite_boundary(pt5)
-    out = brute_force_mwpm(range(10), inf_table)
-    assert out.enumerated == 945
-    assert enumerate_mwpm(range(10), inf_table).enumerated == out.enumerated
-    assert out.boundary_matches == ()
-    for m in (3, 9):
-        with pytest.raises(ValueError, match="no complete matching"):
-            brute_force_mwpm(range(m), inf_table)
 
 
 def test_four_node_line_has_ten_partitions(g3, pt3):
@@ -101,26 +88,28 @@ def test_four_node_line_has_ten_partitions(g3, pt3):
 
 def test_two_node_pair_versus_boundary(g32):
     # a timelike pair one edge apart, both endpoints one edge from the
-    # boundary: direct pairing costs W, going around costs 2W
+    # boundary: direct pairing costs 1 hop, going around costs 2
     per_round = g32.n_detectors // g32.rounds
     u = next(i for i in range(per_round)
              if g32.boundary_edges_of(i) and
              g32.edge_between(i, i + per_round) is not None)
     v = u + per_round
-    eid = g32.edge_between(u, v).id
 
     table = build_path_table(g32)
+    assert (table.hops[u, v], table.boundary_hops[u], table.boundary_hops[v]) == (1, 1, 1)
     out = brute_force_mwpm((u, v), table)
     assert out.pairs == ((u, v),)
     assert out.boundary_matches == ()
-    assert out.total_weight == pytest.approx(W)
+    assert out.total_weight == W
 
-    # make the direct edge ~20.7: now two boundary matches (9.2) win
-    heavy = with_edge_probabilities(g32, {eid: 1e-9})
-    out = brute_force_mwpm((u, v), build_path_table(heavy))
-    assert out.pairs == ()
-    assert out.boundary_matches == (u, v)
-    assert out.total_weight == pytest.approx(2 * W)
+    # at 2 hops apart the pair ties the two boundary matches, and the pair,
+    # tried first, keeps it; at 3 the two boundary matches win
+    for pair_hops, pairs, boundary in ((2, ((u, v),), ()), (3, (), (u, v))):
+        hops = table.hops.copy()
+        hops[u, v] = hops[v, u] = pair_hops
+        out = brute_force_mwpm((u, v), with_hops(table, hops, table.boundary_hops))
+        assert (out.pairs, out.boundary_matches) == (pairs, boundary)
+        assert out.total_weight == 2 * W
 
 
 def test_matches_exhaustive_oracle(g3, pt3):
@@ -130,12 +119,12 @@ def test_matches_exhaustive_oracle(g3, pt3):
         m = int(rng.choice([2, 3, 4, 5, 6]))
         nodes = tuple(int(x) for x in rng.choice(detectors, size=m, replace=False))
         got = brute_force_mwpm(nodes, pt3)
-        w, pairs, bnd, count = exact_matching(
+        hops, pairs, bnd, count = exact_matching(
             nodes,
-            lambda a, b: float(pt3.weight[a, b]),
-            lambda a: float(pt3.boundary_weight[a]),
+            lambda a, b: int(pt3.hops[a, b]),
+            lambda a: int(pt3.boundary_hops[a]),
         )
-        assert got.total_weight == pytest.approx(w, abs=1e-9)
+        assert got.total_weight == hops * pt3.edge_weight
         assert got.enumerated == count
         assert pair_sets(got) == ({frozenset(p) for p in pairs}, bnd)
 
@@ -165,8 +154,8 @@ def assert_equals_enumeration(nodes, table, hw_cap, allow_boundary):
     """``brute_force_mwpm`` returns exactly what ``enumerate_mwpm`` does.
 
     All five fields compare with ``==``, not approximately: the search must
-    pick the same pairing, report the same float total and count the same
-    search space.  When the enumeration finds no complete matching, both
+    pick the same pairing, report the same total and count the same search
+    space.  When the enumeration finds no complete matching, both
     raise the same ``ValueError``.  Returns the matching, or None when both
     raised.
     """
@@ -184,8 +173,8 @@ def assert_equals_enumeration(nodes, table, hw_cap, allow_boundary):
 @pytest.mark.parametrize("graph, table, n", [
     ("g3", "pt3", 34_000), ("g5", "pt5", 33_000), ("g7", "pt7", 33_000)])
 def test_equals_enumeration_on_real_syndromes(request, graph, table, n):
-    # exact-k injection with k <= 4 flips at most 8 detectors; uniform
-    # -ln p weights make exact and near ties common
+    # exact-k injection with k <= 4 flips at most 8 detectors; hop counts
+    # make exact ties common
     graph = request.getfixturevalue(graph)
     table = request.getfixturevalue(table)
     rng = make_rng(4000 + graph.distance)
@@ -224,59 +213,41 @@ def test_equals_enumeration_at_hw_10_to_12(g5, pt5, g7, pt7):
 
 
 def test_equals_enumeration_all_ties(g5, pt5):
-    # every pair and boundary weight equal: the 945 perfect pairings tie;
-    # with the boundary at half a pair weight all 9,496 pairings tie, up to
-    # the rounding of their different summation orders
+    # every pair 2 hops apart: the 945 perfect pairings tie; with the
+    # boundary at 1 hop all 9,496 pairings tie.  Either way the first
+    # minimum pairs the sorted defects in order
     rng = make_rng(53)
-    uniform = np.full_like(pt5.weight, W)
-    for bw in (W, W / 2):
-        table = with_weights(pt5, uniform,
-                             np.full_like(pt5.boundary_weight, bw))
+    uniform = np.full_like(pt5.hops, 2)
+    for bh in (1, 2):
+        table = with_hops(pt5, uniform, np.full_like(pt5.boundary_hops, bh))
         for _ in range(4):
             nodes = tuple(int(x) for x in
                           rng.choice(g5.n_detectors, 10, replace=False))
             for allow_boundary in (True, False):
                 got = assert_equals_enumeration(nodes, table, 10,
                                                 allow_boundary)
-                if bw == W:
-                    srt = sorted(nodes)
-                    assert got.pairs == tuple(zip(srt[::2], srt[1::2]))
+                srt = sorted(nodes)
+                assert got.pairs == tuple(zip(srt[::2], srt[1::2]))
+                assert got.total_weight == 10 * pt5.edge_weight
 
 
-def test_equals_enumeration_infinite_boundary(g5, pt5):
-    table = infinite_boundary(pt5)
-    rng = make_rng(59)
-    raised = 0
-    for m in (0, 1, 2, 3, 4, 5, 8, 9, 10):
-        for _ in range(6):
-            nodes = tuple(int(x) for x in
-                          rng.choice(g5.n_detectors, m, replace=False))
-            for allow_boundary in (True, False):
-                got = assert_equals_enumeration(nodes, table, 10,
-                                                allow_boundary)
-                if got is None:
-                    raised += 1
-                else:
-                    assert got.boundary_matches == ()
-    assert raised == 4 * 6 * 2  # every odd weight, both modes
-
-    # only odd detector ids keep a boundary route: mixed eligibility
-    bw = pt5.boundary_weight.copy()
-    bw[::2] = np.inf
-    mixed = with_weights(pt5, pt5.weight, bw)
-    mixed_sets = boundary_used = 0
-    for m in (1, 2, 3, 4, 5, 8, 9, 10):
-        for _ in range(6):
-            nodes = tuple(int(x) for x in
-                          rng.choice(g5.n_detectors, m, replace=False))
-            eligible = sum(x % 2 for x in nodes)
-            mixed_sets += 0 < eligible < m
-            for allow_boundary in (True, False):
-                got = assert_equals_enumeration(nodes, mixed, 10, allow_boundary)
-                if got is not None:
-                    assert all(x % 2 for x in got.boundary_matches)
-                    boundary_used += bool(got.boundary_matches)
-    assert mixed_sets > 20 and boundary_used > 0
+def test_answer_does_not_depend_on_p(g5, pt5):
+    # post-predecode d=5 residuals, decoded on tables built at four p: the
+    # hop counts, and so the matching, are the same at every p
+    residuals = []
+    for k in range(3, 13):
+        for i in range(60):
+            syn = syndrome_from_errors(g5, inject_k_errors(g5, k, trial_seed(12, k, i)))
+            pre = adaptive_predecode(g5, pt5, syn)
+            if not pre.aborted and pre.residual.hamming_weight:
+                residuals.append(pre.residual.flipped)
+    assert len(residuals) > 400
+    answers = {}
+    for p in (1e-4, 1e-3, 1e-2, 0.05):
+        table = build_path_table(build_decoding_graph(5, 5, p))
+        answers[p] = [(m.pairs, m.boundary_matches, m.correction_edges, m.enumerated)
+                      for m in (brute_force_mwpm(r, table) for r in residuals)]
+    assert all(a == answers[1e-3] for a in answers.values())
 
 
 # ------------------------------------------------------ caps
@@ -361,12 +332,12 @@ def test_decode_weight_is_oracle_minimum(g3, pt3):
         if not 0 < syn.hamming_weight <= 6:
             continue
         out = decode(g3, pt3, syn)
-        w, _, _, _ = exact_matching(
+        hops, _, _, _ = exact_matching(
             tuple(syn.flipped),
-            lambda a, b: float(pt3.weight[a, b]),
-            lambda a: float(pt3.boundary_weight[a]),
+            lambda a, b: int(pt3.hops[a, b]),
+            lambda a: int(pt3.boundary_hops[a]),
         )
-        assert out.total_weight == pytest.approx(w, abs=1e-9)
+        assert out.total_weight == hops * pt3.edge_weight
 
 
 # ----------------------------------------------- predecode hand-off

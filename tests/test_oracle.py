@@ -3,14 +3,13 @@ from collections import Counter
 
 import pytest
 
-from surfmatch import (ErrorSet, PredecodeConfig, Step, Syndrome, adaptive_predecode,
-                       build_decoding_graph, build_path_table, chain_length_counts,
-                       greedy_baseline, make_rng, oracle_mwpm, sample_iid,
-                       syndrome_from_errors)
-from surfmatch.oracle import GREEDY_LABEL
+from surfmatch import (GREEDY_LABEL, ErrorSet, PredecodeConfig, Step, Syndrome,
+                       adaptive_predecode, build_decoding_graph, build_path_table,
+                       greedy_baseline, make_rng, sample_iid, syndrome_from_errors)
 
-from oracles import at_rate, matching_failure, with_edge_probabilities
-from patterns import find_adjacent_pair, find_disjoint_pairs, find_induced_chain
+from oracles import at_rate, chain_length_counts, matching_failure, oracle_mwpm
+from patterns import (find_adjacent_pair, find_chain_with_lowest_middle,
+                      find_disjoint_pairs)
 
 W = -math.log(0.01)
 
@@ -78,12 +77,12 @@ def test_greedy_label():
 
 
 def test_greedy_strands_chain_ends(g3):
-    # cheap middle edge: greedy takes it and orphans both chain ends,
-    # which is exactly the failure mode the safety check exists to avoid
-    v1, v2, v3, v4 = find_induced_chain(g3, 4)
+    # the middle edge comes first in id order: greedy takes it and orphans
+    # both chain ends, which is exactly the failure mode the safety check
+    # exists to avoid
+    v1, v2, v3, v4 = find_chain_with_lowest_middle(g3)
     mid = g3.edge_between(v2, v3)
-    g = with_edge_probabilities(g3, {mid.id: 0.02})
-    res = greedy_baseline(g, syndrome_of({v1, v2, v3, v4}),
+    res = greedy_baseline(g3, syndrome_of({v1, v2, v3, v4}),
                           PredecodeConfig(main_hw_cap=2))
     assert len(res.prematches) == 1
     assert res.prematches[0].correction_edges == (mid.id,)

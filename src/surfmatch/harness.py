@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from itertools import islice, repeat
 from numbers import Integral
 
@@ -106,8 +106,9 @@ class ExperimentConfig:
         self.predecode_config()  # checks main_hw_cap, budget_ns and clock_mhz
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
-        if self.shots_per_k <= 0 or self.shots_direct <= 0:
-            raise ValueError("shot counts must be positive")
+        for name in ("shots_per_k", "shots_direct"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if graph is None:
             return
         have = (graph.distance, graph.rounds, graph.p)
@@ -380,11 +381,10 @@ def _high_hw_corpus(cfg: ExperimentConfig, graph: DetectorGraph | None,
     the three reports of one configuration sample and decode it once.
     """
     global _last_corpus
+    cfg = cfg if shots_per_k is None else replace(cfg, shots_per_k=shots_per_k)
+    cfg.validate()  # the shot count too, before a graph is built
     graph, table = _graph_and_table(cfg, graph, table)
-    shots = shots_per_k if shots_per_k is not None else cfg.shots_per_k
-    if shots <= 0:
-        raise ValueError(f"shots_per_k must be positive, got {shots}")
-    key = (astuple(cfg), shots)
+    shots, key = cfg.shots_per_k, astuple(cfg)
     memo = _last_corpus
     if memo and memo[0] is graph and memo[1] is table and memo[2] == key:
         return memo[3]

@@ -36,7 +36,8 @@ applied, and if the predecode time exceeds the budget, or nothing is
 matchable, the decode is aborted.  The loop stops as soon as
 ``PredecodeConfig.fits`` holds: the residual is within the main stage's
 cap and the predecode time plus the modeled main-decoder time fits the
-budget.
+budget.  In Python a scan counts degree-1 neighbors once and takes time
+linear in nodes plus edges, which leaves the modeled cost unchanged.
 """
 from __future__ import annotations
 
@@ -87,9 +88,10 @@ class DecodingSubgraph:
 
     ``adj`` maps every node to its flipped neighbors and the id of the edge
     joining them; ``edges`` indexes the same edges by id as ``(u, v)`` with
-    ``u < v``.  Both are updated in place as pairs are matched.  Degrees,
-    dependents and singletons are read off ``adj`` when needed; edge
-    weights come from the decoding graph.
+    ``u < v``.  Both are updated in place as pairs are matched.  Degrees
+    and singletons are read off ``adj``; ``dependent_counts`` counts every
+    node's degree-1 neighbors in one pass, so a scan costs Python time
+    linear in nodes plus edges.  Edge weights come from the decoding graph.
     """
 
     adj: dict[int, dict[int, int]]
@@ -99,12 +101,14 @@ class DecodingSubgraph:
     def nodes(self):
         return self.adj.keys()
 
-    def degree(self, i: int) -> int:
-        return len(self.adj[i])
-
-    def dependents(self, i: int) -> int:
-        """Neighbors of i whose only flipped neighbor is i."""
-        return sum(1 for j in self.adj[i] if len(self.adj[j]) == 1)
+    def dependent_counts(self) -> dict[int, int]:
+        """Each node's count of neighbors whose only neighbor it is, if above 0."""
+        dep: dict[int, int] = {}
+        for nbrs in self.adj.values():
+            if len(nbrs) == 1:
+                for j in nbrs:
+                    dep[j] = dep.get(j, 0) + 1
+        return dep
 
     def singletons(self) -> set[int]:
         return {i for i, nbrs in self.adj.items() if not nbrs}
@@ -121,51 +125,56 @@ def build_subgraph(graph: DetectorGraph, syndrome: Syndrome) -> DecodingSubgraph
     """Decoding subgraph induced by the syndrome's flipped detectors."""
     flipped = syndrome.flipped
     check_detector_ids(graph, flipped)
-    adj = {i: {j: eid for j, eid in graph.detector_neighbors[i] if j in flipped}
-           for i in flipped}
-    edges = {eid: (i, j) for i, nbrs in adj.items() for j, eid in nbrs.items() if i < j}
+    adj, edges = {}, {}
+    for i in flipped:
+        adj[i] = nbrs = {}
+        for j, eid in graph.detector_neighbors[i]:
+            if j in flipped:
+                nbrs[j] = eid
+                if i < j:
+                    edges[eid] = (i, j)
     return DecodingSubgraph(adj, edges)
 
 
-def creates_singleton(sub: DecodingSubgraph, i: int, j: int) -> bool:
-    """Would matching (i, j) strand some third node with no flipped neighbor?
+def creates_singleton(sub: DecodingSubgraph, dep: dict[int, int], i: int, j: int) -> bool:
+    """Would matching (i, j) strand a third node?  ``dep`` is ``sub.dependent_counts()``.
 
-    Exactly when i or j has a degree-1 neighbor outside {i, j}.  (The
-    decoding graph is triangle-free, so no third node can be adjacent to
-    both endpoints of an edge.)
+    Exactly when i or j has a degree-1 neighbor outside {i, j}.  (The decoding
+    graph is triangle-free, so no third node can be adjacent to both ends.)
     """
-    di = sub.dependents(i) - (1 if sub.degree(j) == 1 else 0)
-    dj = sub.dependents(j) - (1 if sub.degree(i) == 1 else 0)
-    return di > 0 or dj > 0
+    return (dep.get(i, 0) > (len(sub.adj[j]) == 1)
+            or dep.get(j, 0) > (len(sub.adj[i]) == 1))
 
 
 def scan_candidates(sub: DecodingSubgraph,
                     graph: DetectorGraph) -> tuple[list[Prematch], dict[Step, Prematch]]:
-    """One pass over the subgraph edges in ascending id order.
+    """The S1 batch, or else the first edge of each other category.
 
-    Returns the S1 batch, one prematch per isolated pair, and the S2_1,
-    S2_2, S4_1 and S4_2 registers, each holding its category's first edge
-    in id order (every edge weighs the same).  A non-empty batch is applied
-    before any register, so once one is found the remaining edges are not
-    classified and the registers come back empty.
+    A pass over the subgraph edges in ascending id order collects the S1
+    batch, one prematch per isolated pair, which is applied before any
+    register.  Without one, the dependents are counted once and a second
+    pass fills the S2_1, S2_2, S4_1 and S4_2 registers with the first edge
+    of each category in id order (every edge weighs the same).
     """
-    batch: list[Prematch] = []
-    first: dict[Step, int] = {}
-    adj = sub.adj
-    for eid in sorted(sub.edges):
-        u, v = sub.edges[eid]
-        du, dv = len(adj[u]), len(adj[v])
-        if du == 1 and dv == 1:
-            batch.append(Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight))
-        elif not batch:
-            if creates_singleton(sub, u, v):
-                step = Step.S4_1 if min(du, dv) == 1 else Step.S4_2
-            else:
-                step = Step.S2_1 if min(du, dv) == 1 else Step.S2_2
-            first.setdefault(step, eid)
+    adj, edges = sub.adj, sub.edges
+    order = sorted(edges)
+    batch = [Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight)
+             for eid in order for u, v in (edges[eid],) if len(adj[u]) == len(adj[v]) == 1]
     if batch:
         return batch, {}
-    return batch, {step: Prematch(*sub.edges[eid], step, (eid,), graph.edges[eid].weight)
+    dep = sub.dependent_counts()
+    first: dict[Step, int] = {}
+    for eid in order:
+        u, v = edges[eid]
+        end = len(adj[u]) == 1 or len(adj[v]) == 1
+        if creates_singleton(sub, dep, u, v):
+            step = Step.S4_1 if end else Step.S4_2
+        else:
+            step = Step.S2_1 if end else Step.S2_2
+        first.setdefault(step, eid)
+        if len(first) == 4:
+            break
+    return batch, {step: Prematch(*edges[eid], step, (eid,), graph.edges[eid].weight)
                    for step, eid in first.items()}
 
 
@@ -174,27 +183,19 @@ def step3_singleton_path(sub: DecodingSubgraph,
     """Match an existing singleton through the shortest table path (step S3).
 
     Returns the fewest-hop (singleton, partner) prematch that strands no
-    new singleton, or None, and the number of paths examined.  Removing the
-    partner t must not leave any of its degree-1 neighbors stranded; the
-    singleton s itself has no neighbors to strand.
+    new singleton, or None, and the paths examined: every other node per
+    singleton.  Removing the partner t must not leave any of its degree-1
+    neighbors stranded; the singleton s itself has no neighbors to strand.
+    Ties go to the lowest singleton, then the lowest partner.
     """
-    nodes = sorted(sub.nodes)
-    best = None
-    examined = 0
-    for s in sorted(sub.singletons()):
-        row = table.hops[s]
-        for t in nodes:
-            if t == s:
-                continue
-            examined += 1
-            if sub.dependents(t) > 0:
-                continue
-            h = row.item(t)
-            if best is None or h < best[2]:
-                best = (s, t, h)
+    singletons = sorted(sub.singletons())
+    examined = len(singletons) * (len(sub.nodes) - 1)
+    partners = sorted(sub.nodes - sub.dependent_counts().keys())
+    best = min(((table.hops.item(s, t), s, t) for s in singletons for t in partners
+                if t != s), default=None)
     if best is None:
         return None, examined
-    s, t, h = best
+    h, s, t = best
     return (Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)),
                      h * table.edge_weight), examined)
 
@@ -271,8 +272,7 @@ def run_rounds(graph: DetectorGraph, syndrome: Syndrome, config: PredecodeConfig
     sub = build_subgraph(graph, syndrome)
     prematches: list[Prematch] = []
     trace: list[TraceEntry] = []
-    cycles = 0
-    rounds = 0
+    cycles = rounds = 0
     aborted = False
     while not cfg.fits(len(sub.nodes), cycles):
         batch, cost = pick(sub)

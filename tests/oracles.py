@@ -19,7 +19,9 @@ priors differ from the one uniform ``p`` the package builds.  The helpers
 at the end serve the tests only: ``graph_from_json`` reads what
 ``DetectorGraph.to_json`` writes, ``predecode_result_to_json`` serialises a
 predecode for digests, and ``oracle_mwpm`` and ``chain_length_counts`` run
-the exact matcher on a whole syndrome.
+the exact matcher on a whole syndrome.  ``reference_scan`` and
+``reference_step3`` are the per-edge and per-node predecoder scans that the
+package's linear-time ones replaced, kept for differential tests.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from surfmatch.harness import run_chain
 from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet, decode
 from surfmatch.noise import (ErrorSet, inject_k_errors, make_rng, syndrome_from_errors,
                              trial_seed)
+from surfmatch.predecoder import Prematch, Step
 
 
 def heap_dijkstra(graph, src: int):
@@ -317,6 +320,63 @@ def brute_step3(graph, sub, table):
             if best is None or h < best[2]:
                 best = (s, t, h)
     return best
+
+
+def _dependents(sub, i: int) -> int:
+    """Neighbors of i whose only flipped neighbor is i, by walking i's list."""
+    return sum(1 for j in sub.adj[i] if len(sub.adj[j]) == 1)
+
+
+def _creates_singleton(sub, i: int, j: int) -> bool:
+    di = _dependents(sub, i) - (1 if len(sub.adj[j]) == 1 else 0)
+    dj = _dependents(sub, j) - (1 if len(sub.adj[i]) == 1 else 0)
+    return di > 0 or dj > 0
+
+
+def reference_scan(sub, graph):
+    """The per-edge candidate scan that ``scan_candidates`` replaced.
+
+    One pass in edge id order that counts dependents per node for every
+    edge it classifies; same return value as ``scan_candidates``.
+    """
+    batch, first = [], {}
+    for eid in sorted(sub.edges):
+        u, v = sub.edges[eid]
+        du, dv = len(sub.adj[u]), len(sub.adj[v])
+        if du == 1 and dv == 1:
+            batch.append(Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight))
+        elif not batch:
+            if _creates_singleton(sub, u, v):
+                step = Step.S4_1 if min(du, dv) == 1 else Step.S4_2
+            else:
+                step = Step.S2_1 if min(du, dv) == 1 else Step.S2_2
+            first.setdefault(step, eid)
+    if batch:
+        return batch, {}
+    return batch, {step: Prematch(*sub.edges[eid], step, (eid,), graph.edges[eid].weight)
+                   for step, eid in first.items()}
+
+
+def reference_step3(sub, table):
+    """The per-node S3 loop that ``step3_singleton_path`` replaced."""
+    nodes = sorted(sub.nodes)
+    best = None
+    examined = 0
+    for s in sorted(sub.singletons()):
+        for t in nodes:
+            if t == s:
+                continue
+            examined += 1
+            if _dependents(sub, t) > 0:
+                continue
+            h = int(table.hops[s, t])
+            if best is None or h < best[2]:
+                best = (s, t, h)
+    if best is None:
+        return None, examined
+    s, t, h = best
+    return (Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)),
+                     h * table.edge_weight), examined)
 
 
 def observable_parity(graph, edge_ids) -> int:

@@ -853,6 +853,21 @@ def test_corpus_memo_validates_every_call(g5, pt5, chain_calls):
     assert len(chain_calls) == n
 
 
+@pytest.mark.parametrize("report", REPORTS)
+@pytest.mark.parametrize("shots", [True, "3", 2.5, 0])
+def test_report_shot_override_refused_before_any_work(report, shots, chain_calls,
+                                                      monkeypatch):
+    # True is not one shot, and '3' and 2.5 are not counts; each is refused
+    # with ValueError before a graph is built or a trial sampled
+    def no_build(*args):
+        raise AssertionError("built a graph for a refused shot count")
+
+    monkeypatch.setattr(harness, "_graph_and_table", no_build)
+    with pytest.raises(ValueError, match="shots_per_k"):
+        report(report_corpus_cfg(), shots_per_k=shots)
+    assert chain_calls == []
+
+
 def test_reports_pinned_behaviour(g5, pt5):
     """Every report field for three predecoders over a fixed d=5 corpus.
 

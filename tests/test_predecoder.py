@@ -1,17 +1,20 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfmatch import predecoder
 from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Step, Syndrome,
                        adaptive_predecode, build_subgraph, creates_singleton,
                        inject_k_errors, make_rng, sample_iid, scan_candidates,
                        step3_singleton_path,
                        syndrome_from_errors, trial_seed)
 from oracles import (at_rate, bfs_hops, brute_step3, induced_neighbors,
-                     predecode_result_to_json, removal_strands)
+                     predecode_result_to_json, reference_scan, reference_step3,
+                     removal_strands)
 from patterns import (find_adjacent_pair, find_disjoint_chains,
                       find_disjoint_pairs, find_induced_chain,
                       find_star_with_tail, find_two_hop_singletons)
@@ -50,8 +53,8 @@ def test_subgraph_adjacent_pair(g3):
     eid = g3.edge_between(u, v).id
     assert set(sub.edges) == {eid}
     assert sub.adj == {u: {v: eid}, v: {u: eid}}
-    assert {i: sub.degree(i) for i in sub.nodes} == {u: 1, v: 1}
-    assert {i: sub.dependents(i) for i in sub.nodes} == {u: 1, v: 1}
+    assert {i: len(sub.adj[i]) for i in sub.nodes} == {u: 1, v: 1}
+    assert sub.dependent_counts() == {u: 1, v: 1}
     assert sub.singletons() == set()
     batch, regs = scan_candidates(sub, g3)
     [pm] = batch
@@ -63,9 +66,10 @@ def test_subgraph_adjacent_pair(g3):
 def test_subgraph_star_with_tail(g3):
     a, b, c, d, e, f = find_star_with_tail(g3)
     sub = build_subgraph(g3, syndrome_of({a, b, c, d, e, f}))
-    assert sub.degree(a) == 4
-    assert sub.dependents(a) == 3  # b, c, d lean on a; e still has f
-    assert sub.degree(e) == 2 and sub.degree(f) == 1
+    assert len(sub.adj[a]) == 4
+    assert len(sub.adj[e]) == 2 and len(sub.adj[f]) == 1
+    # b, c, d lean on a; e has f, and a is not e's only neighbor
+    assert sub.dependent_counts() == {a: 3, e: 1}
     assert sub.singletons() == set()
 
 
@@ -92,10 +96,9 @@ def test_remove_pair_matches_fresh_build(name, request):
                 assert sub.edges == fresh.edges
                 nbrs = induced_neighbors(graph, set(sub.nodes))
                 assert sub.singletons() == {u for u, vs in nbrs.items() if not vs}
-                assert {u: sub.degree(u) for u in sub.nodes} == \
-                    {u: len(vs) for u, vs in nbrs.items()}
-                assert {u: sub.dependents(u) for u in sub.nodes} == \
-                    {u: sum(len(nbrs[v]) == 1 for v in vs) for u, vs in nbrs.items()}
+                assert {u: set(vs) for u, vs in sub.adj.items()} == nbrs
+                dep = {u: sum(len(nbrs[v]) == 1 for v in vs) for u, vs in nbrs.items()}
+                assert sub.dependent_counts() == {u: n for u, n in dep.items() if n}
     assert removals > 150
 
 
@@ -106,8 +109,9 @@ def test_creates_singleton_star(g3):
     a, b, c, d, e, f = find_star_with_tail(g3)
     sub = build_subgraph(g3, syndrome_of({a, b, c, d, e, f}))
     # taking the hub strands the other leaves; the tail edge is safe
-    assert creates_singleton(sub, a, b) is True
-    assert creates_singleton(sub, e, f) is False
+    dep = sub.dependent_counts()
+    assert creates_singleton(sub, dep, a, b) is True
+    assert creates_singleton(sub, dep, e, f) is False
     assert removal_strands(g3, sub, a, b) is True
     assert removal_strands(g3, sub, e, f) is False
 
@@ -115,14 +119,15 @@ def test_creates_singleton_star(g3):
 def test_creates_singleton_isolated_pair(g3):
     u, v = find_adjacent_pair(g3)
     sub = build_subgraph(g3, syndrome_of({u, v}))
-    assert creates_singleton(sub, u, v) is False
+    assert creates_singleton(sub, sub.dependent_counts(), u, v) is False
 
 
 def test_creates_singleton_four_chain(g3):
     v1, v2, v3, v4 = find_induced_chain(g3, 4)
     sub = build_subgraph(g3, syndrome_of({v1, v2, v3, v4}))
-    assert creates_singleton(sub, v2, v3) is True  # strands both ends
-    assert creates_singleton(sub, v1, v2) is False  # leaves the v3-v4 edge
+    dep = sub.dependent_counts()
+    assert creates_singleton(sub, dep, v2, v3) is True  # strands both ends
+    assert creates_singleton(sub, dep, v1, v2) is False  # leaves the v3-v4 edge
 
 
 def test_creates_singleton_matches_removal_oracle(g3):
@@ -132,8 +137,9 @@ def test_creates_singleton_matches_removal_oracle(g3):
     for _ in range(300):
         errors = sample_iid(hot, rng)[0]
         sub = build_subgraph(g3, syndrome_from_errors(g3, errors))
+        dep = sub.dependent_counts()
         for u, v in sub.edges.values():
-            assert creates_singleton(sub, u, v) == removal_strands(g3, sub, u, v)
+            assert creates_singleton(sub, dep, u, v) == removal_strands(g3, sub, u, v)
             checked += 1
     assert checked > 500
 
@@ -205,7 +211,7 @@ def test_scan_four_cycle_is_s2_2(g32):
     per_round = g32.n_detectors // g32.rounds
     quad = {u, v, u + per_round, v + per_round}
     sub = build_subgraph(g32, syndrome_of(quad))
-    assert all(sub.degree(i) == 2 for i in sub.nodes)
+    assert all(len(sub.adj[i]) == 2 for i in sub.nodes)
     batch, regs = scan_candidates(sub, g32)
     assert batch == [] and set(regs) == {Step.S2_2}
     assert regs[Step.S2_2].correction_edges == (min(sub.edges),)
@@ -302,6 +308,60 @@ def test_step3_none_without_singletons(g3, pt3):
     u, v = find_adjacent_pair(g3)
     sub = build_subgraph(g3, syndrome_of({u, v}))
     assert step3_singleton_path(sub, pt3) == (None, 0)
+
+
+# ------------------------------------ linear-time scan against the reference
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_build_subgraph_equals_induced_neighbors(d, request):
+    graph = request.getfixturevalue(f"g{d}")
+    rng = make_rng(37)
+    for p in (0.03, 0.06, 0.12):
+        hot = at_rate(graph, p)
+        for _ in range(100):
+            syn = syndrome_from_errors(graph, sample_iid(hot, rng)[0])
+            sub = build_subgraph(graph, syn)
+            assert {u: set(vs) for u, vs in sub.adj.items()} == \
+                induced_neighbors(graph, syn.flipped)
+            assert sub.edges == {eid: (u, v) for u, vs in sub.adj.items()
+                                 for v, eid in vs.items() if u < v}
+            assert all(graph.edge_between(u, v).id == eid
+                       for eid, (u, v) in sub.edges.items())
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_scan_and_step3_equal_reference_on_every_round(d, request, monkeypatch):
+    # every round of whole adaptive predecodes (cap 1, an unbounded budget)
+    # is scanned by the package and by the per-edge reference it replaced;
+    # S3 is compared on every scanned subgraph, not only where a round uses it
+    graph = request.getfixturevalue(f"g{d}")
+    table = request.getfixturevalue(f"pt{d}")
+    scan, step3 = predecoder.scan_candidates, predecoder.step3_singleton_path
+    seen = Counter()
+
+    def checked_scan(sub, g):
+        batch, regs = scan(sub, g)
+        assert (batch, regs) == reference_scan(sub, g)
+        s3 = step3(sub, table)
+        assert s3 == reference_step3(sub, table)
+        seen["rounds"] += 1
+        seen["S3"] += s3[0] is not None
+        seen[Step.S1] += bool(batch)
+        seen.update(list(regs))
+        return batch, regs
+
+    monkeypatch.setattr(predecoder, "scan_candidates", checked_scan)
+    cfg = PredecodeConfig(main_hw_cap=1, budget_ns=1e9)
+    rng = make_rng(41 + d)
+    for p in (0.03, 0.06, 0.12):
+        hot = at_rate(graph, p)
+        for _ in range(300):
+            syn = syndrome_from_errors(graph, sample_iid(hot, rng)[0])
+            adaptive_predecode(graph, table, syn, cfg)
+    assert seen["rounds"] > 900
+    assert min(seen[step] for step in (Step.S1, Step.S2_1, Step.S2_2, Step.S4_1,
+                                       Step.S4_2, "S3")) > 10, seen
 
 
 # ------------------------------------------------------------ config

@@ -19,18 +19,20 @@ blocks run in, so blocks (not single trials) can run in parallel.  The
 implementation here runs them serially and reduces in index order.
 
 The three estimators run their trials through one loop,
-``_decoded_trials``.  An error-free trial is a success without decoding: its
-syndrome is empty and its observable 0, and the chain bypasses the
-predecoder on it (``fits(0, 0)`` holds), admits it and predicts 0.  Every
-other trial's record is a pure function of its error set under a fixed
-config, so within one estimator call the loop decodes each distinct light
-error set once and gives its repeats the same record object.  Light means a
-weight (number of edges) up to the largest w for which weights 1..w have at
-most ``_MEMO_ENTRIES`` distinct sets in all, one edge at d=5: under i.i.d.
-noise most trials with an error are that light, while the sets of a heavier
-weight are too many to repeat often.  The memo lives for that call only and
-so holds at most ``_MEMO_ENTRIES`` error sets by construction; any heavier
-error set is decoded every time it occurs.
+``_decoded_trials``, which is handed only error sets with at least one edge.
+``run_direct`` filters out the error-free i.i.d. trials before the loop:
+such a trial is a success without decoding, as its syndrome is empty and
+its observable 0, and the chain bypasses the predecoder on it
+(``fits(0, 0)`` holds), admits it and predicts 0.  The exact-k strata have
+k >= 1.  Every trial's record is a pure function of its error set under a
+fixed config, so within one estimator call the loop decodes each distinct
+light error set once and gives its repeats the same record object.  Light
+means a weight (number of edges) up to the largest w for which weights 1..w
+have at most ``_MEMO_ENTRIES`` distinct sets in all, one edge at d=5: under
+i.i.d. noise most trials with an error are that light, while the sets of a
+heavier weight are too many to repeat often.  The memo lives for that call
+only and so holds at most ``_MEMO_ENTRIES`` error sets by construction; any
+heavier error set is decoded every time it occurs.
 """
 from __future__ import annotations
 
@@ -38,13 +40,13 @@ import math
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from itertools import islice, repeat
-from numbers import Integral
 
 from .graph import (DetectorGraph, PathTable, build_decoding_graph, build_path_table,
                     check_uniform_priors)
 from .maindecoder import DecodeOutcome, check_detector_ids, decode
-from .noise import (Syndrome, inject_k_errors, make_rng, occurrence_probability,
-                    occurrence_tail, sample_iid, syndrome_from_errors, trial_seed)
+from .noise import (Syndrome, check_integer, inject_k_errors, make_rng,
+                    occurrence_probability, occurrence_tail, sample_iid,
+                    syndrome_from_errors, trial_seed)
 from .predecoder import (GREEDY_LABEL, STEP_RANK, PredecodeConfig, adaptive_predecode,
                          greedy_baseline)
 
@@ -89,10 +91,8 @@ class ExperimentConfig:
     def validate(self, graph: DetectorGraph | None = None) -> None:
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
-            if name == "rounds" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not (name == "rounds" and value is None):
+                check_integer(name, value)
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.distance < 3 or self.distance % 2 == 0:
@@ -136,7 +136,7 @@ class ExperimentConfig:
         return graph, build_path_table(graph)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """Chain-level result of decoding one sampled syndrome."""
 
@@ -283,21 +283,19 @@ def _memo_weight(n_edges: int) -> int:
 
 def _decoded_trials(graph: DetectorGraph, table: PathTable, cfg: ExperimentConfig,
                     trials, min_hw: int = 0):
-    """The ``TrialRecord`` of each ``ErrorSet`` of ``trials``, or None.
+    """The ``TrialRecord`` of each non-empty ``ErrorSet`` of ``trials``, or None.
 
-    None marks a trial that is not decoded: an error-free one, or one whose
-    syndrome weighs less than ``min_hw``.  A repeated error set the memo
-    holds gets the record object of its first occurrence without a new
-    syndrome or chain (see the module docstring).
+    None marks a trial whose syndrome weighs less than ``min_hw``, which is
+    not decoded.  A repeated error set the memo holds gets the record object
+    of its first occurrence without a new syndrome or chain (see the module
+    docstring).
     """
     pcfg = cfg.predecode_config()
     memo: dict[frozenset, TrialRecord | None] = {}
     w_max = _memo_weight(graph.n_edges)
     for errors in trials:
         edges = errors.edge_ids
-        if not edges:
-            yield None
-        elif edges in memo:
+        if edges in memo:
             yield memo[edges]
         else:
             syndrome = syndrome_from_errors(graph, errors)
@@ -312,14 +310,15 @@ def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                table: PathTable | None = None) -> LerEstimate:
     """Monte-Carlo LER: decode iid samples and count failures.
 
-    Each block of trials is one ``sample_iid`` draw.
+    Each block of trials is one ``sample_iid`` draw.  Only the trials with
+    an error are decoded: an error-free one cannot fail (see the module
+    docstring).
     """
     graph, table = _graph_and_table(cfg, graph, table)
     trials = (errors for rng, size in _block_rngs(cfg.master_seed, cfg.shots_direct,
                                                   _STREAM_DIRECT)
-              for errors in sample_iid(graph, rng, size))
-    failures = sum(r.failure for r in _decoded_trials(graph, table, cfg, trials)
-                   if r is not None)
+              for errors in sample_iid(graph, rng, size) if errors.edge_ids)
+    failures = sum(r.failure for r in _decoded_trials(graph, table, cfg, trials))
     n = cfg.shots_direct
     ler = failures / n
     stderr = math.sqrt(ler * (1.0 - ler) / n)

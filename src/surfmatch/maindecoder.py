@@ -46,7 +46,7 @@ def _double_factorial(k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchingSet:
     """A complete pairing of defects (boundary matches allowed).
 
@@ -180,7 +180,7 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
                        frozenset(correction), _pairings(m, m if allow_boundary else 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeOutcome:
     """Combined result of the predecode and exact-matching stages."""
 

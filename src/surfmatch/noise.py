@@ -12,11 +12,15 @@ per edge per trial, taken row by row in a few numpy calls, with an edge
 flipped where its double falls below its prior.  numpy fills a
 ``(rows, n_edges)`` draw in row order, so a block equals the same number of
 one-trial draws made one after another on the same generator, and a
-one-trial draw takes exactly ``rng.random(n_edges)``.
+one-trial draw takes exactly ``rng.random(n_edges)``.  The hits are found
+with one flat index, row-major, so each trial's hits form one run of
+ascending columns, split off in one Python pass over the hits; the draw
+and its compare are then most of the sampler's time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.special import logsumexp
@@ -25,7 +29,7 @@ from scipy.stats import binom
 from .graph import DetectorGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorSet:
     """A set of simultaneously flipped edge ids."""
 
@@ -35,7 +39,7 @@ class ErrorSet:
         return len(self.edge_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Syndrome:
     """Flipped detectors plus the ground-truth observable flip."""
 
@@ -45,6 +49,12 @@ class Syndrome:
     @property
     def hamming_weight(self) -> int:
         return len(self.flipped)
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a count that is a ``bool`` or not an ``Integral``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -75,25 +85,40 @@ def sample_iid(graph: DetectorGraph, rng_seed=0, shots: int = 1) -> list[ErrorSe
     Trial t takes the n_edges draws that follow those of trial t - 1.  The
     error-free trials share one empty ``ErrorSet``.
     """
+    check_integer("shots", shots)
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     rng = make_rng(rng_seed)
     n = graph.n_edges
     rows = max(1, _DRAW_DOUBLES // n)
     out: list[ErrorSet] = []
     for start in range(0, shots, rows):
-        hits = rng.random((min(rows, shots - start), n)) < graph.edge_probabilities
-        cols = np.nonzero(hits)[1].tolist()  # row by row, ascending within a row
-        counts = np.count_nonzero(hits, axis=1)
-        ends = np.cumsum(counts)
-        starts, ends = (ends - counts).tolist(), ends.tolist()
-        chunk = [_NO_ERRORS] * len(ends)
-        for r in np.flatnonzero(counts).tolist():
-            chunk[r] = ErrorSet(frozenset(cols[starts[r]:ends[r]]))
-        out += chunk
+        out += _error_sets(rng.random((min(rows, shots - start), n))
+                           < graph.edge_probabilities)
+    return out
+
+
+def _error_sets(hits: np.ndarray) -> list[ErrorSet]:
+    """The ``ErrorSet`` of the hit columns of each row of a boolean matrix.
+
+    The flat hit index is row-major, so each row's hits are one run of
+    ascending columns; rows with no hit get the shared ``_NO_ERRORS``.
+    """
+    m, n = hits.shape
+    rows, cols = np.divmod(np.flatnonzero(hits), n)
+    runs, cols = rows.tolist() + [m], cols.tolist()  # m closes the last run
+    out = [_NO_ERRORS] * m
+    first = 0
+    for i, r in enumerate(runs):
+        if r != runs[first]:
+            out[runs[first]] = ErrorSet(frozenset(cols[first:i]))
+            first = i
     return out
 
 
 def inject_k_errors(graph: DetectorGraph, k: int, rng_seed=0) -> ErrorSet:
     """Flip exactly k distinct edges chosen uniformly at random."""
+    check_integer("k", k)
     if not 0 <= k <= graph.n_edges:
         raise ValueError(f"k must be in [0, {graph.n_edges}], got {k}")
     rng = make_rng(rng_seed)

@@ -71,7 +71,7 @@ GREEDY_LABEL = "greedy-nosafety"
 STEP_RANK = {step: rank for rank, step in enumerate(Step)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prematch:
     """One prematched pair and the correction it implies."""
 
@@ -249,7 +249,7 @@ class TraceEntry(NamedTuple):
     hw_after: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredecodeResult:
     """Prematches applied, the residual syndrome and the time spent."""
 

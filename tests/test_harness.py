@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from functools import partial
 
 import numpy as np
@@ -219,6 +219,23 @@ def test_chain_adaptive_shrinks_to_cap_below_10(g5, pt5):
     assert rec.total_ns == pytest.approx(56 * 4.0 + 15 * 4.0)
     assert rec.total_ns <= cfg.budget_ns
     assert rec.outcome is not None and rec.failure == rec.outcome.logical_failure
+
+
+def test_per_trial_records_are_slotted(g5, pt5):
+    # the records built per decode carry no instance __dict__
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, main_hw_cap=6)
+    syndrome = syndrome_of(independent_set(g5, 8))
+    pre = adaptive_predecode(g5, pt5, syndrome, cfg.predecode_config())
+    rec = run_chain(g5, pt5, syndrome, cfg)
+    out = rec.outcome
+    for obj in (ErrorSet(frozenset({0})), syndrome, rec, out.matching, out,
+                out.prematches[0], pre):
+        assert "__slots__" in vars(type(obj)) and not hasattr(obj, "__dict__")
+    flipped = replace(rec, failure=not rec.failure)
+    assert flipped.failure != rec.failure and replace(flipped, failure=rec.failure) == rec
+    flipped = replace(out, logical_failure=not out.logical_failure)
+    assert flipped.logical_failure != out.logical_failure
+    assert replace(flipped, logical_failure=out.logical_failure) == out
 
 
 @pytest.mark.parametrize("predecoder", harness.PREDECODERS)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from surfmatch import (ErrorSet, Syndrome, build_decoding_graph, inject_k_errors,
                        make_rng, noise, occurrence_probability, occurrence_tail,
@@ -35,13 +36,14 @@ def test_sample_iid_deterministic(g3):
     assert a != c  # overwhelmingly likely and frozen by the fixed seed
 
 
-@pytest.mark.parametrize("d", [3, 5])
-@pytest.mark.parametrize("p", [1e-3, 0.05])
+@pytest.mark.parametrize("d", [3, 5, 11])
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.3])
 def test_sample_iid_block_equals_successive_draws(d, p):
-    graph = build_decoding_graph(d, d, p)
+    graph = at_rate(build_decoding_graph(d, d, 1e-3), p)
     chunk = noise._DRAW_DOUBLES // graph.n_edges
     assert 1 < chunk < 1024  # a 1024-trial block spans several draws
-    for shots in (1, chunk - 1, chunk, chunk + 1, 1024, 1027):
+    # counts ending inside, exactly on and one past a draw's chunk boundary
+    for shots in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 1024, 1027):
         seed = trial_seed(17, d, shots)
         block = sample_iid(graph, seed, shots)
         one_row, ref = make_rng(seed), make_rng(seed)
@@ -52,6 +54,31 @@ def test_sample_iid_block_equals_successive_draws(d, p):
         assert all(errors == ErrorSet(frozenset()) for errors in empty)
         if p == 1e-3 and shots > 1:
             assert 0 < len(empty) < shots
+        if p == 0.3:  # most rows hold many hits
+            assert sorted(map(len, block))[shots // 2] >= 0.2 * graph.n_edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.bool_, st.tuples(st.integers(0, 12), st.integers(1, 40))))
+def test_error_sets_group_hits_by_row(hits):
+    # the flat-index grouping against row-by-row np.nonzero
+    sets = noise._error_sets(hits)
+    assert sets == [ErrorSet(frozenset(np.nonzero(row)[0].tolist())) for row in hits]
+    assert all(s is noise._NO_ERRORS for s, row in zip(sets, hits) if not row.any())
+
+
+@pytest.mark.parametrize("shots", [-3, True, 2.5, "3"])
+def test_sample_iid_refuses_bad_shot_counts(g3, shots):
+    rng = make_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="shots"):
+        sample_iid(g3, rng, shots)
+    assert rng.bit_generator.state == state  # refused before any draw
+
+
+def test_sample_iid_takes_zero_and_numpy_counts(g3):
+    assert sample_iid(g3, 5, 0) == []
+    assert sample_iid(g3, 5, np.int64(3)) == sample_iid(g3, 5, 3)
 
 
 def test_inject_k_bounds(g3):
@@ -61,6 +88,15 @@ def test_inject_k_bounds(g3):
         inject_k_errors(g3, g3.n_edges + 1, 0)
     with pytest.raises(ValueError):
         inject_k_errors(g3, -1, 0)
+
+
+@pytest.mark.parametrize("k", [True, 2.5, "2"])
+def test_inject_k_refuses_non_integer_k(g3, k):
+    rng = make_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="k must be an integer"):
+        inject_k_errors(g3, k, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
 
 
 def test_inject_k_uniform(g3):

@@ -6,9 +6,12 @@ one that enumerating every pairing, as the paper's hardware does, would
 keep.  Pair costs are the integer hop counts of the precomputed path
 table, so ties are exact and the answer does not depend on p; the software
 reaches the enumeration's answer through a subset dynamic program and one
-walk back down it.  The stage is only modeled as viable up to a small
-Hamming weight cap.  Corrections are the symmetric difference of the
-constituent shortest paths.
+walk back down it.  With the boundary allowed, the DP skips any pair
+whose hops exceed its two boundary routes': no minimum pairing can use
+it, so the answer is unchanged and the DP visits about half the masks at
+HW 8.  The stage is only modeled as viable up to a small Hamming weight
+cap.  Corrections are the symmetric difference of the constituent
+shortest paths.
 """
 from __future__ import annotations
 
@@ -80,33 +83,41 @@ def _subset_dp(w, bw, m: int) -> list:
 
     ``best[mask]`` covers the unmatched positions in ``mask``, branching as
     the enumeration does: the lowest unmatched position pairs with each
-    later one, then takes the boundary unless ``bw`` is None.  Only masks
-    reachable from the full one are filled.
+    later one, then takes the boundary unless ``bw`` is None.  With the
+    boundary allowed, a pair dearer than its two boundary routes is
+    skipped (see ``brute_force_mwpm``).  Only masks reachable from the
+    full one through branches not skipped are filled.
     """
     full = (1 << m) - 1
     best: list = [None] * (full + 1)
     best[0] = 0
+    # Without the boundary, cut is infinite and no pair is skipped.
+    bnd = bw if bw is not None else [0] * m
 
     def solve(mask: int) -> None:
         low = mask & -mask
         a = low.bit_length() - 1
         rest = mask ^ low
         wa = w[a]
-        top = math.inf
+        if bw is None:
+            top = cut = math.inf
+        else:
+            if best[rest] is None:
+                solve(rest)
+            cut = bw[a]
+            top = cut + best[rest]
         mm = rest
         while mm:
             lb = mm & -mm
             mm ^= lb
+            b = lb.bit_length() - 1
+            x = wa[b]
+            if x > cut + bnd[b]:
+                continue
             sub = rest ^ lb
             if best[sub] is None:
                 solve(sub)
-            x = wa[lb.bit_length() - 1] + best[sub]
-            if x < top:
-                top = x
-        if bw is not None:
-            if best[rest] is None:
-                solve(rest)
-            x = bw[a] + best[rest]
+            x += best[sub]
             if x < top:
                 top = x
         best[mask] = top
@@ -133,6 +144,17 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     first branch in enumeration order whose hops plus its completion equal
     the mask's: with integer hops that is exactly the enumeration's first
     minimum.  ``total_weight`` is the optimum's hops times -ln p.
+
+    With the boundary allowed, the DP skips a pair (a, b) whose hops exceed
+    ``bw[a] + bw[b]``, strictly.  Sending a and b to the boundary instead is
+    strictly lighter and leaves the rest of the mask as it was, so no
+    minimum pairing uses such a pair: every mask the DP visits still gets
+    its exact fewest hops, and the walk's equality test could never take
+    it, so the walk passes over a pair whose completion the DP left
+    unfilled.  The first minimum, ``total_weight`` and ``enumerated`` are
+    the enumeration's.  A pair that only ties its boundary routes is kept, as
+    enumeration order puts it before the boundary.  Without the boundary
+    nothing is skipped.
     """
     nodes = tuple(sorted(flipped))
     m = len(nodes)
@@ -163,7 +185,9 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
         while mm:
             lb = mm & -mm
             mm ^= lb
-            if wa[lb.bit_length() - 1] + best[rest ^ lb] == best[mask]:
+            # An unfilled mask is one that only skipped pairs lead to.
+            done = best[rest ^ lb]
+            if done is not None and wa[lb.bit_length() - 1] + done == best[mask]:
                 pairs.append((nodes[a], nodes[lb.bit_length() - 1]))
                 mask = rest ^ lb
                 break

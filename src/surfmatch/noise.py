@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import binom
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .graph import DetectorGraph
 
@@ -123,7 +122,7 @@ def inject_k_errors(graph: DetectorGraph, k: int, rng_seed=0) -> ErrorSet:
         raise ValueError(f"k must be in [0, {graph.n_edges}], got {k}")
     rng = make_rng(rng_seed)
     picks = rng.choice(graph.n_edges, size=k, replace=False)
-    return ErrorSet(frozenset(int(i) for i in picks))
+    return ErrorSet(frozenset(picks.tolist()))
 
 
 def syndrome_from_errors(graph: DetectorGraph, errors: ErrorSet) -> Syndrome:
@@ -148,11 +147,22 @@ def syndrome_from_errors(graph: DetectorGraph, errors: ErrorSet) -> Syndrome:
     return Syndrome(frozenset(flipped), obs)
 
 
+def _log_binom_pmf(k, n: int, p: float):
+    """log P(Binomial(n, p) = k), elementwise over k.
+
+    The expression ``scipy.stats.binom.logpmf`` evaluates for k in [0, n],
+    without its argument checks and broadcasting, so the values are
+    bit-identical at a fraction of the cost.
+    """
+    return (gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+            + xlogy(k, p) + xlog1py(n - k, -p))
+
+
 def log_occurrence_probability(k: int, n_edges: int, p: float) -> float:
     """log P(exactly k of n_edges iid edges flip), computed in log space."""
     if not 0 <= k <= n_edges:
         raise ValueError(f"k must be in [0, {n_edges}], got {k}")
-    return float(binom.logpmf(k, n_edges, p))
+    return float(_log_binom_pmf(k, n_edges, p))
 
 
 def occurrence_probability(k: int, n_edges: int, p: float) -> float:
@@ -165,5 +175,5 @@ def occurrence_tail(k_max: int, n_edges: int, p: float) -> float:
     ks = np.arange(k_max + 1, n_edges + 1)
     if ks.size == 0:
         return 0.0
-    return float(np.exp(logsumexp(binom.logpmf(ks, n_edges, p))))
+    return float(np.exp(logsumexp(_log_binom_pmf(ks, n_edges, p))))
 

@@ -9,11 +9,11 @@ The predecoder works on the decoding subgraph induced by the flipped
 detectors.  Matching two nodes removes them; a flipped node left without
 any flipped neighbor (a singleton) can later only be paired through a
 multi-edge path, which is both slower and easier to get wrong.  The loop
-is a sequence of rounds, and each round makes one pass over the subgraph
-edges in ascending id order.  The pass collects every isolated pair and
-fills one candidate register per category with its first edge (every edge
-weighs the same); the round then applies the first category, in this
-priority order, that has something to match:
+is a sequence of rounds, and each round scans the subgraph once.  The scan
+collects every isolated pair and fills one candidate register per category
+with the id of its first edge in ascending id order (every edge weighs the
+same); the round then applies the first category, in this priority order,
+that has something to match:
 
   S1    isolated pairs (two-node components); the whole batch at once
   S2_1  singleton-safe edges with an endpoint of degree 1
@@ -36,8 +36,12 @@ applied, and if the predecode time exceeds the budget, or nothing is
 matchable, the decode is aborted.  The loop stops as soon as
 ``PredecodeConfig.fits`` holds: the residual is within the main stage's
 cap and the predecode time plus the modeled main-decoder time fits the
-budget.  In Python a scan counts degree-1 neighbors once and takes time
-linear in nodes plus edges, which leaves the modeled cost unchanged.
+budget.  In Python a scan is one pass over the edges, which counts every
+node's degree-1 neighbors and finds the isolated pairs, and, only without
+any, a second pass that stops once the four registers are filled.  The
+subgraph keeps its edges in ascending id order from its build through
+every removal, so no round sorts, and a round builds only the prematch it
+applies.  None of this changes the modeled cost.
 """
 from __future__ import annotations
 
@@ -88,10 +92,12 @@ class DecodingSubgraph:
 
     ``adj`` maps every node to its flipped neighbors and the id of the edge
     joining them; ``edges`` indexes the same edges by id as ``(u, v)`` with
-    ``u < v``.  Both are updated in place as pairs are matched.  Degrees
-    and singletons are read off ``adj``; ``dependent_counts`` counts every
-    node's degree-1 neighbors in one pass, so a scan costs Python time
-    linear in nodes plus edges.  Edge weights come from the decoding graph.
+    ``u < v``, inserted in ascending id order.  Both are updated in place
+    as pairs are matched, and deleting from a dict keeps the order of the
+    rest, so iterating ``edges`` always visits ascending ids.  Degrees and
+    singletons are read off ``adj``; ``dependent_counts`` counts every
+    node's degree-1 neighbors in one pass.  Edge weights come from the
+    decoding graph.
     """
 
     adj: dict[int, dict[int, int]]
@@ -122,60 +128,80 @@ class DecodingSubgraph:
 
 
 def build_subgraph(graph: DetectorGraph, syndrome: Syndrome) -> DecodingSubgraph:
-    """Decoding subgraph induced by the syndrome's flipped detectors."""
+    """Decoding subgraph induced by the syndrome's flipped detectors.
+
+    ``edges`` is filled in ascending id order, the order every scan reads.
+    """
     flipped = syndrome.flipped
     check_detector_ids(graph, flipped)
-    adj, edges = {}, {}
+    adj, edges = {}, []
     for i in flipped:
         adj[i] = nbrs = {}
         for j, eid in graph.detector_neighbors[i]:
             if j in flipped:
                 nbrs[j] = eid
                 if i < j:
-                    edges[eid] = (i, j)
-    return DecodingSubgraph(adj, edges)
+                    edges.append((eid, (i, j)))
+    edges.sort()
+    return DecodingSubgraph(adj, dict(edges))
 
 
 def creates_singleton(sub: DecodingSubgraph, dep: dict[int, int], i: int, j: int) -> bool:
-    """Would matching (i, j) strand a third node?  ``dep`` is ``sub.dependent_counts()``.
+    """Would matching (i, j) strand a third node?
 
     Exactly when i or j has a degree-1 neighbor outside {i, j}.  (The decoding
     graph is triangle-free, so no third node can be adjacent to both ends.)
+    ``dep`` holds the counts of ``sub.dependent_counts()``, which
+    ``scan_candidates`` makes in its first edge pass.
     """
     return (dep.get(i, 0) > (len(sub.adj[j]) == 1)
             or dep.get(j, 0) > (len(sub.adj[i]) == 1))
 
 
 def scan_candidates(sub: DecodingSubgraph,
-                    graph: DetectorGraph) -> tuple[list[Prematch], dict[Step, Prematch]]:
-    """The S1 batch, or else the first edge of each other category.
+                    graph: DetectorGraph) -> tuple[list[Prematch], dict[Step, int]]:
+    """The S1 batch, or else the first edge id of each other category.
 
-    A pass over the subgraph edges in ascending id order collects the S1
-    batch, one prematch per isolated pair, which is applied before any
-    register.  Without one, the dependents are counted once and a second
-    pass fills the S2_1, S2_2, S4_1 and S4_2 registers with the first edge
-    of each category in id order (every edge weighs the same).
+    Edges are read in ascending id order, the order ``sub.edges`` keeps.
+    One pass over the edges counts every node's degree-1 neighbors (a
+    degree-1 node has one edge, so it is counted once) and collects the S1
+    edges, those joining two degree-1 nodes; the batch, one prematch per
+    isolated pair, is applied before any register.  Only without one does
+    a second pass fill the S2_1, S2_2, S4_1 and S4_2 registers with the id
+    of the first edge of each category (every edge weighs the same),
+    stopping once all four are filled.
     """
     adj, edges = sub.adj, sub.edges
-    order = sorted(edges)
-    batch = [Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight)
-             for eid in order for u, v in (edges[eid],) if len(adj[u]) == len(adj[v]) == 1]
-    if batch:
-        return batch, {}
-    dep = sub.dependent_counts()
+    dep: dict[int, int] = {}
+    isolated = []
+    for eid, (u, v) in edges.items():
+        du, dv = len(adj[u]), len(adj[v])
+        if du == 1:
+            dep[v] = dep.get(v, 0) + 1
+        if dv == 1:
+            dep[u] = dep.get(u, 0) + 1
+            if du == 1:
+                isolated.append(Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight))
+    if isolated:
+        return isolated, {}
     first: dict[Step, int] = {}
-    for eid in order:
-        u, v = edges[eid]
+    for eid, (u, v) in edges.items():
         end = len(adj[u]) == 1 or len(adj[v]) == 1
         if creates_singleton(sub, dep, u, v):
             step = Step.S4_1 if end else Step.S4_2
         else:
             step = Step.S2_1 if end else Step.S2_2
-        first.setdefault(step, eid)
-        if len(first) == 4:
-            break
-    return batch, {step: Prematch(*edges[eid], step, (eid,), graph.edges[eid].weight)
-                   for step, eid in first.items()}
+        if step not in first:
+            first[step] = eid
+            if len(first) == 4:
+                break
+    return [], first
+
+
+def _edge_prematch(sub: DecodingSubgraph, graph: DetectorGraph, eid: int,
+                   step: Step) -> Prematch:
+    """The prematch of subgraph edge ``eid`` by ``step``."""
+    return Prematch(*sub.edges[eid], step, (eid,), graph.edges[eid].weight)
 
 
 def step3_singleton_path(sub: DecodingSubgraph,
@@ -301,24 +327,26 @@ def _adaptive_round(sub: DecodingSubgraph, graph: DetectorGraph, table: PathTabl
     """One scan, and the first category in priority order with a match."""
     batch, regs = scan_candidates(sub, graph)
     cost = len(sub.edges)
-    if not batch:
-        pm = regs.get(Step.S2_1) or regs.get(Step.S2_2)
-        if pm is None:
-            pm, examined = step3_singleton_path(sub, table)
-            cost = max(examined, cost)
-        if pm is None:
-            pm = regs.get(Step.S4_1) or regs.get(Step.S4_2)
-        batch = [pm] if pm is not None else []
-    return batch, cost
+    if batch:
+        return batch, cost
+    for step in (Step.S2_1, Step.S2_2):
+        if step in regs:
+            return [_edge_prematch(sub, graph, regs[step], step)], cost
+    pm, examined = step3_singleton_path(sub, table)
+    cost = max(examined, cost)
+    if pm is not None:
+        return [pm], cost
+    for step in (Step.S4_1, Step.S4_2):
+        if step in regs:
+            return [_edge_prematch(sub, graph, regs[step], step)], cost
+    return [], cost
 
 
 def _greedy_round(sub: DecodingSubgraph, graph: DetectorGraph) -> tuple[list[Prematch], int]:
     """The lowest-id subgraph edge (every edge weighs the same), for one scan."""
     if not sub.edges:
         return [], 0
-    eid = min(sub.edges)
-    pm = Prematch(*sub.edges[eid], Step.GREEDY, (eid,), graph.edges[eid].weight)
-    return [pm], len(sub.edges)
+    return [_edge_prematch(sub, graph, next(iter(sub.edges)), Step.GREEDY)], len(sub.edges)
 
 
 def adaptive_predecode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,

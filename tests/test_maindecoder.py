@@ -231,6 +231,46 @@ def test_equals_enumeration_all_ties(g5, pt5):
                 assert got.total_weight == 10 * pt5.edge_weight
 
 
+def test_skip_of_boundary_dominated_pairs_equals_enumeration(g5, pt5):
+    # random symmetric tables, pair hops 1-4 and boundary hops 1-3: the
+    # matcher skips a pair only when its hops exceed its two boundary
+    # routes', so both strict domination (skipped) and exact ties (kept,
+    # and taken first since a pair comes before the boundary) must agree
+    # with the enumeration field for field
+    rng = make_rng(61)
+    n = g5.n_detectors
+    seen = dict.fromkeys(("dominated", "tied", "tie_taken"), 0)
+    for _ in range(60):
+        upper = np.triu(rng.integers(1, 5, size=(n, n)), 1)
+        hops = (upper + upper.T).astype(pt5.hops.dtype)
+        bhops = rng.integers(1, 4, size=n).astype(pt5.boundary_hops.dtype)
+        table = with_hops(pt5, hops, bhops)
+        for hw in range(1, 11):
+            nodes = sorted(rng.choice(n, hw, replace=False).tolist())
+            over = [int(hops[a, b]) - int(bhops[a]) - int(bhops[b])
+                    for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+            seen["dominated"] += any(x > 0 for x in over)
+            seen["tied"] += 0 in over
+            for allow_boundary in (True, False):
+                got = assert_equals_enumeration(nodes, table, 10, allow_boundary)
+                if got is not None and allow_boundary:
+                    seen["tie_taken"] += any(hops[a, b] == bhops[a] + bhops[b]
+                                             for a, b in got.pairs)
+    assert min(seen.values()) > 20, seen
+
+    # every pair dearer than its boundary routes: with the boundary every
+    # defect takes it; without, nothing is skipped and all pairings tie
+    table = with_hops(pt5, np.full_like(pt5.hops, 4), np.full_like(pt5.boundary_hops, 1))
+    for hw in range(1, 11):
+        nodes = sorted(rng.choice(n, hw, replace=False).tolist())
+        got = assert_equals_enumeration(nodes, table, 10, True)
+        assert (got.pairs, got.boundary_matches) == ((), tuple(nodes))
+        assert got.total_weight == hw * pt5.edge_weight
+        got = assert_equals_enumeration(nodes, table, 10, False)
+        if hw % 2 == 0:
+            assert got.pairs == tuple(zip(nodes[::2], nodes[1::2]))
+
+
 def test_answer_does_not_depend_on_p(g5, pt5):
     # post-predecode d=5 residuals, decoded on tables built at four p: the
     # hop counts, and so the matching, are the same at every p

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
+from scipy.stats import binom
 
 from surfmatch import (ErrorSet, Syndrome, build_decoding_graph, inject_k_errors,
                        make_rng, noise, occurrence_probability, occurrence_tail,
@@ -192,6 +194,15 @@ def test_occurrence_probability_matches_lgamma_oracle():
         for k in (0, 1, 2, 5, 10, 24):
             assert log_occurrence_probability(k, n, p) == pytest.approx(
                 log_binom_pmf(k, n, p), rel=1e-12)
+
+
+def test_occurrence_probability_equals_scipy_binom():
+    # the closed form is scipy's own binom expression: equal, not close
+    for n, p in ((173, 1e-3), (1931, 1e-4), (93, 3e-3), (173, 0.01), (5000, 0.2)):
+        for k in range(61):
+            assert log_occurrence_probability(k, n, p) == float(binom.logpmf(k, n, p))
+            ks = np.arange(k + 1, n + 1)
+            assert occurrence_tail(k, n, p) == float(np.exp(logsumexp(binom.logpmf(ks, n, p))))
 
 
 def test_occurrence_probability_bounds():

@@ -94,6 +94,7 @@ def test_remove_pair_matches_fresh_build(name, request):
                 fresh = build_subgraph(graph, syndrome_of(sub.nodes))
                 assert sub.adj == fresh.adj
                 assert sub.edges == fresh.edges
+                assert list(sub.edges) == sorted(sub.edges)  # removal keeps id order
                 nbrs = induced_neighbors(graph, set(sub.nodes))
                 assert sub.singletons() == {u for u, vs in nbrs.items() if not vs}
                 assert {u: set(vs) for u, vs in sub.adj.items()} == nbrs
@@ -189,9 +190,9 @@ def test_scan_four_chain_registers(g3):
     end_ids = sorted((g3.edge_between(v1, v2).id, g3.edge_between(v3, v4).id))
     assert batch == []
     assert set(regs) == {Step.S2_1, Step.S4_2}
-    assert regs[Step.S2_1].correction_edges == (end_ids[0],)  # first in id order
-    assert regs[Step.S4_2].correction_edges == (g3.edge_between(v2, v3).id,)
-    assert (regs[Step.S4_2].a, regs[Step.S4_2].b) == tuple(sorted((v2, v3)))
+    assert regs[Step.S2_1] == end_ids[0]  # first in id order
+    assert regs[Step.S4_2] == g3.edge_between(v2, v3).id
+    assert sub.edges[regs[Step.S4_2]] == tuple(sorted((v2, v3)))
 
 
 def test_scan_three_chain_registers(g3):
@@ -201,8 +202,7 @@ def test_scan_three_chain_registers(g3):
     # both edges strand the opposite end; no safe move exists
     assert batch == [] and set(regs) == {Step.S4_1}
     ids = sorted((g3.edge_between(v1, v2).id, g3.edge_between(v2, v3).id))
-    assert regs[Step.S4_1].correction_edges == (ids[0],)
-    assert regs[Step.S4_1].step is Step.S4_1
+    assert regs == {Step.S4_1: ids[0]}
 
 
 def test_scan_four_cycle_is_s2_2(g32):
@@ -214,7 +214,7 @@ def test_scan_four_cycle_is_s2_2(g32):
     assert all(len(sub.adj[i]) == 2 for i in sub.nodes)
     batch, regs = scan_candidates(sub, g32)
     assert batch == [] and set(regs) == {Step.S2_2}
-    assert regs[Step.S2_2].correction_edges == (min(sub.edges),)
+    assert regs == {Step.S2_2: min(sub.edges)}
 
 
 def test_scan_register_holds_first_edge_in_id_order(g5):
@@ -238,11 +238,12 @@ def test_scan_register_holds_first_edge_in_id_order(g5):
             else:
                 step = Step.S2_1 if end else Step.S2_2
             first.setdefault(step, eid)
-        assert {step: pm.correction_edges for step, pm in regs.items()} == \
-            {step: (eid,) for step, eid in first.items()}
+        assert regs == first
         for step, eid in first.items():
-            assert (regs[step].a, regs[step].b) == sub.edges[eid]
-            assert regs[step].weight == -math.log(g5.p)
+            # the prematch a round would build from this register
+            pm = predecoder._edge_prematch(sub, g5, regs[step], step)
+            assert (pm.a, pm.b, pm.step, pm.correction_edges) == (*sub.edges[eid], step, (eid,))
+            assert pm.weight == -math.log(g5.p)
             filled[step] += 1
     assert min(filled.values()) > 5
 
@@ -326,6 +327,7 @@ def test_build_subgraph_equals_induced_neighbors(d, request):
                 induced_neighbors(graph, syn.flipped)
             assert sub.edges == {eid: (u, v) for u, vs in sub.adj.items()
                                  for v, eid in vs.items() if u < v}
+            assert list(sub.edges) == sorted(sub.edges)
             assert all(graph.edge_between(u, v).id == eid
                        for eid, (u, v) in sub.edges.items())
 
@@ -342,7 +344,11 @@ def test_scan_and_step3_equal_reference_on_every_round(d, request, monkeypatch):
 
     def checked_scan(sub, g):
         batch, regs = scan(sub, g)
-        assert (batch, regs) == reference_scan(sub, g)
+        ref_batch, ref_regs = reference_scan(sub, g)
+        assert batch == ref_batch
+        assert regs == {step: pm.correction_edges[0] for step, pm in ref_regs.items()}
+        assert {step: predecoder._edge_prematch(sub, g, eid, step)
+                for step, eid in regs.items()} == ref_regs
         s3 = step3(sub, table)
         assert s3 == reference_step3(sub, table)
         seen["rounds"] += 1

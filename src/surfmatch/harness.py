@@ -24,15 +24,20 @@ The three estimators run their trials through one loop,
 such a trial is a success without decoding, as its syndrome is empty and
 its observable 0, and the chain bypasses the predecoder on it
 (``fits(0, 0)`` holds), admits it and predicts 0.  The exact-k strata have
-k >= 1.  Every trial's record is a pure function of its error set under a
-fixed config, so within one estimator call the loop decodes each distinct
-light error set once and gives its repeats the same record object.  Light
-means a weight (number of edges) up to the largest w for which weights 1..w
-have at most ``_MEMO_ENTRIES`` distinct sets in all, one edge at d=5: under
-i.i.d. noise most trials with an error are that light, while the sets of a
-heavier weight are too many to repeat often.  The memo lives for that call
-only and so holds at most ``_MEMO_ENTRIES`` error sets by construction; any
-heavier error set is decoded every time it occurs.
+k >= 1.  The loop turns each ``run_chain`` record into a row of the seven
+atomic fields the estimators and reports read (failure, pre and post HW,
+predecode and total ns, abort, deepest step), so a record, its outcome and
+everything that hangs off it are freed by reference counting as soon as
+the row is made; the memo and the report corpus hold rows only.  Every
+trial's row is a pure function of its error set under a fixed config, so
+within one estimator call the loop decodes each distinct light error set
+once and gives its repeats the same row object.  Light means a weight
+(number of edges) up to the largest w for which weights 1..w have at most
+``_MEMO_ENTRIES`` distinct sets in all, one edge at d=5: under i.i.d. noise
+most trials with an error are that light, while the sets of a heavier
+weight are too many to repeat often.  The memo lives for that call only and
+so holds at most ``_MEMO_ENTRIES`` error sets by construction; any heavier
+error set is decoded every time it occurs.
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ import math
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from itertools import islice, repeat
+from typing import NamedTuple
 
 from .graph import (DetectorGraph, PathTable, build_decoding_graph, build_path_table,
                     check_uniform_priors)
@@ -62,7 +68,7 @@ _STREAM_REPORT = 3
 # Trials per generator: one SeedSequence and PCG64 serve this many trials.
 _BLOCK = 1024
 
-# Distinct error sets one estimator call may remember the records of: the
+# Distinct error sets one estimator call may remember the rows of: the
 # memo admits the weights 1..w that have at most this many sets in all
 # (``_memo_weight``).
 _MEMO_ENTRIES = 4096
@@ -136,9 +142,13 @@ class ExperimentConfig:
         return graph, build_path_table(graph)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TrialRecord:
-    """Chain-level result of decoding one sampled syndrome."""
+    """Chain-level result of decoding one sampled syndrome.
+
+    Not frozen, so that it is cheap to build, and so not hashable; treat
+    it as read-only.
+    """
 
     failure: bool
     pre_hw: int
@@ -163,9 +173,11 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     predecoder did not abort, as it stops only where ``fits`` holds.  The
     offline baseline, no predecoder, admits a syndrome within the cap at
     any modeled time.  An abort counts as a logical failure.  Flipped ids
-    outside the graph's detectors raise ``ValueError`` on every path.
+    outside the graph's detectors raise ``ValueError`` on every path:
+    ``build_subgraph`` refuses them before a predecode and ``decode`` on a
+    bypass, so the chain checks them itself only on a bypass it does not
+    admit.
     """
-    check_detector_ids(graph, syndrome.flipped)
     pcfg = pcfg if pcfg is not None else cfg.predecode_config()
     cap = pcfg.main_hw_cap
     hw = syndrome.hamming_weight
@@ -182,10 +194,34 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
 
     admitted = post <= cap if bypassed else not pre.aborted
     if not admitted:
+        if bypassed:
+            check_detector_ids(graph, syndrome.flipped)
         return TrialRecord(True, hw, post, cycles, pre_ns, None, True, bypassed, deepest)
     out = decode(graph, table, syndrome, pre, cap)
     return TrialRecord(out.logical_failure, hw, post, cycles, pre_ns,
                        pre_ns + pcfg.main_latency(post), False, bypassed, deepest, out)
+
+
+class _TrialRow(NamedTuple):
+    """The fields of a ``TrialRecord`` that the estimators and reports read.
+
+    All atomic, so a row keeps no decode object alive: the record, its
+    outcome, matching, prematches and correction sets are freed once the
+    trial's row is made.
+    """
+
+    failure: bool
+    pre_hw: int
+    post_hw: int
+    predecode_ns: float
+    total_ns: float | None
+    aborted: bool
+    deepest_step: str | None
+
+
+def _row(r: TrialRecord) -> _TrialRow:
+    return _TrialRow(r.failure, r.pre_hw, r.post_hw, r.predecode_ns, r.total_ns,
+                     r.aborted, r.deepest_step)
 
 
 def _deepest_step(pre) -> str | None:
@@ -268,9 +304,9 @@ def _memo_weight(n_edges: int) -> int:
 
     The weights 1..w have at most ``_MEMO_ENTRIES`` distinct sets in all, so
     the memo cannot outgrow that bound and a stream of such trials repeats
-    soon.  A heavier set is one of too many to repeat often, and keeping its
-    record until the call ends costs more garbage-collector time than its
-    repeats would save.
+    soon.  A heavier set is one of too many to repeat often: keeping its
+    row until the call ends would save little and let the memo grow with
+    the number of trials.
     """
     w, sets = 0, 0
     while w < n_edges:
@@ -283,15 +319,16 @@ def _memo_weight(n_edges: int) -> int:
 
 def _decoded_trials(graph: DetectorGraph, table: PathTable, cfg: ExperimentConfig,
                     trials, min_hw: int = 0):
-    """The ``TrialRecord`` of each non-empty ``ErrorSet`` of ``trials``, or None.
+    """The ``_TrialRow`` of each non-empty ``ErrorSet`` of ``trials``, or None.
 
     None marks a trial whose syndrome weighs less than ``min_hw``, which is
-    not decoded.  A repeated error set the memo holds gets the record object
+    not decoded.  A repeated error set the memo holds gets the row object
     of its first occurrence without a new syndrome or chain (see the module
-    docstring).
+    docstring).  The ``run_chain`` record of a trial lives only until its
+    row is made.
     """
     pcfg = cfg.predecode_config()
-    memo: dict[frozenset, TrialRecord | None] = {}
+    memo: dict[frozenset, _TrialRow | None] = {}
     w_max = _memo_weight(graph.n_edges)
     for errors in trials:
         edges = errors.edge_ids
@@ -299,11 +336,11 @@ def _decoded_trials(graph: DetectorGraph, table: PathTable, cfg: ExperimentConfi
             yield memo[edges]
         else:
             syndrome = syndrome_from_errors(graph, errors)
-            record = (run_chain(graph, table, syndrome, cfg, pcfg)
-                      if syndrome.hamming_weight >= min_hw else None)
+            row = (_row(run_chain(graph, table, syndrome, cfg, pcfg))
+                   if syndrome.hamming_weight >= min_hw else None)
             if len(edges) <= w_max:
-                memo[edges] = record
-            yield record
+                memo[edges] = row
+            yield row
 
 
 def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
@@ -350,7 +387,7 @@ class _Stratum:
     k: int
     p_occ: float
     shots: int
-    records: tuple[TrialRecord, ...]
+    records: tuple[_TrialRow, ...]
 
     @property
     def weight(self) -> float:
@@ -368,7 +405,7 @@ _last_corpus: tuple | None = None
 def _high_hw_corpus(cfg: ExperimentConfig, graph: DetectorGraph | None,
                     table: PathTable | None,
                     shots_per_k: int | None = None) -> tuple[_Stratum, ...]:
-    """Per-k samples of syndromes above the main stage's cap.
+    """Per-k rows of the sampled syndromes above the main stage's cap.
 
     k below ceil((cap+1)/2) cannot exceed the cap (each error flips at
     most two detectors) so those strata are skipped.  Stratum statistics

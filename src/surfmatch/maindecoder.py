@@ -49,7 +49,7 @@ def _double_factorial(k: int) -> int:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MatchingSet:
     """A complete pairing of defects (boundary matches allowed).
 
@@ -58,6 +58,9 @@ class MatchingSet:
     (9,496 at HW 10 with boundary, 945 without).  It is neither the work
     the software did nor the paper's modeled ``matching_search_size``,
     which charges (hw-1)!! (945 at HW 10).
+
+    Not frozen, so that it is cheap to build, and so not hashable; treat
+    it as read-only.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -204,9 +207,13 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
                        frozenset(correction), _pairings(m, m if allow_boundary else 0))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DecodeOutcome:
-    """Combined result of the predecode and exact-matching stages."""
+    """Combined result of the predecode and exact-matching stages.
+
+    Not frozen, so that it is cheap to build, and so not hashable; treat
+    it as read-only.
+    """
 
     prematches: tuple["Prematch", ...]
     matching: MatchingSet

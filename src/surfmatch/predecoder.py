@@ -74,10 +74,18 @@ GREEDY_LABEL = "greedy-nosafety"
 # Order used to find the "deepest" step a decode needed: definition order.
 STEP_RANK = {step: rank for rank, step in enumerate(Step)}
 
+# The members the scan reads per edge, as plain module names: in Python
+# 3.11 ``Step.S4_1`` costs an enum attribute lookup on every read.
+_S1, _S2_1, _S2_2, _S4_1, _S4_2 = Step.S1, Step.S2_1, Step.S2_2, Step.S4_1, Step.S4_2
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class Prematch:
-    """One prematched pair and the correction it implies."""
+    """One prematched pair and the correction it implies.
+
+    Not frozen, so that it is cheap to build, and so not hashable; treat
+    it as read-only.
+    """
 
     a: int
     b: int
@@ -181,16 +189,16 @@ def scan_candidates(sub: DecodingSubgraph,
         if dv == 1:
             dep[u] = dep.get(u, 0) + 1
             if du == 1:
-                isolated.append(Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight))
+                isolated.append(Prematch(u, v, _S1, (eid,), graph.edges[eid].weight))
     if isolated:
         return isolated, {}
     first: dict[Step, int] = {}
     for eid, (u, v) in edges.items():
         end = len(adj[u]) == 1 or len(adj[v]) == 1
         if creates_singleton(sub, dep, u, v):
-            step = Step.S4_1 if end else Step.S4_2
+            step = _S4_1 if end else _S4_2
         else:
-            step = Step.S2_1 if end else Step.S2_2
+            step = _S2_1 if end else _S2_2
         if step not in first:
             first[step] = eid
             if len(first) == 4:
@@ -275,9 +283,13 @@ class TraceEntry(NamedTuple):
     hw_after: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PredecodeResult:
-    """Prematches applied, the residual syndrome and the time spent."""
+    """Prematches applied, the residual syndrome and the time spent.
+
+    Not frozen, so that it is cheap to build, and so not hashable; treat
+    it as read-only.
+    """
 
     prematches: tuple[Prematch, ...]
     residual: Syndrome

@@ -199,12 +199,25 @@ def test_chain_greedy_strands_singletons_above_cap(g5, pt5):
 
 @pytest.mark.parametrize("predecoder", harness.PREDECODERS)
 def test_chain_refuses_detector_ids_out_of_range(g5, pt5, predecoder):
-    # HW 3 is within the cap and fits, so the syndrome bypasses to decode
-    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder)
-    u, v = find_adjacent_pair(g5)
-    for bad in (g5.n_detectors, -1):
-        with pytest.raises(ValueError, match="flipped ids outside detector range"):
-            run_chain(g5, pt5, syndrome_of({u, v, bad}), cfg)
+    # on every path: a bypass, a predecode that is admitted, and a syndrome
+    # that is not (above the cap with no predecoder, or an aborted
+    # predecode).  The chain checks ids itself only on a bypass it does not
+    # admit; build_subgraph refuses them before a predecode, decode after a
+    # bypass.
+    paths = ["bypass", "not admitted"] + (["predecoded"] if predecoder != "none" else [])
+    for path in paths:
+        pairs = find_disjoint_pairs(g5, 3 if path == "bypass" else 6)
+        nodes = sorted(u for p in pairs for u in p)
+        budget = 4.0 if path == "not admitted" and predecoder != "none" else 960.0
+        cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder,
+                               budget_ns=budget)
+        rec = run_chain(g5, pt5, syndrome_of(nodes), cfg)
+        assert rec.bypassed == (path == "bypass" or predecoder == "none")
+        assert rec.aborted == (path == "not admitted")
+        for bad in (g5.n_detectors, -1):
+            with pytest.raises(ValueError,
+                               match=rf"flipped ids outside detector range: \[{bad}\]"):
+                run_chain(g5, pt5, syndrome_of(nodes[:-1] + [bad]), cfg)
 
 
 def test_chain_adaptive_shrinks_to_cap_below_10(g5, pt5):
@@ -236,6 +249,25 @@ def test_per_trial_records_are_slotted(g5, pt5):
     flipped = replace(out, logical_failure=not out.logical_failure)
     assert flipped.logical_failure != out.logical_failure
     assert replace(flipped, logical_failure=out.logical_failure) == out
+    # not frozen, but equal field by field as before
+    again = run_chain(g5, pt5, syndrome, cfg)
+    assert again == rec and again.outcome is not out
+    assert adaptive_predecode(g5, pt5, syndrome, cfg.predecode_config()) == pre
+    # and, being mutable with eq, no longer hashable
+    for obj in (rec, out, out.matching, out.prematches[0], pre):
+        with pytest.raises(TypeError):
+            hash(obj)
+    # the corruption perfbench's self test makes leaves the original as it was
+    bad = out.correction_edges ^ {0}
+    corrupted = replace(rec, outcome=replace(out, correction_edges=bad))
+    assert corrupted != rec and out.correction_edges != bad == corrupted.outcome.correction_edges
+    # the trial inputs stay frozen and hashable
+    errors = ErrorSet(frozenset({0, 1}))
+    assert len({errors, ErrorSet(frozenset({1, 0})), syndrome,
+                syndrome_of(independent_set(g5, 8))}) == 2
+    for obj, field in ((errors, "edge_ids"), (syndrome, "flipped")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, frozenset())
 
 
 @pytest.mark.parametrize("predecoder", harness.PREDECODERS)
@@ -625,6 +657,28 @@ def test_corpus_repeats_share_one_record(hot32, chain_calls):
     assert len({id(r) for r in records}) == len(chain_calls) < len(records)
 
 
+ATOMIC = {bool, int, float, str, type(None)}
+
+
+def test_memo_and_corpus_rows_hold_only_atomic_values(hot32, g5, pt5, chain_calls):
+    # the memo and the corpus keep rows of plain values, never a record or
+    # its outcome; repeats share one row object
+    g32, pt32 = hot32
+    cfg = memo_cfg()
+    rows = list(harness._decoded_trials(g32, pt32, cfg, harness._exact_k_trials(
+        g32, cfg.master_seed, cfg.shots_per_k, harness._STREAM_RARE, range(1, 5))))
+    assert len({id(r) for r in rows}) == len(chain_calls) < len(rows)
+    corpus = [r for predecoder in harness.PREDECODERS
+              for s in _high_hw_corpus(report_corpus_cfg(predecoder=predecoder),
+                                       g5, pt5, shots_per_k=20)
+              for r in s.records]
+    for row in rows + corpus:
+        assert type(row) is harness._TrialRow and len(row) == 7
+        assert {type(v) for v in row} <= ATOMIC, row
+    assert {type(r.deepest_step) for r in corpus} == {str, type(None)}
+    assert {type(r.total_ns) for r in corpus} == {float, type(None)}
+
+
 def test_direct_memo_lives_for_one_call(hot32, chain_calls):
     g32, pt32 = hot32
     cfg = memo_cfg()
@@ -647,13 +701,14 @@ def test_rare_event_stream_is_block_seeded(g32, pt32):
 
 
 def test_corpus_stream_is_block_seeded(g5, pt5):
+    # the corpus keeps each trial's row, not its record with the outcome
     cfg = report_corpus_cfg(k_max=8)
     strata = _high_hw_corpus(cfg, g5, pt5, shots_per_k=30)
     for s in strata:
         ref = block_stream(cfg.master_seed, (harness._STREAM_REPORT, s.k), 30, 1024,
                            lambda rng: syndrome_from_errors(
                                g5, inject_k_errors(g5, s.k, rng)))
-        assert s.records == tuple(run_chain(g5, pt5, syn, cfg) for syn in ref
+        assert s.records == tuple(harness._row(run_chain(g5, pt5, syn, cfg)) for syn in ref
                                   if syn.hamming_weight > cfg.main_hw_cap)
     assert any(s.records for s in strata)
 

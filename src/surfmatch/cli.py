@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .graph import build_decoding_graph, build_path_table
@@ -95,6 +96,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     for flag, value in (("--inject-k", args.inject_k), ("--seed", args.seed)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
+    # Two flips of one edge cancel and one detector is flipped or not, so a
+    # repeated id is a mistake, not a set to deduplicate.
+    for flag, ids in (("--errors", args.errors), ("--flipped", args.flipped)):
+        if ids is not None and len(set(ids)) != len(ids):
+            twice = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValueError(f"{flag} repeats ids {twice}")
     cfg = _config(args)
     cfg.k_max = 0  # single-shot decode samples nothing by stratum
     graph, table = cfg.build()
@@ -127,7 +134,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             "predicted_observable": out.predicted_observable,
             "pairs": [list(p) for p in out.matching.pairs],
             "boundary": list(out.matching.boundary_matches),
-            "weight": out.total_weight,
+            "weight": out.total_weight * -math.log(cfg.p),
             "correction_edges": list(out.correction_edges),
             "cycles_total": out.cycles_total,
         })

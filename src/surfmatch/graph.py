@@ -11,16 +11,16 @@ mechanisms:
 * timelike   -- a measurement error, connecting the same check in two
   consecutive rounds.
 
-There are no diagonal space-time edges.  All edges carry the same prior
-``p`` and weight ``-ln(p)``.  The logical observable is a horizontal
-operator crossing the lattice; the spacelike edges in data-qubit column 0
-cross its cut and are flagged ``flips_observable``, identically in every
-round.
+There are no diagonal space-time edges.  Every edge flips with the same
+prior ``p``, stored once as ``DetectorGraph.p``, so every edge weighs the
+same and a path's weight is its hop count.  The logical observable is a
+horizontal operator crossing the lattice; the spacelike edges in
+data-qubit column 0 cross its cut and are flagged ``flips_observable``,
+identically in every round.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +50,11 @@ class Detector:
 
 @dataclass(frozen=True)
 class Edge:
-    """A single independent error mechanism with weight ``-ln(probability)``."""
+    """A single independent error mechanism; it flips with the graph's ``p``."""
 
     id: int
     u: int
     v: int
-    probability: float
-    weight: float
     flips_observable: bool
 
 
@@ -113,8 +111,6 @@ class DetectorGraph:
         for lst in self.detector_neighbors:
             lst.sort()
 
-        self.edge_probabilities = np.array([e.probability for e in edges])
-
     @property
     def n_edges(self) -> int:
         return len(self.edges)
@@ -131,6 +127,9 @@ class DetectorGraph:
         return self._boundary_edges[u]
 
     def validate(self) -> None:
+        # Written so that NaN, for which every comparison is false, fails.
+        if not 0.0 < self.p < 0.5:
+            raise ValueError(f"p must be in (0, 0.5), got {self.p}")
         d, r = self.distance, self.rounds
         n_checks = (d * d - 1) // 2
         if self.n_detectors != r * n_checks:
@@ -140,13 +139,8 @@ class DetectorGraph:
         expected_edges = r * d * d + (r - 1) * n_checks
         if self.n_edges != expected_edges:
             raise ValueError("edge count does not match lattice")
-        for e in self.edges:
-            if not 0.0 < e.probability < 0.5:
-                raise ValueError(f"edge {e.id} probability out of range")
-            if abs(e.weight + math.log(e.probability)) > 1e-12 * max(1.0, e.weight):
-                raise ValueError(f"edge {e.id} weight is not -ln(probability)")
-            if e.u == self.boundary_id:
-                raise ValueError("boundary must be the v endpoint")
+        if any(e.u == self.boundary_id for e in self.edges):
+            raise ValueError("boundary must be the v endpoint")
         n_obs = sum(1 for e in self.edges if e.flips_observable)
         if n_obs != r * d:
             raise ValueError("observable cut must contain d spacelike edges per round")
@@ -177,7 +171,6 @@ class DetectorGraph:
             "edges": [
                 {"id": e.id, "u": e.u,
                  "v": BOUNDARY_JSON_ID if e.v == self.boundary_id else e.v,
-                 "prob": e.probability, "weight": e.weight,
                  "obs": e.flips_observable}
                 for e in self.edges
             ],
@@ -200,14 +193,11 @@ def build_decoding_graph(distance: int, rounds: int | None = None,
         rounds = distance
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"p must be in (0, 0.5), got {p}")
 
     plaqs = _z_plaquettes(distance)
     index = {q: i for i, q in enumerate(plaqs)}
     n_checks = len(plaqs)
     boundary_id = rounds * n_checks
-    weight = -math.log(p)
 
     nodes = [Detector(t * n_checks + i, (pc, pr), t)
              for t in range(rounds) for i, (pr, pc) in enumerate(plaqs)]
@@ -224,14 +214,13 @@ def build_decoding_graph(distance: int, rounds: int | None = None,
                 obs = c == 0
                 if len(adj) == 2:
                     u, v = sorted(base + i for i in adj)
-                    edges.append(Edge(len(edges), u, v, p, weight, obs))
+                    edges.append(Edge(len(edges), u, v, obs))
                 else:
-                    edges.append(Edge(len(edges), base + adj[0], boundary_id,
-                                      p, weight, obs))
+                    edges.append(Edge(len(edges), base + adj[0], boundary_id, obs))
     for t in range(rounds - 1):
         for i in range(n_checks):
             edges.append(Edge(len(edges), t * n_checks + i,
-                              (t + 1) * n_checks + i, p, weight, False))
+                              (t + 1) * n_checks + i, False))
 
     g = DetectorGraph(distance, rounds, p, nodes, edges, boundary_id)
     g.validate()
@@ -241,14 +230,13 @@ def build_decoding_graph(distance: int, rounds: int | None = None,
 class PathTable:
     """All-pairs fewest-edge paths between detectors, plus boundary routes.
 
-    Every edge of a built graph has the same prior ``p``, so a path weighs
-    its hop count times ``edge_weight`` = -ln p, and the table stores hop
-    counts: ``hops[i, j]`` between detectors and ``boundary_hops[i]`` for
-    the route out through the boundary.  Detector-to-detector paths never
-    pass through the boundary node.  The boundary route of ``i`` is the
-    shortest detector path from ``i`` to the lowest-id nearest detector
-    with a boundary edge, ``boundary_via[i]``, plus that detector's first
-    boundary edge, ``boundary_edge[i]``.
+    Every edge weighs the same, so a path weighs its hop count and the
+    table stores hop counts: ``hops[i, j]`` between detectors and
+    ``boundary_hops[i]`` for the route out through the boundary.
+    Detector-to-detector paths never pass through the boundary node.  The
+    boundary route of ``i`` is the shortest detector path from ``i`` to the
+    lowest-id nearest detector with a boundary edge, ``boundary_via[i]``,
+    plus that detector's first boundary edge, ``boundary_edge[i]``.
 
     ``route[i, j]`` is the predecessor of ``j`` on the chosen shortest path
     from ``i``; together with the graph's edge lookup it reconstructs the
@@ -265,22 +253,10 @@ class PathTable:
         self.boundary_hops = boundary_hops
         self.boundary_via = boundary_via
         self.boundary_edge = boundary_edge
-        self.edge_weight = -math.log(graph.p)
-
-
-def check_uniform_priors(graph: DetectorGraph) -> None:
-    """Refuse a graph whose edge priors are not all ``graph.p``.
-
-    Only then does a path weigh its hop count times -ln p, and only then do
-    the rare-event estimator's occurrence probabilities hold.
-    """
-    if any(e.probability != graph.p for e in graph.edges):
-        raise ValueError(f"every edge prior must equal the graph's p = {graph.p}")
 
 
 def build_path_table(graph: DetectorGraph) -> PathTable:
     """Precompute fewest-edge paths among detectors and to the boundary."""
-    check_uniform_priors(graph)
     n = graph.n_detectors
     rows, cols = [], []
     for e in graph.edges:

@@ -47,8 +47,7 @@ from dataclasses import astuple, dataclass, replace
 from itertools import islice, repeat
 from typing import NamedTuple
 
-from .graph import (DetectorGraph, PathTable, build_decoding_graph, build_path_table,
-                    check_uniform_priors)
+from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
 from .maindecoder import DecodeOutcome, check_detector_ids, decode
 from .noise import (Syndrome, check_integer, inject_k_errors, make_rng,
                     occurrence_probability, occurrence_tail, sample_iid,
@@ -122,7 +121,6 @@ class ExperimentConfig:
         if have != want:
             raise ValueError(f"graph (distance, rounds, p) {have} does not match "
                              f"the config's {want}")
-        check_uniform_priors(graph)
         if self.k_max > graph.n_edges:
             raise ValueError(
                 f"k_max {self.k_max} exceeds the {graph.n_edges} edges of the graph")

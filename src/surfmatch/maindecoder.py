@@ -4,14 +4,15 @@ The main stage pairs every remaining flipped detector with another defect
 or with the boundary and keeps the lightest complete pairing: exactly the
 one that enumerating every pairing, as the paper's hardware does, would
 keep.  Pair costs are the integer hop counts of the precomputed path
-table, so ties are exact and the answer does not depend on p; the software
-reaches the enumeration's answer through a subset dynamic program and one
-walk back down it.  With the boundary allowed, the DP skips any pair
-whose hops exceed its two boundary routes': no minimum pairing can use
-it, so the answer is unchanged and the DP visits about half the masks at
-HW 8.  The stage is only modeled as viable up to a small Hamming weight
-cap.  Corrections are the symmetric difference of the constituent
-shortest paths.
+table, and every weight this stage reports is a hop count, so ties are
+exact and the answer does not depend on p; the software reaches the
+enumeration's answer through a subset dynamic program and one walk back
+down it.  With the boundary allowed, the DP skips any pair whose hops
+exceed its two boundary routes': no minimum pairing can use it, so the
+answer is unchanged and the DP visits about half the masks at HW 8.
+The stage is only modeled as viable up to a small Hamming weight cap.
+Corrections are the symmetric difference of the constituent shortest
+paths.
 """
 from __future__ import annotations
 
@@ -57,7 +58,8 @@ class MatchingSet:
     pairings of the defects, boundary branches included where allowed
     (9,496 at HW 10 with boundary, 945 without).  It is neither the work
     the software did nor the paper's modeled ``matching_search_size``,
-    which charges (hw-1)!! (945 at HW 10).
+    which charges (hw-1)!! (945 at HW 10).  ``total_weight`` is the
+    pairing's total in hops, each edge weighing one.
 
     Not frozen, so that it is cheap to build, and so not hashable; treat
     it as read-only.
@@ -65,7 +67,7 @@ class MatchingSet:
 
     pairs: tuple[tuple[int, int], ...]
     boundary_matches: tuple[int, ...]
-    total_weight: float
+    total_weight: int
     correction_edges: frozenset[int]
     enumerated: int
 
@@ -146,7 +148,7 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     mask.  A walk down from the full mask then takes, at each step, the
     first branch in enumeration order whose hops plus its completion equal
     the mask's: with integer hops that is exactly the enumeration's first
-    minimum.  ``total_weight`` is the optimum's hops times -ln p.
+    minimum.  ``total_weight`` is the optimum's hops.
 
     With the boundary allowed, the DP skips a pair (a, b) whose hops exceed
     ``bw[a] + bw[b]``, strictly.  Sending a and b to the boundary instead is
@@ -168,7 +170,7 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     if m % 2 and not allow_boundary:
         raise ValueError("no complete matching exists for this defect set")
     if not m:
-        return MatchingSet((), (), 0.0, frozenset(), 1)
+        return MatchingSet((), (), 0, frozenset(), 1)
 
     # Plain-int tables indexed by position in ``nodes``.
     w = table.hops.take(nodes, 0).take(nodes, 1).tolist()
@@ -203,13 +205,16 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
         correction ^= set(reconstruct_path(table, a, b))
     for a in boundary:
         correction ^= set(reconstruct_boundary_path(table, a))
-    return MatchingSet(tuple(pairs), tuple(boundary), best[full] * table.edge_weight,
-                       frozenset(correction), _pairings(m, m if allow_boundary else 0))
+    return MatchingSet(tuple(pairs), tuple(boundary), best[full], frozenset(correction),
+                       _pairings(m, m if allow_boundary else 0))
 
 
 @dataclass(slots=True)
 class DecodeOutcome:
     """Combined result of the predecode and exact-matching stages.
+
+    ``total_weight`` is in hops: the matching's plus every prematch's
+    correction edge count.
 
     Not frozen, so that it is cheap to build, and so not hashable; treat
     it as read-only.
@@ -218,7 +223,7 @@ class DecodeOutcome:
     prematches: tuple["Prematch", ...]
     matching: MatchingSet
     correction_edges: frozenset[int]
-    total_weight: float
+    total_weight: int
     predicted_observable: int
     logical_failure: bool
     cycles_total: int
@@ -268,7 +273,8 @@ def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
         correction ^= set(pm.correction_edges)
     predicted = _observable_parity(graph, correction)
     failure = predicted != syndrome.true_observable
-    total_weight = matching.total_weight + sum(pm.weight for pm in prematches)
+    total_weight = matching.total_weight + sum(len(pm.correction_edges)
+                                               for pm in prematches)
     cycles_total = pre_cycles + matching_search_size(len(flipped))
     return DecodeOutcome(prematches, matching, frozenset(correction),
                          total_weight, predicted, failure, cycles_total)

@@ -9,13 +9,14 @@ of trials in order from one generator.
 
 ``sample_iid`` draws a block of i.i.d. trials at once: one uniform double
 per edge per trial, taken row by row in a few numpy calls, with an edge
-flipped where its double falls below its prior.  numpy fills a
-``(rows, n_edges)`` draw in row order, so a block equals the same number of
-one-trial draws made one after another on the same generator, and a
-one-trial draw takes exactly ``rng.random(n_edges)``.  The hits are found
-with one flat index, row-major, so each trial's hits form one run of
-ascending columns, split off in one Python pass over the hits; the draw
-and its compare are then most of the sampler's time.
+flipped where its double falls below the graph's prior ``p``, one scalar
+for every edge.  numpy fills a ``(rows, n_edges)`` draw in row order, so a
+block equals the same number of one-trial draws made one after another on
+the same generator, and a one-trial draw takes exactly
+``rng.random(n_edges)``.  The hits are found with one flat index,
+row-major, so each trial's hits form one run of ascending columns, split
+off in one Python pass over the hits; the draw and its compare are then
+most of the sampler's time.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ _NO_ERRORS = ErrorSet(frozenset())
 
 
 def sample_iid(graph: DetectorGraph, rng_seed=0, shots: int = 1) -> list[ErrorSet]:
-    """``shots`` trials, each flipping every edge independently with its prior.
+    """``shots`` trials, each flipping every edge independently with ``graph.p``.
 
     Trial t takes the n_edges draws that follow those of trial t - 1.  The
     error-free trials share one empty ``ErrorSet``.
@@ -92,8 +93,7 @@ def sample_iid(graph: DetectorGraph, rng_seed=0, shots: int = 1) -> list[ErrorSe
     rows = max(1, _DRAW_DOUBLES // n)
     out: list[ErrorSet] = []
     for start in range(0, shots, rows):
-        out += _error_sets(rng.random((min(rows, shots - start), n))
-                           < graph.edge_probabilities)
+        out += _error_sets(rng.random((min(rows, shots - start), n)) < graph.p)
     return out
 
 

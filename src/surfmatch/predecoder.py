@@ -83,6 +83,9 @@ _S1, _S2_1, _S2_2, _S4_1, _S4_2 = Step.S1, Step.S2_1, Step.S2_2, Step.S4_1, Step
 class Prematch:
     """One prematched pair and the correction it implies.
 
+    Its weight is its hop count, ``len(correction_edges)``: one for an
+    edge prematch, the table's fewest hops between the pair for S3.
+
     Not frozen, so that it is cheap to build, and so not hashable; treat
     it as read-only.
     """
@@ -91,7 +94,6 @@ class Prematch:
     b: int
     step: Step
     correction_edges: tuple[int, ...]
-    weight: float
 
 
 @dataclass
@@ -104,8 +106,7 @@ class DecodingSubgraph:
     as pairs are matched, and deleting from a dict keeps the order of the
     rest, so iterating ``edges`` always visits ascending ids.  Degrees and
     singletons are read off ``adj``; ``dependent_counts`` counts every
-    node's degree-1 neighbors in one pass.  Edge weights come from the
-    decoding graph.
+    node's degree-1 neighbors in one pass.
     """
 
     adj: dict[int, dict[int, int]]
@@ -166,8 +167,7 @@ def creates_singleton(sub: DecodingSubgraph, dep: dict[int, int], i: int, j: int
             or dep.get(j, 0) > (len(sub.adj[i]) == 1))
 
 
-def scan_candidates(sub: DecodingSubgraph,
-                    graph: DetectorGraph) -> tuple[list[Prematch], dict[Step, int]]:
+def scan_candidates(sub: DecodingSubgraph) -> tuple[list[Prematch], dict[Step, int]]:
     """The S1 batch, or else the first edge id of each other category.
 
     Edges are read in ascending id order, the order ``sub.edges`` keeps.
@@ -189,7 +189,7 @@ def scan_candidates(sub: DecodingSubgraph,
         if dv == 1:
             dep[u] = dep.get(u, 0) + 1
             if du == 1:
-                isolated.append(Prematch(u, v, _S1, (eid,), graph.edges[eid].weight))
+                isolated.append(Prematch(u, v, _S1, (eid,)))
     if isolated:
         return isolated, {}
     first: dict[Step, int] = {}
@@ -206,10 +206,9 @@ def scan_candidates(sub: DecodingSubgraph,
     return [], first
 
 
-def _edge_prematch(sub: DecodingSubgraph, graph: DetectorGraph, eid: int,
-                   step: Step) -> Prematch:
+def _edge_prematch(sub: DecodingSubgraph, eid: int, step: Step) -> Prematch:
     """The prematch of subgraph edge ``eid`` by ``step``."""
-    return Prematch(*sub.edges[eid], step, (eid,), graph.edges[eid].weight)
+    return Prematch(*sub.edges[eid], step, (eid,))
 
 
 def step3_singleton_path(sub: DecodingSubgraph,
@@ -229,9 +228,8 @@ def step3_singleton_path(sub: DecodingSubgraph,
                 if t != s), default=None)
     if best is None:
         return None, examined
-    h, s, t = best
-    return (Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)),
-                     h * table.edge_weight), examined)
+    _, s, t = best
+    return Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t))), examined
 
 
 @dataclass(frozen=True)
@@ -335,30 +333,30 @@ def run_rounds(graph: DetectorGraph, syndrome: Syndrome, config: PredecodeConfig
                            tuple(trace) if record_trace else None)
 
 
-def _adaptive_round(sub: DecodingSubgraph, graph: DetectorGraph, table: PathTable):
+def _adaptive_round(sub: DecodingSubgraph, table: PathTable):
     """One scan, and the first category in priority order with a match."""
-    batch, regs = scan_candidates(sub, graph)
+    batch, regs = scan_candidates(sub)
     cost = len(sub.edges)
     if batch:
         return batch, cost
     for step in (Step.S2_1, Step.S2_2):
         if step in regs:
-            return [_edge_prematch(sub, graph, regs[step], step)], cost
+            return [_edge_prematch(sub, regs[step], step)], cost
     pm, examined = step3_singleton_path(sub, table)
     cost = max(examined, cost)
     if pm is not None:
         return [pm], cost
     for step in (Step.S4_1, Step.S4_2):
         if step in regs:
-            return [_edge_prematch(sub, graph, regs[step], step)], cost
+            return [_edge_prematch(sub, regs[step], step)], cost
     return [], cost
 
 
-def _greedy_round(sub: DecodingSubgraph, graph: DetectorGraph) -> tuple[list[Prematch], int]:
+def _greedy_round(sub: DecodingSubgraph) -> tuple[list[Prematch], int]:
     """The lowest-id subgraph edge (every edge weighs the same), for one scan."""
     if not sub.edges:
         return [], 0
-    return [_edge_prematch(sub, graph, next(iter(sub.edges)), Step.GREEDY)], len(sub.edges)
+    return [_edge_prematch(sub, next(iter(sub.edges)), Step.GREEDY)], len(sub.edges)
 
 
 def adaptive_predecode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
@@ -370,7 +368,7 @@ def adaptive_predecode(graph: DetectorGraph, table: PathTable, syndrome: Syndrom
     that step S1 matches all isolated pairs of the scan at once.
     """
     return run_rounds(graph, syndrome, config,
-                      lambda sub: _adaptive_round(sub, graph, table), record_trace)
+                      lambda sub: _adaptive_round(sub, table), record_trace)
 
 
 def greedy_baseline(graph: DetectorGraph, syndrome: Syndrome,
@@ -383,4 +381,4 @@ def greedy_baseline(graph: DetectorGraph, syndrome: Syndrome,
     (only singletons are left) nothing is matchable, so the decode aborts
     unless the residual already fits.
     """
-    return run_rounds(graph, syndrome, config, lambda sub: _greedy_round(sub, graph))
+    return run_rounds(graph, syndrome, config, _greedy_round)

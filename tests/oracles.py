@@ -14,9 +14,9 @@ block sampler is checked; ``direct_failures`` decodes every trial,
 error-free ones included, and ``rare_failures`` every exact-k trial, each
 on its own, repeats included.  ``real_time_chain`` is the chain's bypass and
 admission rule written as separate checks, the residual's ``fits`` among
-them.  The two graph builders are fixtures, not references: graphs whose
-priors differ from the one uniform ``p`` the package builds.  The helpers
-at the end serve the tests only: ``graph_from_json`` reads what
+them.  The weighted references count one hop per edge: every edge of a
+built graph flips with the graph's one ``p`` and so weighs the same.  The
+helpers at the end serve the tests only: ``graph_from_json`` reads what
 ``DetectorGraph.to_json`` writes, ``predecode_result_to_json`` serialises a
 predecode for digests, and ``oracle_mwpm`` and ``chain_length_counts`` run
 the exact matcher on a whole syndrome.  ``reference_scan`` and
@@ -30,7 +30,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
@@ -44,17 +43,17 @@ from surfmatch.predecoder import Prematch, Step
 
 
 def heap_dijkstra(graph, src: int):
-    """Distances and parent pointers from one detector, boundary excluded."""
-    dist = {src: 0.0}
+    """Hop distances and parent pointers from one detector, boundary excluded."""
+    dist = {src: 0}
     parent = {src: None}
-    pq = [(0.0, src)]
+    pq = [(0, src)]
     while pq:
         d, u = heapq.heappop(pq)
         if d > dist.get(u, math.inf):
             continue
-        for v, eid in graph.detector_neighbors[u]:
-            nd = d + graph.edges[eid].weight
-            if nd < dist.get(v, math.inf) - 1e-15:
+        for v, _ in graph.detector_neighbors[u]:
+            nd = d + 1
+            if nd < dist.get(v, math.inf):
                 dist[v] = nd
                 parent[v] = u
                 heapq.heappush(pq, (nd, v))
@@ -92,17 +91,16 @@ def apsp_weights(graph):
 
 
 def cheapest_boundary_edge(graph, u: int):
-    """(weight, edge id) of u's cheapest direct boundary edge, or None."""
-    best = None
-    for eid in graph.boundary_edges_of(u):
-        w = graph.edges[eid].weight
-        if best is None or w < best[0]:
-            best = (w, eid)
-    return best
+    """(hops, edge id) of u's cheapest direct boundary edge, or None.
+
+    Every edge weighs one hop, so that is u's first boundary edge.
+    """
+    eids = graph.boundary_edges_of(u)
+    return (1, eids[0]) if eids else None
 
 
-def boundary_route_weight(graph, dist_from_i: dict) -> float:
-    """Cheapest detour-to-boundary weight given one Dijkstra row."""
+def boundary_route_weight(graph, dist_from_i: dict) -> int:
+    """Fewest hops of a detour to the boundary given one Dijkstra row."""
     best = math.inf
     for t, d in dist_from_i.items():
         direct = cheapest_boundary_edge(graph, t)
@@ -112,7 +110,7 @@ def boundary_route_weight(graph, dist_from_i: dict) -> float:
 
 
 def enumerate_simple_path_weights(graph, i: int, j: int, max_edges: int = 6):
-    """Total weights of every simple detector path from i to j (DFS)."""
+    """Hop counts of every simple detector path from i to j (DFS)."""
     weights = []
 
     def walk(u, seen, acc, depth):
@@ -121,11 +119,11 @@ def enumerate_simple_path_weights(graph, i: int, j: int, max_edges: int = 6):
             return
         if depth == max_edges:
             return
-        for v, eid in graph.detector_neighbors[u]:
+        for v, _ in graph.detector_neighbors[u]:
             if v not in seen:
-                walk(v, seen | {v}, acc + graph.edges[eid].weight, depth + 1)
+                walk(v, seen | {v}, acc + 1, depth + 1)
 
-    walk(i, {i}, 0.0, 0)
+    walk(i, {i}, 0, 0)
     return weights
 
 
@@ -192,7 +190,7 @@ def exact_matching(nodes, pair_weight, boundary_weight):
                         (abs(w - best[0]) <= 1e-12 and canon < best[1]):
                     best = (w, canon, pairing, bnd)
     if best is None:
-        return (0.0, (), (), count)
+        return (0, (), (), count)
     w, _, pairs, bnd = best
     return (w, tuple(tuple(sorted(p)) for p in pairs), tuple(sorted(bnd)), count)
 
@@ -263,7 +261,7 @@ def enumerate_mwpm(flipped, table, hw_cap: int = DEFAULT_HW_CAP,
         correction ^= set(reconstruct_path(table, a, b))
     for a in boundary:
         correction ^= set(reconstruct_boundary_path(table, a))
-    total = 0.0 if m == 0 else state["best"] * table.edge_weight
+    total = 0 if m == 0 else state["best"]
     return MatchingSet(pairs, boundary, total, frozenset(correction),
                        state["count"])
 
@@ -333,7 +331,7 @@ def _creates_singleton(sub, i: int, j: int) -> bool:
     return di > 0 or dj > 0
 
 
-def reference_scan(sub, graph):
+def reference_scan(sub):
     """The per-edge candidate scan that ``scan_candidates`` replaced.
 
     One pass in edge id order that counts dependents per node for every
@@ -344,7 +342,7 @@ def reference_scan(sub, graph):
         u, v = sub.edges[eid]
         du, dv = len(sub.adj[u]), len(sub.adj[v])
         if du == 1 and dv == 1:
-            batch.append(Prematch(u, v, Step.S1, (eid,), graph.edges[eid].weight))
+            batch.append(Prematch(u, v, Step.S1, (eid,)))
         elif not batch:
             if _creates_singleton(sub, u, v):
                 step = Step.S4_1 if min(du, dv) == 1 else Step.S4_2
@@ -353,7 +351,7 @@ def reference_scan(sub, graph):
             first.setdefault(step, eid)
     if batch:
         return batch, {}
-    return batch, {step: Prematch(*sub.edges[eid], step, (eid,), graph.edges[eid].weight)
+    return batch, {step: Prematch(*sub.edges[eid], step, (eid,))
                    for step, eid in first.items()}
 
 
@@ -374,9 +372,8 @@ def reference_step3(sub, table):
                 best = (s, t, h)
     if best is None:
         return None, examined
-    s, t, h = best
-    return (Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t)),
-                     h * table.edge_weight), examined)
+    s, t, _ = best
+    return Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t))), examined
 
 
 def observable_parity(graph, edge_ids) -> int:
@@ -387,8 +384,8 @@ def observable_parity(graph, edge_ids) -> int:
     return par
 
 
-def matching_failure(graph, syndrome) -> tuple[float, bool]:
-    """(weight, failure) of an exact matcher built only from this module.
+def matching_failure(graph, syndrome) -> tuple[int, bool]:
+    """(hops, failure) of an exact matcher built only from this module.
 
     Pair costs come from this module's own Dijkstra; correction parity from
     its own parent-pointer walks.  Only the graph itself is shared with the
@@ -418,7 +415,7 @@ def matching_failure(graph, syndrome) -> tuple[float, bool]:
             if direct is None:
                 continue
             w = d + direct[0]
-            if best is None or w < best[0] - 1e-15:
+            if best is None or w < best[0]:
                 best = (w, t, direct[1])
         return best
 
@@ -462,8 +459,8 @@ def per_trial_stream(master_seed: int, path: tuple, n: int, draw) -> list:
 
 def iid_errors(graph, rng) -> ErrorSet:
     """One i.i.d. trial drawn on its own: ``rng.random(n_edges)`` compared
-    with the priors, the sampler the package had before it drew blocks."""
-    hits = np.nonzero(rng.random(graph.n_edges) < graph.edge_probabilities)[0]
+    with ``graph.p``, the sampler the package had before it drew blocks."""
+    hits = np.nonzero(rng.random(graph.n_edges) < graph.p)[0]
     return ErrorSet(frozenset(int(i) for i in hits))
 
 
@@ -504,33 +501,13 @@ def real_time_chain(syndrome, predecoder: str, pcfg, predecode):
     return pre, not pre.aborted and pcfg.fits(pre.residual.hamming_weight, pre.cycles)
 
 
-def with_edge_probabilities(graph, overrides: dict) -> DetectorGraph:
-    """A copy of ``graph`` with the priors of some edges replaced."""
-    edges = []
-    for e in graph.edges:
-        if e.id in overrides:
-            q = overrides[e.id]
-            if not 0.0 < q < 0.5:
-                raise ValueError(f"edge probability must be in (0, 0.5), got {q}")
-            e = replace(e, probability=q, weight=-math.log(q))
-        edges.append(e)
-    return DetectorGraph(graph.distance, graph.rounds, graph.p, graph.nodes,
-                         edges, graph.boundary_id)
-
-
-def at_rate(graph, p: float) -> DetectorGraph:
-    """``graph`` with every prior set to ``p``: ``sample_iid`` on it draws
-    i.i.d. flips at rate ``p`` over the same edge ids."""
-    return with_edge_probabilities(graph, dict.fromkeys(range(graph.n_edges), p))
-
-
 def graph_from_json(text: str) -> DetectorGraph:
     """The graph ``DetectorGraph.to_json`` wrote, validated."""
     doc = json.loads(text)
     nodes = [Detector(n["id"], (n["x"], n["y"]), n["round"]) for n in doc["nodes"]]
     boundary_id = len(nodes)
     edges = [Edge(e["id"], e["u"], boundary_id if e["v"] == BOUNDARY_JSON_ID else e["v"],
-                  e["prob"], e["weight"], bool(e["obs"]))
+                  bool(e["obs"]))
              for e in doc["edges"]]
     graph = DetectorGraph(doc["distance"], doc["rounds"], doc["p"], nodes, edges,
                           boundary_id)
@@ -538,12 +515,18 @@ def graph_from_json(text: str) -> DetectorGraph:
     return graph
 
 
-def predecode_result_to_json(result) -> str:
-    """Prematches, residual, cycles and abort flag of a predecode, as JSON."""
+def predecode_result_to_json(result, p: float) -> str:
+    """Prematches, residual, cycles and abort flag of a predecode, as JSON.
+
+    Each prematch's weight is written as its hops times -ln p, the float
+    the predecoder once stored with it, so digests taken then still hold.
+    """
+    unit = -math.log(p)
     return json.dumps({
         "prematches": [
             {"a": pm.a, "b": pm.b, "step": pm.step.value,
-             "weight": pm.weight, "edges": list(pm.correction_edges)}
+             "weight": len(pm.correction_edges) * unit,
+             "edges": list(pm.correction_edges)}
             for pm in result.prematches
         ],
         "residual": sorted(result.residual.flipped),

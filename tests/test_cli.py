@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 
 import pytest
 
-from surfmatch import MAX_HW_CAP, build_decoding_graph
+from surfmatch import (MAX_HW_CAP, ExperimentConfig, build_decoding_graph,
+                       inject_k_errors, run_chain, syndrome_from_errors, trial_seed)
 from surfmatch.cli import main
 
 from oracles import graph_from_json
@@ -27,6 +29,8 @@ def test_build_graph_stdout(capsys):
     assert doc["schema_version"] == 1
     assert len(doc["nodes"]) == 8
     assert any(e["v"] == -1 for e in doc["edges"])
+    # p is written once, at the top; an edge has no prior or weight of its own
+    assert all(set(e) == {"id", "u", "v", "obs"} for e in doc["edges"])
     graph = graph_from_json(out)
     assert (graph.distance, graph.rounds, graph.p) == (3, 2, 0.01)
 
@@ -154,6 +158,30 @@ def test_decode_rejects_out_of_range_detector_ids(capsys, predecoder, flipped):
                              "--flipped", flipped)
     assert code == 2 and out == ""
     assert err == "error: flipped ids outside detector range: [999]\n"
+
+
+@pytest.mark.parametrize("flag", ["--errors", "--flipped"])
+def test_decode_refuses_repeated_ids(capsys, flag):
+    # two flips of one edge cancel, and a detector is flipped once or not
+    # at all, so a repeated id is refused rather than read as a set
+    code, out, err = run_cli(capsys, "decode", "--distance", "3", flag, "3,1,3")
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} repeats ids [3]\n"
+
+
+@pytest.mark.parametrize("k", [1, 6, 14])
+def test_decode_weight_is_hops_times_minus_log_p(capsys, k):
+    p = 0.004
+    code, out, _ = run_cli(capsys, "decode", "--distance", "5", "--p", str(p),
+                           "--inject-k", str(k), "--seed", "3")
+    assert code == 0
+    cfg = ExperimentConfig(distance=5, p=p, k_max=0)
+    graph, table = cfg.build()
+    errors = inject_k_errors(graph, k, trial_seed(3, 0, k))
+    rec = run_chain(graph, table, syndrome_from_errors(graph, errors), cfg)
+    hops = rec.outcome.total_weight
+    assert type(hops) is int and hops > 0
+    assert json.loads(out)["weight"] == hops * -math.log(p)
 
 
 # --------------------------------------------------------- estimate-ler

@@ -1,15 +1,15 @@
 import json
-import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from surfmatch import (BOUNDARY_JSON_ID, ExperimentConfig, build_decoding_graph,
-                       build_path_table, reconstruct_boundary_path, reconstruct_path)
+from surfmatch import (BOUNDARY_JSON_ID, Edge, build_decoding_graph,
+                       reconstruct_boundary_path, reconstruct_path)
 
 from oracles import (apsp_weights, bfs_boundary_hops, bfs_hops,
                      boundary_route_weight, enumerate_simple_path_weights,
-                     graph_from_json, heap_dijkstra, with_edge_probabilities)
+                     graph_from_json, heap_dijkstra)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
@@ -48,10 +48,10 @@ def test_timelike_edges_connect_same_check(g5):
         assert g5.nodes[e.v].round == g5.nodes[e.u].round + 1
 
 
-def test_uniform_weights(g3):
-    w = -math.log(g3.p)
-    assert np.allclose([e.weight for e in g3.edges], w)
-    assert np.allclose(g3.edge_probabilities, g3.p)
+def test_uniform_weights():
+    # p is stored once, on the graph; an edge carries no prior or weight of
+    # its own, so every edge weighs the same and a path weighs its hops.
+    assert [f.name for f in fields(Edge)] == ["id", "u", "v", "flips_observable"]
 
 
 def test_triangle_free(g5):
@@ -92,48 +92,24 @@ def test_json_round_trip(g3):
     assert g2.to_json() == g3.to_json()
 
 
-def test_from_json_rejects_corrupt_weight(g32):
+def test_from_json_rejects_corrupt_p(g32):
     doc = json.loads(g32.to_json())
-    doc["edges"][0]["weight"] = 1.0
-    with pytest.raises(ValueError):
-        graph_from_json(json.dumps(doc))
-
-
-def test_with_edge_probabilities(g32):
-    g2 = with_edge_probabilities(g32, {0: 0.2})
-    assert g2.edges[0].probability == 0.2
-    assert g2.edges[0].weight == pytest.approx(-math.log(0.2))
-    assert g32.edges[0].probability == 0.01  # original untouched
-    assert g2.edges[1] == g32.edges[1]
-    g2.validate()
-    with pytest.raises(ValueError):
-        with_edge_probabilities(g32, {0: 0.5})
-    with pytest.raises(ValueError):
-        with_edge_probabilities(g32, {0: 0.0})
-
-
-def test_build_path_table_rejects_non_uniform_priors(g32):
-    # a path weighs its hops times -ln p only under one uniform prior, the
-    # one rule the config check applies too
-    graph = with_edge_probabilities(g32, {0: 0.02})
-    cfg = ExperimentConfig(distance=3, rounds=2, p=0.01)
-    for check in (build_path_table, cfg.validate):
-        with pytest.raises(ValueError, match="every edge prior must equal"):
-            check(graph)
+    for bad in (0.0, 0.5, float("nan")):
+        doc["p"] = bad
+        with pytest.raises(ValueError, match="p must be in"):
+            graph_from_json(json.dumps(doc))
 
 
 def test_path_table_holds_hop_counts(g5, pt5):
     assert pt5.hops.dtype == pt5.boundary_hops.dtype == np.int16
     assert pt5.hops.shape == (g5.n_detectors, g5.n_detectors)
-    assert pt5.edge_weight == -math.log(g5.p)
 
 
 def test_path_table_matches_independent_dijkstra(g32, pt32):
     oracle = apsp_weights(g32)
     for i in range(g32.n_detectors):
         for j in range(g32.n_detectors):
-            assert pt32.hops[i, j] * pt32.edge_weight == pytest.approx(oracle[i][j],
-                                                                       abs=1e-12)
+            assert pt32.hops[i, j] == oracle[i][j]
 
 
 def test_path_table_sampled_rows_d5(g5, pt5):
@@ -141,36 +117,32 @@ def test_path_table_sampled_rows_d5(g5, pt5):
     for i in rng.choice(g5.n_detectors, size=6, replace=False):
         dist, _ = heap_dijkstra(g5, int(i))
         for j in range(g5.n_detectors):
-            assert pt5.hops[i, j] * pt5.edge_weight == pytest.approx(dist[j], abs=1e-12)
+            assert pt5.hops[i, j] == dist[j]
 
 
 def test_boundary_weights_match_oracle(g3, pt3):
     for i in range(g3.n_detectors):
         dist, _ = heap_dijkstra(g3, i)
-        assert pt3.boundary_hops[i] * pt3.edge_weight == pytest.approx(
-            boundary_route_weight(g3, dist), abs=1e-12)
+        assert pt3.boundary_hops[i] == boundary_route_weight(g3, dist)
 
 
 def test_two_spacelike_steps_weight(g32, pt32):
-    # Frozen derived value: on the d=3, rounds=2, p=0.01 graph a pair of
-    # detectors two spacelike steps apart costs exactly 2 * (-ln 0.01).
-    expect = 2 * (-math.log(0.01))
+    # On the d=3, rounds=2 graph a pair of detectors two spacelike steps
+    # apart weighs exactly two hops.
     found = False
     for i in range(g32.n_detectors):
         hops = bfs_hops(g32, i)
         for j in range(i + 1, g32.n_detectors):
             if g32.nodes[i].round == g32.nodes[j].round and hops[j] == 2:
                 assert len(reconstruct_path(pt32, i, j)) == pt32.hops[i, j] == 2
-                assert 2 * pt32.edge_weight == pytest.approx(9.210340371976182)
                 # cross-check against exhaustive path enumeration
                 all_paths = enumerate_simple_path_weights(g32, i, int(j))
-                assert min(all_paths) == pytest.approx(expect, rel=1e-12)
+                assert min(all_paths) == 2
                 found = True
     assert found
 
 
 def test_adjacent_pair_weight_and_hops(g32, pt32):
-    assert pt32.edge_weight == -math.log(g32.p)
     for e in g32.edges:
         if e.v == g32.boundary_id:
             continue
@@ -215,8 +187,6 @@ def test_reconstruct_path_consistency(g5, pt5):
     for _ in range(200):
         i, j = rng.choice(g5.n_detectors, size=2, replace=False)
         path = reconstruct_path(pt5, int(i), int(j))
-        total = sum(g5.edges[eid].weight for eid in path)
-        assert total == pytest.approx(pt5.hops[i, j] * pt5.edge_weight, rel=1e-9)
         assert len(path) == pt5.hops[i, j] == bfs_hops(g5, int(i))[int(j)]
         assert _walk_endpoints(g5, path, int(i)) == int(j)
 
@@ -229,8 +199,6 @@ def test_reconstruct_path_rejects_self(pt3):
 def test_reconstruct_boundary_path(g3, pt3):
     for i in range(g3.n_detectors):
         path = reconstruct_boundary_path(pt3, i)
-        total = sum(g3.edges[eid].weight for eid in path)
-        assert total == pytest.approx(pt3.boundary_hops[i] * pt3.edge_weight, rel=1e-9)
         assert g3.edges[path[-1]].v == g3.boundary_id
         assert len(path) == pt3.boundary_hops[i] == bfs_boundary_hops(g3, i)
         end = _walk_endpoints(g3, path[:-1], i)

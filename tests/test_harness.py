@@ -19,7 +19,7 @@ from surfmatch import (GREEDY_LABEL, MAX_HW_CAP, ErrorSet, ExperimentConfig,
 from surfmatch.harness import _high_hw_corpus
 
 from oracles import (block_stream, direct_failures, iid_errors, per_trial_stream,
-                     rare_failures, real_time_chain, with_edge_probabilities)
+                     rare_failures, real_time_chain)
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -96,18 +96,6 @@ def test_config_rejects_graph_of_another_config(graph_args, chain_calls):
     for run in (run_direct, run_rare_event, report_hw_distribution):
         with pytest.raises(ValueError, match="does not match"):
             run(cfg, graph, table)
-    assert chain_calls == []
-
-
-def test_config_rejects_non_uniform_priors(g32, pt32, chain_calls):
-    cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=4,
-                           shots_per_k=10, shots_direct=10)
-    graph = with_edge_probabilities(g32, {0: 0.02})
-    with pytest.raises(ValueError, match="prior"):
-        cfg.validate(graph)
-    for run in (run_direct, run_rare_event, report_latency):
-        with pytest.raises(ValueError, match="prior"):
-            run(cfg, graph, pt32)
     assert chain_calls == []
 
 

@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -10,12 +9,10 @@ from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Syndrome,
                        sample_iid, syndrome_from_errors, trial_seed)
 from surfmatch.graph import PathTable, build_path_table
 
-from oracles import (at_rate, double_factorial, enumerate_mwpm, exact_matching,
+from oracles import (double_factorial, enumerate_mwpm, exact_matching,
                      involutions, observable_parity)
 from patterns import (boundary_edge_ids, find_adjacent_pair,
                       find_disjoint_pairs, find_induced_chain)
-
-W = -math.log(0.01)
 
 
 def syndrome_of(nodes, obs=0):
@@ -100,7 +97,7 @@ def test_two_node_pair_versus_boundary(g32):
     out = brute_force_mwpm((u, v), table)
     assert out.pairs == ((u, v),)
     assert out.boundary_matches == ()
-    assert out.total_weight == W
+    assert out.total_weight == 1
 
     # at 2 hops apart the pair ties the two boundary matches, and the pair,
     # tried first, keeps it; at 3 the two boundary matches win
@@ -109,7 +106,7 @@ def test_two_node_pair_versus_boundary(g32):
         hops[u, v] = hops[v, u] = pair_hops
         out = brute_force_mwpm((u, v), with_hops(table, hops, table.boundary_hops))
         assert (out.pairs, out.boundary_matches) == (pairs, boundary)
-        assert out.total_weight == 2 * W
+        assert out.total_weight == 2
 
 
 def test_matches_exhaustive_oracle(g3, pt3):
@@ -124,19 +121,19 @@ def test_matches_exhaustive_oracle(g3, pt3):
             lambda a, b: int(pt3.hops[a, b]),
             lambda a: int(pt3.boundary_hops[a]),
         )
-        assert got.total_weight == hops * pt3.edge_weight
+        assert got.total_weight == hops
         assert got.enumerated == count
         assert pair_sets(got) == ({frozenset(p) for p in pairs}, bnd)
 
 
 def test_tie_break_prefers_lex_smallest_pairs(g32, pt32):
-    # chordless 4-cycle: pairing along either parallel side costs 2W, and
+    # chordless 4-cycle: pairing along either parallel side costs 2 hops, and
     # the canonical choice pairs the lowest node with its lowest partner
     u, v = find_adjacent_pair(g32)
     per_round = g32.n_detectors // g32.rounds
     up, vp = u + per_round, v + per_round
     out = brute_force_mwpm((u, v, up, vp), pt32)
-    assert out.total_weight == pytest.approx(2 * W)
+    assert out.total_weight == 2
     assert out.pairs == ((u, v), (up, vp))
     assert out.boundary_matches == ()
 
@@ -228,7 +225,7 @@ def test_equals_enumeration_all_ties(g5, pt5):
                                                 allow_boundary)
                 srt = sorted(nodes)
                 assert got.pairs == tuple(zip(srt[::2], srt[1::2]))
-                assert got.total_weight == 10 * pt5.edge_weight
+                assert got.total_weight == 10
 
 
 def test_skip_of_boundary_dominated_pairs_equals_enumeration(g5, pt5):
@@ -265,7 +262,7 @@ def test_skip_of_boundary_dominated_pairs_equals_enumeration(g5, pt5):
         nodes = sorted(rng.choice(n, hw, replace=False).tolist())
         got = assert_equals_enumeration(nodes, table, 10, True)
         assert (got.pairs, got.boundary_matches) == ((), tuple(nodes))
-        assert got.total_weight == hw * pt5.edge_weight
+        assert got.total_weight == hw
         got = assert_equals_enumeration(nodes, table, 10, False)
         if hw % 2 == 0:
             assert got.pairs == tuple(zip(nodes[::2], nodes[1::2]))
@@ -324,7 +321,7 @@ def test_decode_empty_syndrome(g3, pt3):
     out = decode(g3, pt3, syndrome_of(()))
     assert not out.logical_failure
     assert out.predicted_observable == 0
-    assert out.total_weight == 0.0
+    assert out.total_weight == 0
     assert out.correction_edges == frozenset()
     assert out.cycles_total == 1  # one modeled matching: the empty one
     assert out.matching.enumerated == 1
@@ -339,7 +336,7 @@ def test_decode_single_boundary_error_each_side(g3, pt3):
         out = decode(g3, pt3, syn)
         assert not out.logical_failure
         assert out.predicted_observable == syn.true_observable
-        assert out.total_weight == pytest.approx(W)
+        assert out.total_weight == 1
 
 
 def test_decode_self_consistency(g3, pt3):
@@ -347,7 +344,7 @@ def test_decode_self_consistency(g3, pt3):
     # and the failure flag must equal the observable parity of the
     # residual error loop
     rng = make_rng(31)
-    hot = at_rate(g3, 0.02)
+    hot = build_decoding_graph(3, 3, 0.02)
     checked = 0
     for _ in range(400):
         errors = sample_iid(hot, rng)[0]
@@ -365,7 +362,7 @@ def test_decode_self_consistency(g3, pt3):
 
 def test_decode_weight_is_oracle_minimum(g3, pt3):
     rng = make_rng(37)
-    hot = at_rate(g3, 0.02)
+    hot = build_decoding_graph(3, 3, 0.02)
     for _ in range(60):
         errors = sample_iid(hot, rng)[0]
         syn = syndrome_from_errors(g3, errors)
@@ -377,7 +374,7 @@ def test_decode_weight_is_oracle_minimum(g3, pt3):
             lambda a, b: int(pt3.hops[a, b]),
             lambda a: int(pt3.boundary_hops[a]),
         )
-        assert out.total_weight == hops * pt3.edge_weight
+        assert out.total_weight == hops
 
 
 # ----------------------------------------------- predecode hand-off
@@ -392,7 +389,7 @@ def test_decode_after_predecode_six_pairs(g5, pt5):
     assert not out.logical_failure
     assert out.matching.enumerated == 1
     assert out.prematches == pre.prematches
-    assert out.total_weight == pytest.approx(6 * -math.log(g5.p))
+    assert out.total_weight == 6
     assert out.cycles_total == pre.cycles + 1
     assert out.correction_edges == frozenset(
         g5.edge_between(*p).id for p in pairs)

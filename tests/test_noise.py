@@ -14,7 +14,7 @@ from surfmatch import (ErrorSet, Syndrome, build_decoding_graph, inject_k_errors
                        sample_iid, syndrome_from_errors, trial_seed)
 from surfmatch.noise import log_occurrence_probability
 
-from oracles import at_rate, iid_errors, log_binom_pmf
+from oracles import iid_errors, log_binom_pmf
 from patterns import boundary_edge_ids, find_adjacent_pair
 
 
@@ -30,7 +30,7 @@ def test_sample_iid_mean(g3):
 
 
 def test_sample_iid_deterministic(g3):
-    hot = at_rate(g3, 0.3)
+    hot = build_decoding_graph(3, 3, 0.3)
     a = sample_iid(hot, trial_seed(7, 1, 0))
     b = sample_iid(hot, trial_seed(7, 1, 0))
     c = sample_iid(hot, trial_seed(7, 1, 1))
@@ -41,7 +41,7 @@ def test_sample_iid_deterministic(g3):
 @pytest.mark.parametrize("d", [3, 5, 11])
 @pytest.mark.parametrize("p", [1e-3, 0.05, 0.3])
 def test_sample_iid_block_equals_successive_draws(d, p):
-    graph = at_rate(build_decoding_graph(d, d, 1e-3), p)
+    graph = build_decoding_graph(d, d, p)
     chunk = noise._DRAW_DOUBLES // graph.n_edges
     assert 1 < chunk < 1024  # a 1024-trial block spans several draws
     # counts ending inside, exactly on and one past a draw's chunk boundary

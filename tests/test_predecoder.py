@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 from surfmatch import predecoder
 from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Step, Syndrome,
-                       adaptive_predecode, build_subgraph, creates_singleton,
+                       adaptive_predecode, build_decoding_graph, build_path_table,
+                       build_subgraph, creates_singleton, greedy_baseline,
                        inject_k_errors, make_rng, sample_iid, scan_candidates,
                        step3_singleton_path,
                        syndrome_from_errors, trial_seed)
-from oracles import (at_rate, bfs_hops, brute_step3, induced_neighbors,
+from oracles import (bfs_hops, brute_step3, induced_neighbors,
                      predecode_result_to_json, reference_scan, reference_step3,
                      removal_strands)
 from patterns import (find_adjacent_pair, find_disjoint_chains,
                       find_disjoint_pairs, find_induced_chain,
                       find_star_with_tail, find_two_hop_singletons)
-
-W = -math.log(0.01)  # uniform edge weight at p=0.01
 
 
 def syndrome_of(nodes, obs=0):
@@ -39,7 +38,7 @@ def test_subgraph_empty(g3):
     assert sub.adj == {}
     assert sub.edges == {}
     assert sub.singletons() == set()
-    assert scan_candidates(sub, g3) == ([], {})
+    assert scan_candidates(sub) == ([], {})
 
 
 def test_subgraph_rejects_bad_ids(g3):
@@ -56,10 +55,9 @@ def test_subgraph_adjacent_pair(g3):
     assert {i: len(sub.adj[i]) for i in sub.nodes} == {u: 1, v: 1}
     assert sub.dependent_counts() == {u: 1, v: 1}
     assert sub.singletons() == set()
-    batch, regs = scan_candidates(sub, g3)
+    batch, regs = scan_candidates(sub)
     [pm] = batch
     assert (pm.a, pm.b, pm.step, pm.correction_edges) == (*sorted((u, v)), Step.S1, (eid,))
-    assert pm.weight == pytest.approx(W)
     assert regs == {}
 
 
@@ -79,7 +77,7 @@ def test_remove_pair_matches_fresh_build(name, request):
     rng = make_rng(29)
     removals = 0
     for p in (0.03, 0.06, 0.12):
-        hot = at_rate(graph, p)
+        hot = build_decoding_graph(graph.distance, graph.rounds, p)
         for _ in range(60):
             errors = sample_iid(hot, rng)[0]
             sub = build_subgraph(graph, syndrome_from_errors(graph, errors))
@@ -133,7 +131,7 @@ def test_creates_singleton_four_chain(g3):
 
 def test_creates_singleton_matches_removal_oracle(g3):
     rng = make_rng(11)
-    hot = at_rate(g3, 0.12)
+    hot = build_decoding_graph(3, 3, 0.12)
     checked = 0
     for _ in range(300):
         errors = sample_iid(hot, rng)[0]
@@ -151,7 +149,7 @@ def test_creates_singleton_matches_removal_oracle(g3):
 def test_scan_batches_six_isolated_pairs(g5):
     pairs = find_disjoint_pairs(g5, 6)
     sub = build_subgraph(g5, syndrome_of({u for p in pairs for u in p}))
-    batch, regs = scan_candidates(sub, g5)
+    batch, regs = scan_candidates(sub)
     assert len(batch) == 6
     assert {(pm.a, pm.b) for pm in batch} == {tuple(sorted(p)) for p in pairs}
     assert all(pm.step is Step.S1 for pm in batch)
@@ -166,17 +164,17 @@ def test_scan_batch_leaves_registers_empty(g5):
     # chain's edges, which would fill S4_1, are not classified
     pair, chain = find_disjoint_chains(g5, 2, 3)
     sub = build_subgraph(g5, syndrome_of({*pair[:2], *chain}))
-    batch, regs = scan_candidates(sub, g5)
+    batch, regs = scan_candidates(sub)
     assert [(pm.a, pm.b, pm.step) for pm in batch] == [(*sorted(pair[:2]), Step.S1)]
     assert regs == {}
     sub.remove_pair(*pair[:2])
-    batch, regs = scan_candidates(sub, g5)
+    batch, regs = scan_candidates(sub)
     assert batch == [] and set(regs) == {Step.S4_1}
 
 
 def test_scan_skips_lone_singleton(g3):
     sub = build_subgraph(g3, syndrome_of({0}))
-    assert scan_candidates(sub, g3) == ([], {})
+    assert scan_candidates(sub) == ([], {})
     assert sub.nodes == {0}
 
 
@@ -186,7 +184,7 @@ def test_scan_skips_lone_singleton(g3):
 def test_scan_four_chain_registers(g3):
     v1, v2, v3, v4 = find_induced_chain(g3, 4)
     sub = build_subgraph(g3, syndrome_of({v1, v2, v3, v4}))
-    batch, regs = scan_candidates(sub, g3)
+    batch, regs = scan_candidates(sub)
     end_ids = sorted((g3.edge_between(v1, v2).id, g3.edge_between(v3, v4).id))
     assert batch == []
     assert set(regs) == {Step.S2_1, Step.S4_2}
@@ -198,7 +196,7 @@ def test_scan_four_chain_registers(g3):
 def test_scan_three_chain_registers(g3):
     v1, v2, v3 = find_induced_chain(g3, 3)
     sub = build_subgraph(g3, syndrome_of({v1, v2, v3}))
-    batch, regs = scan_candidates(sub, g3)
+    batch, regs = scan_candidates(sub)
     # both edges strand the opposite end; no safe move exists
     assert batch == [] and set(regs) == {Step.S4_1}
     ids = sorted((g3.edge_between(v1, v2).id, g3.edge_between(v2, v3).id))
@@ -212,7 +210,7 @@ def test_scan_four_cycle_is_s2_2(g32):
     quad = {u, v, u + per_round, v + per_round}
     sub = build_subgraph(g32, syndrome_of(quad))
     assert all(len(sub.adj[i]) == 2 for i in sub.nodes)
-    batch, regs = scan_candidates(sub, g32)
+    batch, regs = scan_candidates(sub)
     assert batch == [] and set(regs) == {Step.S2_2}
     assert regs == {Step.S2_2: min(sub.edges)}
 
@@ -221,11 +219,11 @@ def test_scan_register_holds_first_edge_in_id_order(g5):
     # each register holds the lowest-id edge of its category, with the
     # categories found by simulated removal rather than the scan's counts
     rng = make_rng(19)
-    hot = at_rate(g5, 0.04)
+    hot = build_decoding_graph(5, 5, 0.04)
     filled = dict.fromkeys((Step.S2_1, Step.S2_2, Step.S4_1, Step.S4_2), 0)
     for _ in range(400):
         sub = build_subgraph(g5, syndrome_from_errors(g5, sample_iid(hot, rng)[0]))
-        batch, regs = scan_candidates(sub, g5)
+        batch, regs = scan_candidates(sub)
         if batch:
             continue
         nbrs = induced_neighbors(g5, set(sub.nodes))
@@ -241,9 +239,8 @@ def test_scan_register_holds_first_edge_in_id_order(g5):
         assert regs == first
         for step, eid in first.items():
             # the prematch a round would build from this register
-            pm = predecoder._edge_prematch(sub, g5, regs[step], step)
+            pm = predecoder._edge_prematch(sub, regs[step], step)
             assert (pm.a, pm.b, pm.step, pm.correction_edges) == (*sub.edges[eid], step, (eid,))
-            assert pm.weight == -math.log(g5.p)
             filled[step] += 1
     assert min(filled.values()) > 5
 
@@ -252,7 +249,7 @@ def test_scan_empty_registers_without_edges(g3):
     s, t = 0, g3.n_detectors - 1
     assert g3.edge_between(s, t) is None
     sub = build_subgraph(g3, syndrome_of({s, t}))
-    assert scan_candidates(sub, g3) == ([], {})
+    assert scan_candidates(sub) == ([], {})
 
 
 # ------------------------------------------------------------- step 3
@@ -264,8 +261,7 @@ def test_step3_two_hop_pair_frozen_weight(g32, pt32):
     assert sub.singletons() == {s, t}
     pm, _ = step3_singleton_path(sub, pt32)
     assert (pm.a, pm.b, pm.step) == (s, t, Step.S3)
-    assert len(pm.correction_edges) == 2
-    assert pm.weight == pytest.approx(9.210340371976182, rel=1e-15)
+    assert len(pm.correction_edges) == pt32.hops[s, t] == 2
     covered = syndrome_from_errors(g32, ErrorSet(frozenset(pm.correction_edges)))
     assert covered.flipped == {s, t}
 
@@ -281,13 +277,13 @@ def test_step3_six_node_instance(g5, pt5):
     assert examined == 2 * 5  # both singletons try every other node
     # chain ends are legal partners (stranding nobody) but cost 3+ edges
     assert (pm.a, pm.b) == tuple(sorted((s, t)))
-    assert pm.weight == 2 * pt5.edge_weight
+    assert len(pm.correction_edges) == 2
     assert (pm.a, pm.b, len(pm.correction_edges)) == brute_step3(g5, sub, pt5)
 
 
 def test_step3_agrees_with_brute_force(g3, pt3):
     rng = make_rng(17)
-    hot = at_rate(g3, 0.05)
+    hot = build_decoding_graph(3, 3, 0.05)
     seen = 0
     for _ in range(300):
         errors = sample_iid(hot, rng)[0]
@@ -300,7 +296,7 @@ def test_step3_agrees_with_brute_force(g3, pt3):
             assert pm is None
             continue
         s, t, hops = expect
-        assert (pm.a, pm.b, pm.weight) == (s, t, hops * pt3.edge_weight)
+        assert (pm.a, pm.b, len(pm.correction_edges)) == (s, t, hops)
         seen += 1
     assert seen > 30
 
@@ -319,7 +315,7 @@ def test_build_subgraph_equals_induced_neighbors(d, request):
     graph = request.getfixturevalue(f"g{d}")
     rng = make_rng(37)
     for p in (0.03, 0.06, 0.12):
-        hot = at_rate(graph, p)
+        hot = build_decoding_graph(graph.distance, graph.rounds, p)
         for _ in range(100):
             syn = syndrome_from_errors(graph, sample_iid(hot, rng)[0])
             sub = build_subgraph(graph, syn)
@@ -342,12 +338,12 @@ def test_scan_and_step3_equal_reference_on_every_round(d, request, monkeypatch):
     scan, step3 = predecoder.scan_candidates, predecoder.step3_singleton_path
     seen = Counter()
 
-    def checked_scan(sub, g):
-        batch, regs = scan(sub, g)
-        ref_batch, ref_regs = reference_scan(sub, g)
+    def checked_scan(sub):
+        batch, regs = scan(sub)
+        ref_batch, ref_regs = reference_scan(sub)
         assert batch == ref_batch
         assert regs == {step: pm.correction_edges[0] for step, pm in ref_regs.items()}
-        assert {step: predecoder._edge_prematch(sub, g, eid, step)
+        assert {step: predecoder._edge_prematch(sub, eid, step)
                 for step, eid in regs.items()} == ref_regs
         s3 = step3(sub, table)
         assert s3 == reference_step3(sub, table)
@@ -361,7 +357,7 @@ def test_scan_and_step3_equal_reference_on_every_round(d, request, monkeypatch):
     cfg = PredecodeConfig(main_hw_cap=1, budget_ns=1e9)
     rng = make_rng(41 + d)
     for p in (0.03, 0.06, 0.12):
-        hot = at_rate(graph, p)
+        hot = build_decoding_graph(graph.distance, graph.rounds, p)
         for _ in range(300):
             syn = syndrome_from_errors(graph, sample_iid(hot, rng)[0])
             adaptive_predecode(graph, table, syn, cfg)
@@ -495,7 +491,7 @@ def test_adaptive_s3_then_s4(g7, pt7):
     assert [pm.step for pm in res.prematches] == [Step.S3, Step.S4_1]
     s3 = res.prematches[0]
     assert {s3.a, s3.b} == {s, t}
-    assert s3.weight == pytest.approx(2 * -math.log(g7.p))
+    assert len(s3.correction_edges) == 2
     assert res.residual.hamming_weight == 7
     # round one costs the 20 examined singleton pairings (> 6 edges)
     assert res.cycles == 20 + 6
@@ -579,9 +575,31 @@ def test_adaptive_random_syndrome_invariants(g3, pt3, data):
             assert entry.singletons_after <= entry.singletons_before
 
 
+def test_prematch_corrections_are_fewest_hop_paths():
+    # A prematch's weight is its correction's edge count, so that count must
+    # be the table's fewest hops between the pair, and the correction must
+    # flip exactly the pair.  Checked on every prematch of adaptive and
+    # greedy predecodes of a d=11 exact-k corpus.
+    graph = build_decoding_graph(11, 11, 1e-4)
+    table = build_path_table(graph)
+    cfg = PredecodeConfig(main_hw_cap=6)  # deeper than the default: more S3 and S4
+    checked = Counter()
+    for k in range(6, 25):
+        for i in range(25):
+            syn = syndrome_from_errors(graph, inject_k_errors(graph, k, trial_seed(1111, k, i)))
+            for res in (adaptive_predecode(graph, table, syn, cfg),
+                        greedy_baseline(graph, syn, cfg)):
+                for pm in res.prematches:
+                    assert len(pm.correction_edges) == table.hops[pm.a, pm.b]
+                    flips = syndrome_from_errors(graph, ErrorSet(frozenset(pm.correction_edges)))
+                    assert flips.flipped == {pm.a, pm.b}
+                    checked[pm.step] += 1
+    assert checked[Step.S3] > 20 and checked[Step.GREEDY] > 1000, checked
+
+
 def test_adaptive_deterministic(g5, pt5):
     rng = make_rng(23)
-    hot = at_rate(g5, 0.02)
+    hot = build_decoding_graph(5, 5, 0.02)
     for _ in range(20):
         syn = syndrome_from_errors(g5, sample_iid(hot, rng)[0])
         a = adaptive_predecode(g5, pt5, syn, record_trace=True)
@@ -609,7 +627,7 @@ def test_adaptive_pinned_behaviour(g7, pt7):
                 if syn.hamming_weight <= 10:
                     continue
                 res = adaptive_predecode(g7, pt7, syn, cfg, record_trace=True)
-                digest.update(predecode_result_to_json(res).encode())
+                digest.update(predecode_result_to_json(res, g7.p).encode())
                 digest.update(f"{res.rounds_executed}".encode())
                 for e in res.trace:
                     digest.update(f"|{e.step.value},{e.singletons_before},"

@@ -1,13 +1,16 @@
 import csv
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from surfmatch import harness
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -211,3 +214,16 @@ def test_bench_record_takes_run_length_from_benchmark(tmp_path, monkeypatch, cap
     assert (seen["pairs"], seen["traced_seed"]) == (10, 3001)
     assert json.loads(out.read_text())["pr"] == 7
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workload", ["direct-d5", "rare-d5", "heavy-d11"])
+def test_perfbench_runs(workload):
+    # a one-second traced run of each benchmark workload: it goes through the
+    # public API the benchmark calls (the graph builder, run_chain, the
+    # traced functions) and checks every decode it makes
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

@@ -21,10 +21,11 @@ import json
 import math
 import sys
 
-from .graph import build_decoding_graph, build_path_table
+from .graph import build_decoding_graph
 from .harness import (PREDECODERS, SCHEMA_VERSION, ExperimentConfig,
                       report_hw_distribution, report_latency, report_step_usage,
                       run_chain, run_direct, run_rare_event)
+from .maindecoder import DEFAULT_HW_CAP
 from .noise import ErrorSet, Syndrome, inject_k_errors, syndrome_from_errors, trial_seed
 
 
@@ -44,7 +45,7 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predecoder", choices=PREDECODERS, default="adaptive")
-    p.add_argument("--main-hw-cap", type=int, default=10,
+    p.add_argument("--main-hw-cap", type=int, default=DEFAULT_HW_CAP,
                    help="largest syndrome the exact matching stage accepts")
     p.add_argument("--budget-ns", type=float, default=960.0)
     p.add_argument("--clock-mhz", type=float, default=250.0)

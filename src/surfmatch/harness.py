@@ -28,8 +28,9 @@ k >= 1.  The loop turns each ``run_chain`` record into a row of the seven
 atomic fields the estimators and reports read (failure, pre and post HW,
 predecode and total ns, abort, deepest step), so a record, its outcome and
 everything that hangs off it are freed by reference counting as soon as
-the row is made; the memo and the report corpus hold rows only.  Every
-trial's row is a pure function of its error set under a fixed config, so
+the row is made.  The memo holds rows only, and the reports hold none:
+their one pass adds each heavy row into weighted sums (``_reports``).
+Every trial's row is a pure function of its error set under a fixed config, so
 within one estimator call the loop decodes each distinct light error set
 once and gives its repeats the same row object.  Light means a weight
 (number of edges) up to the largest w for which weights 1..w have at most
@@ -43,13 +44,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from copy import deepcopy
 from dataclasses import astuple, dataclass, replace
 from itertools import islice, repeat
 from typing import NamedTuple
 
 from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
-from .maindecoder import DecodeOutcome, check_detector_ids, decode
-from .noise import (Syndrome, check_integer, inject_k_errors, make_rng,
+from .maindecoder import DEFAULT_HW_CAP, DecodeOutcome, check_detector_ids, decode
+from .noise import (Syndrome, check_integer, check_real, inject_k_errors, make_rng,
                     occurrence_probability, occurrence_tail, sample_iid,
                     syndrome_from_errors, trial_seed)
 from .predecoder import (GREEDY_LABEL, STEP_RANK, PredecodeConfig, adaptive_predecode,
@@ -85,7 +87,7 @@ class ExperimentConfig:
     rounds: int | None = None
     p: float = 1e-3
     predecoder: str = "adaptive"
-    main_hw_cap: int = 10
+    main_hw_cap: int = DEFAULT_HW_CAP
     budget_ns: float = 960.0
     clock_mhz: float = 250.0
     k_max: int = 24
@@ -104,6 +106,7 @@ class ExperimentConfig:
             raise ValueError(f"distance must be an odd integer >= 3, got {self.distance}")
         if self.rounds is not None and self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        check_real("p", self.p)
         if not 0.0 < self.p < 0.5:
             raise ValueError(f"p must be in (0, 0.5), got {self.p}")
         if self.predecoder not in PREDECODERS:
@@ -135,6 +138,7 @@ class ExperimentConfig:
                                clock_mhz=self.clock_mhz)
 
     def build(self) -> tuple[DetectorGraph, PathTable]:
+        self.validate()  # every field, before a graph is built
         graph = build_decoding_graph(self.distance, self.rounds, self.p)
         self.validate(graph)
         return graph, build_path_table(graph)
@@ -380,69 +384,87 @@ def run_rare_event(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
     return LerEstimate(ler, tuple(strata), math.sqrt(var), truncation)
 
 
-@dataclass(frozen=True)
-class _Stratum:
-    k: int
-    p_occ: float
-    shots: int
-    records: tuple[_TrialRow, ...]
-
-    @property
-    def weight(self) -> float:
-        # Occurrence-weighted share of high-HW syndromes coming from this k.
-        return self.p_occ * (len(self.records) / self.shots) if self.shots else 0.0
+# The three reports of the last corpus pass, as (graph, table, key, reports).
+# One slot is enough: the three reports of one configuration run back to
+# back.  The slot holds graph and table, so their ids cannot be reused while
+# it compares them, and it is read once per call so that a caller replacing
+# it mixes no entries.
+_last_reports: tuple | None = None
 
 
-# The last corpus built, as (graph, table, key, strata).  One slot is enough:
-# the three reports of one configuration run back to back.  The slot holds
-# graph and table, so their ids cannot be reused while it compares them, and
-# it is read once per call so that a caller replacing it mixes no entries.
-_last_corpus: tuple | None = None
+def _reports(cfg: ExperimentConfig, graph: DetectorGraph | None,
+             table: PathTable | None,
+             shots_per_k: int | None) -> tuple[dict, dict, dict]:
+    """The HW-distribution, latency and step-usage reports of one corpus pass.
 
-
-def _high_hw_corpus(cfg: ExperimentConfig, graph: DetectorGraph | None,
-                    table: PathTable | None,
-                    shots_per_k: int | None = None) -> tuple[_Stratum, ...]:
-    """Per-k rows of the sampled syndromes above the main stage's cap.
-
-    k below ceil((cap+1)/2) cannot exceed the cap (each error flips at
-    most two detectors) so those strata are skipped.  Stratum statistics
-    are later combined with weights P_occ(k) * P(HW > cap | k), matching
-    how the per-sample frequencies arise under the iid model.
+    The corpus is the exact-k trials of the report stream whose syndromes
+    exceed the main stage's cap.  k below ceil((cap+1)/2) cannot exceed the
+    cap (each error flips at most two detectors), so those strata are not
+    sampled.  Every statistic is a mean over the corpus in which a trial of
+    stratum k weighs P_occ(k): each stratum draws the same number of
+    trials, so this is the stratified estimate of the statistic over i.i.d.
+    syndromes above the cap.  The latency means and the step shares are
+    over the decoded (not aborted) trials alone.
 
     A call with the same graph and table objects, an equal config and the
-    same shot count as the previous call returns the previous corpus, so
-    the three reports of one configuration sample and decode it once.
+    same shot count as the previous call returns the previous reports, so
+    the three reports of one configuration sample and decode once.
     """
-    global _last_corpus
+    global _last_reports
     cfg = cfg if shots_per_k is None else replace(cfg, shots_per_k=shots_per_k)
     cfg.validate()  # the shot count too, before a graph is built
     graph, table = _graph_and_table(cfg, graph, table)
     shots, key = cfg.shots_per_k, astuple(cfg)
-    memo = _last_corpus
+    memo = _last_reports
     if memo and memo[0] is graph and memo[1] is table and memo[2] == key:
         return memo[3]
     ks = range(cfg.main_hw_cap // 2 + 1, cfg.k_max + 1)
-    records = _decoded_trials(graph, table, cfg, _exact_k_trials(
+    rows = _decoded_trials(graph, table, cfg, _exact_k_trials(
         graph, cfg.master_seed, shots, _STREAM_REPORT, ks), cfg.main_hw_cap + 1)
-    strata = [_Stratum(k, occurrence_probability(k, graph.n_edges, graph.p), shots,
-                       tuple(r for r in islice(records, shots) if r is not None))
-              for k in ks]
-    _last_corpus = (graph, table, key, tuple(strata))
-    return _last_corpus[3]
-
-
-def _weighted(strata: tuple[_Stratum, ...], value) -> float:
-    """Combine a per-record statistic across strata with occurrence weights."""
-    total_w = sum(s.weight for s in strata if s.records)
-    if total_w == 0.0:
-        return 0.0
-    acc = 0.0
-    for s in strata:
-        if not s.records:
-            continue
-        acc += s.weight * (sum(value(r) for r in s.records) / len(s.records))
-    return acc / total_w
+    pre: Counter = Counter()
+    post: Counter = Counter()
+    steps: Counter = Counter()
+    samples = 0
+    total = aborted = decoded = pre_ns = total_ns = pre_max = total_max = 0.0
+    for k in ks:
+        w = occurrence_probability(k, graph.n_edges, graph.p)
+        for r in islice(rows, shots):
+            if r is None:
+                continue
+            # Both histograms cover every trial; `post` is the residual
+            # weight handed to (or stranded short of) the main stage, so
+            # with no predecoder it equals `pre`.
+            samples += 1
+            total += w
+            pre[r.pre_hw] += w
+            post[r.post_hw] += w
+            if r.aborted:
+                aborted += w
+                continue
+            decoded += w
+            pre_ns += w * r.predecode_ns
+            total_ns += w * r.total_ns
+            pre_max = max(pre_max, r.predecode_ns)
+            total_max = max(total_max, r.total_ns)
+            if r.deepest_step is not None:
+                steps[r.deepest_step] += w
+    label = cfg.predecoder_label
+    abort_rate = aborted / total if total else 0.0
+    decoded = decoded or 1.0  # with nothing decoded, every sum is 0.0
+    reports = (
+        {"predecoder": label, "samples": samples,
+         "pre": {hw: pre[hw] / total for hw in sorted(pre)} if total else {},
+         "post": {hw: post[hw] / total for hw in sorted(post)} if total else {},
+         "abort_rate": abort_rate},
+        {"predecoder": label, "samples": samples, "budget_ns": cfg.budget_ns,
+         "abort_rate": abort_rate,
+         "predecode_max_ns": pre_max, "predecode_mean_ns": pre_ns / decoded,
+         "total_max_ns": total_max, "total_mean_ns": total_ns / decoded},
+        {"predecoder": label, "samples": samples, "abort_rate": abort_rate,
+         "steps": {step: steps[step] / decoded for step in sorted(steps)}},
+    )
+    _last_reports = (graph, table, key, reports)
+    return reports
 
 
 def report_hw_distribution(cfg: ExperimentConfig,
@@ -450,73 +472,18 @@ def report_hw_distribution(cfg: ExperimentConfig,
                            table: PathTable | None = None,
                            shots_per_k: int | None = None) -> dict:
     """Hamming-weight histograms before and after predecoding."""
-    strata = _high_hw_corpus(cfg, graph, table, shots_per_k)
-    pre: Counter = Counter()
-    post: Counter = Counter()
-    total_w = sum(s.weight for s in strata if s.records)
-    samples = sum(len(s.records) for s in strata)
-    for s in strata:
-        if not s.records or total_w == 0.0:
-            continue
-        share = s.weight / total_w
-        n = len(s.records)
-        for r in s.records:
-            # Both histograms cover every trial; `post` uses the residual
-            # weight handed to (or stranded short of) the main stage, so
-            # with no predecoder it is identical to `pre`.  Aborts are
-            # reported separately in abort_rate.
-            pre[r.pre_hw] += share / n
-            post[r.post_hw] += share / n
-    abort_rate = _weighted(strata, lambda r: float(r.aborted))
-    return {
-        "predecoder": cfg.predecoder_label,
-        "samples": samples,
-        "pre": {hw: pre[hw] for hw in sorted(pre)},
-        "post": {hw: post[hw] for hw in sorted(post)},
-        "abort_rate": abort_rate,
-    }
+    return deepcopy(_reports(cfg, graph, table, shots_per_k)[0])
 
 
 def report_latency(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                    table: PathTable | None = None,
                    shots_per_k: int | None = None) -> dict:
     """Modeled predecode and total latency over high-HW syndromes."""
-    strata = _high_hw_corpus(cfg, graph, table, shots_per_k)
-    ok = [r for s in strata for r in s.records if not r.aborted]
-    # The means are over decoded records; with none, both sums are 0.0.
-    decoded_w = _weighted(strata, lambda r: float(not r.aborted)) or 1.0
-    return {
-        "predecoder": cfg.predecoder_label,
-        "samples": sum(len(s.records) for s in strata),
-        "budget_ns": cfg.budget_ns,
-        "abort_rate": _weighted(strata, lambda r: float(r.aborted)),
-        "predecode_max_ns": max((r.predecode_ns for r in ok), default=0.0),
-        "predecode_mean_ns": _weighted(
-            strata, lambda r: r.predecode_ns if not r.aborted else 0.0) / decoded_w,
-        "total_max_ns": max((r.total_ns for r in ok), default=0.0),
-        "total_mean_ns": _weighted(
-            strata, lambda r: r.total_ns if not r.aborted else 0.0) / decoded_w,
-    }
+    return deepcopy(_reports(cfg, graph, table, shots_per_k)[1])
 
 
 def report_step_usage(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                       table: PathTable | None = None,
                       shots_per_k: int | None = None) -> dict:
     """Fraction of decoded high-HW syndromes whose deepest step is each step."""
-    strata = _high_hw_corpus(cfg, graph, table, shots_per_k)
-    steps = sorted({r.deepest_step for s in strata for r in s.records
-                    if not r.aborted and r.deepest_step is not None})
-    freqs = {
-        step: _weighted(strata, lambda r, st=step:
-                        float(not r.aborted and r.deepest_step == st))
-        for step in steps
-    }
-    decoded_w = _weighted(strata, lambda r: float(not r.aborted))
-    if decoded_w > 0.0:
-        freqs = {step: f / decoded_w for step, f in freqs.items()}
-    return {
-        "predecoder": cfg.predecoder_label,
-        "samples": sum(len(s.records) for s in strata),
-        "abort_rate": _weighted(strata, lambda r: float(r.aborted)),
-        "steps": freqs,
-    }
+    return deepcopy(_reports(cfg, graph, table, shots_per_k)[2])

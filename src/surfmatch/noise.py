@@ -21,7 +21,7 @@ most of the sampler's time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
@@ -55,6 +55,12 @@ def check_integer(name: str, value) -> None:
     """Refuse a count that is a ``bool`` or not an ``Integral``."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a quantity that is a ``bool`` or not a ``Real``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def make_rng(seed) -> np.random.Generator:

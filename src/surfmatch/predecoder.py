@@ -47,13 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 from typing import Callable, NamedTuple
 import math
 
 from .graph import DetectorGraph, PathTable, reconstruct_path
-from .noise import Syndrome
-from .maindecoder import MAX_HW_CAP, check_detector_ids, matching_search_size
+from .noise import Syndrome, check_integer, check_real
+from .maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, check_detector_ids, matching_search_size
 
 
 class Step(str, Enum):
@@ -245,13 +244,14 @@ class PredecodeConfig:
     holds.  The budget is at least one cycle, so the empty syndrome fits.
     """
 
-    main_hw_cap: int = 10
+    main_hw_cap: int = DEFAULT_HW_CAP
     budget_ns: float = 960.0
     clock_mhz: float = 250.0
 
     def __post_init__(self):
-        if isinstance(self.main_hw_cap, bool) or not isinstance(self.main_hw_cap, Integral):
-            raise ValueError(f"main_hw_cap must be an integer, got {self.main_hw_cap!r}")
+        check_integer("main_hw_cap", self.main_hw_cap)
+        check_real("budget_ns", self.budget_ns)
+        check_real("clock_mhz", self.clock_mhz)
         if not 1 <= self.main_hw_cap <= MAX_HW_CAP:
             raise ValueError(
                 f"main_hw_cap must be in [1, {MAX_HW_CAP}], got {self.main_hw_cap}")

@@ -12,7 +12,8 @@ what they pin is which seed path and which draws each trial gets, not the
 generator.  ``iid_errors`` draws one trial at a time, against which the
 block sampler is checked; ``direct_failures`` decodes every trial,
 error-free ones included, and ``rare_failures`` every exact-k trial, each
-on its own, repeats included.  ``real_time_chain`` is the chain's bypass and
+on its own, repeats included, and ``reference_reports`` every heavy
+report trial, combined per stratum.  ``real_time_chain`` is the chain's bypass and
 admission rule written as separate checks, the residual's ``fits`` among
 them.  The weighted references count one hop per edge: every edge of a
 built graph flips with the graph's one ``p`` and so weighs the same.  The
@@ -37,8 +38,8 @@ from surfmatch.graph import (BOUNDARY_JSON_ID, Detector, DetectorGraph, Edge,
                              reconstruct_boundary_path, reconstruct_path)
 from surfmatch.harness import run_chain
 from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet, decode
-from surfmatch.noise import (ErrorSet, inject_k_errors, make_rng, syndrome_from_errors,
-                             trial_seed)
+from surfmatch.noise import (ErrorSet, inject_k_errors, make_rng, occurrence_probability,
+                             syndrome_from_errors, trial_seed)
 from surfmatch.predecoder import Prematch, Step
 
 
@@ -484,6 +485,65 @@ def rare_failures(graph, table, cfg, stream: int, block: int) -> list[int]:
                                      graph, inject_k_errors(graph, k, rng)))
         out.append(sum(run_chain(graph, table, s, cfg).failure for s in syndromes))
     return out
+
+
+def reference_reports(graph, table, cfg, stream: int, block: int) -> tuple[dict, dict, dict]:
+    """The three reports of the high-HW corpus, one record at a time.
+
+    Every exact-k trial of the block stream for k above half the cap goes
+    through ``run_chain`` if its syndrome exceeds the cap.  Each statistic
+    is the mean over each stratum's records, combined across strata with
+    weights P_occ(k) times the stratum's share of trials above the cap:
+    the per-stratum form that the package's one weighted sum replaced.
+    """
+    cap, shots = cfg.main_hw_cap, cfg.shots_per_k
+    strata = []  # (weight, records) of each stratum with a record
+    for k in range(cap // 2 + 1, cfg.k_max + 1):
+        syndromes = block_stream(cfg.master_seed, (stream, k), shots, block,
+                                 lambda rng: syndrome_from_errors(
+                                     graph, inject_k_errors(graph, k, rng)))
+        records = [run_chain(graph, table, s, cfg) for s in syndromes
+                   if s.hamming_weight > cap]
+        if records:
+            p_occ = occurrence_probability(k, graph.n_edges, graph.p)
+            strata.append((p_occ * len(records) / shots, records))
+    total_w = sum(w for w, _ in strata)
+
+    def mean(value) -> float:
+        if total_w == 0.0:
+            return 0.0
+        return sum(w * (sum(value(r) for r in records) / len(records))
+                   for w, records in strata) / total_w
+
+    every = [r for _, records in strata for r in records]
+    decoded = [r for r in every if not r.aborted]
+    decoded_w = mean(lambda r: float(not r.aborted))
+
+    def histogram(field: str) -> dict:
+        if total_w == 0.0:
+            return {}
+        values = sorted({getattr(r, field) for r in every})
+        return {v: mean(lambda r: float(getattr(r, field) == v)) for v in values}
+
+    def decoded_mean(field: str) -> float:
+        return mean(lambda r: 0.0 if r.aborted else getattr(r, field)) / (decoded_w or 1.0)
+
+    steps = {}
+    for step in sorted({r.deepest_step for r in decoded if r.deepest_step is not None}):
+        share = mean(lambda r: float(not r.aborted and r.deepest_step == step))
+        steps[step] = share / decoded_w if decoded_w > 0.0 else share
+    head = {"predecoder": cfg.predecoder_label, "samples": len(every)}
+    abort_rate = mean(lambda r: float(r.aborted))
+    return (
+        {**head, "pre": histogram("pre_hw"), "post": histogram("post_hw"),
+         "abort_rate": abort_rate},
+        {**head, "budget_ns": cfg.budget_ns, "abort_rate": abort_rate,
+         "predecode_max_ns": max((r.predecode_ns for r in decoded), default=0.0),
+         "predecode_mean_ns": decoded_mean("predecode_ns"),
+         "total_max_ns": max((r.total_ns for r in decoded), default=0.0),
+         "total_mean_ns": decoded_mean("total_ns")},
+        {**head, "abort_rate": abort_rate, "steps": steps},
+    )
 
 
 def real_time_chain(syndrome, predecoder: str, pcfg, predecode):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from copy import deepcopy
 from dataclasses import FrozenInstanceError, replace
 from functools import partial
 
@@ -16,10 +17,9 @@ from surfmatch import (GREEDY_LABEL, MAX_HW_CAP, ErrorSet, ExperimentConfig,
                        run_chain, run_direct, run_rare_event,
                        report_hw_distribution, report_latency,
                        report_step_usage, sample_iid, syndrome_from_errors)
-from surfmatch.harness import _high_hw_corpus
 
 from oracles import (block_stream, direct_failures, iid_errors, per_trial_stream,
-                     rare_failures, real_time_chain)
+                     rare_failures, real_time_chain, reference_reports)
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -57,10 +57,16 @@ def test_config_validation_rejects_bad_fields():
         dict(k_max=2.0), dict(shots_per_k=10.5), dict(shots_direct=2.5),
         dict(shots_direct=True), dict(master_seed=1.0), dict(master_seed=-1),
         dict(main_hw_cap=9.5), dict(main_hw_cap=True), dict(budget_ns=3.9),
+        # p, the budget and the clock must be real numbers, and not bools
+        dict(p="0.01"), dict(p=None), dict(p=True), dict(budget_ns=None),
+        dict(budget_ns="960"), dict(budget_ns=True), dict(clock_mhz=None),
+        dict(clock_mhz=True), dict(clock_mhz="250"),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs).validate()
+    with pytest.raises(ValueError, match="p must be a real number"):
+        run_direct(ExperimentConfig(p="0.01"))  # refused before a graph is built
     with pytest.raises(TypeError):  # the residual target is the cap
         ExperimentConfig(hw_target=10)
     ExperimentConfig().validate()
@@ -601,7 +607,7 @@ def test_memo_bound_changes_no_output(hot32, monkeypatch):
     rcfg = report_corpus_cfg(distance=3, rounds=2, p=0.02, main_hw_cap=2, k_max=4)
 
     def outputs():
-        monkeypatch.setattr(harness, "_last_corpus", None)
+        monkeypatch.setattr(harness, "_last_reports", None)
         reps = [report(rcfg, g32, pt32, shots_per_k=300) for report in REPORTS]
         return run_direct(cfg, g32, pt32), run_rare_event(cfg, g32, pt32), reps
 
@@ -637,34 +643,66 @@ def test_memo_admits_only_light_weights(g32, pt32, chain_calls, monkeypatch):
         assert len(chain_calls) == calls
 
 
+def heavy_report_errors(graph, cfg, shots):
+    """The report stream's error sets whose syndromes exceed the cap, in order."""
+    out = []
+    for k in range(cfg.main_hw_cap // 2 + 1, cfg.k_max + 1):
+        out += [e for e in block_stream(cfg.master_seed, (harness._STREAM_REPORT, k),
+                                        shots, 1024, partial(inject_k_errors, graph, k))
+                if syndrome_from_errors(graph, e).hamming_weight > cfg.main_hw_cap]
+    return out
+
+
 def test_corpus_repeats_share_one_record(hot32, chain_calls):
+    # each light error set of the corpus is decoded once, a heavier one each time
     g32, pt32 = hot32
     cfg = report_corpus_cfg(distance=3, rounds=2, p=0.02, main_hw_cap=2, k_max=4)
-    records = [r for s in _high_hw_corpus(cfg, g32, pt32, shots_per_k=300)
-               for r in s.records]
-    assert len({id(r) for r in records}) == len(chain_calls) < len(records)
+    rep = report_hw_distribution(cfg, g32, pt32, shots_per_k=300)
+    heavy = heavy_report_errors(g32, cfg, 300)
+    w = harness._memo_weight(g32.n_edges)
+    light = {e.edge_ids for e in heavy if len(e.edge_ids) <= w}
+    assert rep["samples"] == len(heavy)
+    assert len(chain_calls) == len(light) + sum(len(e.edge_ids) > w for e in heavy)
+    assert len(chain_calls) < len(heavy)
 
 
 ATOMIC = {bool, int, float, str, type(None)}
 
 
+def nested_values(obj):
+    """``obj`` and everything inside it, through dicts, tuples and lists."""
+    yield obj
+    if isinstance(obj, dict):
+        obj = [v for item in obj.items() for v in item]
+    if isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from nested_values(value)
+
+
 def test_memo_and_corpus_rows_hold_only_atomic_values(hot32, g5, pt5, chain_calls):
-    # the memo and the corpus keep rows of plain values, never a record or
-    # its outcome; repeats share one row object
+    # the memo keeps rows of plain values, never a record or its outcome, and
+    # repeats share one row object; the report slot keeps no row at all
     g32, pt32 = hot32
     cfg = memo_cfg()
     rows = list(harness._decoded_trials(g32, pt32, cfg, harness._exact_k_trials(
         g32, cfg.master_seed, cfg.shots_per_k, harness._STREAM_RARE, range(1, 5))))
     assert len({id(r) for r in rows}) == len(chain_calls) < len(rows)
-    corpus = [r for predecoder in harness.PREDECODERS
-              for s in _high_hw_corpus(report_corpus_cfg(predecoder=predecoder),
-                                       g5, pt5, shots_per_k=20)
-              for r in s.records]
-    for row in rows + corpus:
+    heavy = []
+    for predecoder in harness.PREDECODERS:
+        rcfg = report_corpus_cfg(predecoder=predecoder)
+        heavy += [r for r in harness._decoded_trials(g5, pt5, rcfg, harness._exact_k_trials(
+            g5, rcfg.master_seed, 20, harness._STREAM_REPORT, range(6, 13)), 11) if r]
+        reps = [report(rcfg, g5, pt5, shots_per_k=20) for report in REPORTS]
+        graph, table, key, slot = harness._last_reports
+        assert graph is g5 and table is pt5 and list(slot) == reps
+        held = list(nested_values((key, slot)))
+        assert not any(isinstance(v, harness._TrialRow) for v in held)
+        assert {type(v) for v in held} <= ATOMIC | {tuple, dict}
+    for row in rows + heavy:
         assert type(row) is harness._TrialRow and len(row) == 7
         assert {type(v) for v in row} <= ATOMIC, row
-    assert {type(r.deepest_step) for r in corpus} == {str, type(None)}
-    assert {type(r.total_ns) for r in corpus} == {float, type(None)}
+    assert {type(r.deepest_step) for r in heavy} == {str, type(None)}
+    assert {type(r.total_ns) for r in heavy} == {float, type(None)}
 
 
 def test_direct_memo_lives_for_one_call(hot32, chain_calls):
@@ -688,17 +726,14 @@ def test_rare_event_stream_is_block_seeded(g32, pt32):
     assert sum(s.failures for s in est.per_k) > 0
 
 
-def test_corpus_stream_is_block_seeded(g5, pt5):
-    # the corpus keeps each trial's row, not its record with the outcome
+def test_corpus_stream_is_block_seeded(g5, pt5, chain_calls):
+    # the corpus decodes the block stream's syndromes above the cap, in order
+    # (no d=5 error set of k >= 6 edges is light enough to be remembered)
     cfg = report_corpus_cfg(k_max=8)
-    strata = _high_hw_corpus(cfg, g5, pt5, shots_per_k=30)
-    for s in strata:
-        ref = block_stream(cfg.master_seed, (harness._STREAM_REPORT, s.k), 30, 1024,
-                           lambda rng: syndrome_from_errors(
-                               g5, inject_k_errors(g5, s.k, rng)))
-        assert s.records == tuple(harness._row(run_chain(g5, pt5, syn, cfg)) for syn in ref
-                                  if syn.hamming_weight > cfg.main_hw_cap)
-    assert any(s.records for s in strata)
+    rep = report_latency(cfg, g5, pt5, shots_per_k=30)
+    ref = [syndrome_from_errors(g5, e) for e in heavy_report_errors(g5, cfg, 30)]
+    assert [args[2] for args in chain_calls] == ref
+    assert rep["samples"] == len(ref) > 0
 
 
 # The differential tests below compare the block streams with the per-trial
@@ -751,14 +786,20 @@ def report_corpus_cfg(**kwargs):
     return ExperimentConfig(**base)
 
 
-def test_high_hw_corpus_strata(g5, pt5):
+def test_high_hw_corpus_strata(g5, pt5, chain_calls, monkeypatch):
     cfg = report_corpus_cfg()
-    strata = _high_hw_corpus(cfg, g5, pt5, shots_per_k=40)
+    drawn = []
+
+    def counting(graph, k, rng):
+        drawn.append(k)
+        return inject_k_errors(graph, k, rng)
+
+    monkeypatch.setattr(harness, "inject_k_errors", counting)
+    rep = report_step_usage(cfg, g5, pt5, shots_per_k=40)
     # k below 6 cannot push the weight past the cap of 10
-    assert [s.k for s in strata] == list(range(6, 13))
-    records = [r for s in strata for r in s.records]
-    assert records
-    assert all(r.pre_hw > cfg.main_hw_cap for r in records)
+    assert drawn == [k for k in range(6, 13) for _ in range(40)]
+    assert rep["samples"] == len(chain_calls) > 0
+    assert all(args[2].hamming_weight > cfg.main_hw_cap for args in chain_calls)
 
 
 def test_report_hw_distribution_none_is_identity(g5, pt5):
@@ -797,17 +838,11 @@ def test_report_latency_means_over_decoded_records():
     cfg = ExperimentConfig(distance=7, p=1e-3, budget_ns=120.0, k_max=16, master_seed=1)
     graph, table = cfg.build()
     rep = report_latency(cfg, graph, table, shots_per_k=40)
-    ref_w = ref_pre = ref_total = 0.0
-    for s in _high_hw_corpus(cfg, graph, table, shots_per_k=40):
-        for r in s.records:
-            if not r.aborted:
-                w = s.weight / len(s.records)
-                ref_w += w
-                ref_pre += w * r.predecode_ns
-                ref_total += w * r.total_ns
+    ref = reference_reports(graph, table, replace(cfg, shots_per_k=40),
+                            harness._STREAM_REPORT, 1024)[1]
     assert 0.05 < rep["abort_rate"] < 0.06
-    assert rep["predecode_mean_ns"] == pytest.approx(ref_pre / ref_w, rel=1e-12)
-    assert rep["total_mean_ns"] == pytest.approx(ref_total / ref_w, rel=1e-12)
+    assert rep["predecode_mean_ns"] == pytest.approx(ref["predecode_mean_ns"], rel=1e-12)
+    assert rep["total_mean_ns"] == pytest.approx(ref["total_mean_ns"], rel=1e-12)
     assert rep["total_mean_ns"] == pytest.approx(55.61, abs=0.01)
     assert rep["predecode_mean_ns"] <= rep["predecode_max_ns"]
     assert rep["total_mean_ns"] <= rep["total_max_ns"] <= cfg.budget_ns
@@ -856,8 +891,8 @@ REPORTS = (report_hw_distribution, report_latency, report_step_usage)
 
 @pytest.fixture
 def chain_calls(monkeypatch):
-    """Empty the corpus memo and count the run_chain calls made after."""
-    monkeypatch.setattr(harness, "_last_corpus", None)
+    """Empty the report memo and count the run_chain calls made after."""
+    monkeypatch.setattr(harness, "_last_reports", None)
     calls = []
 
     def counting(*args):
@@ -874,11 +909,16 @@ def test_reports_share_one_corpus(g5, pt5, chain_calls):
     n = len(chain_calls)
     assert n == reps[0]["samples"] > 0
     assert [r["samples"] for r in reps] == [n] * 3
-    strata = _high_hw_corpus(cfg, g5, pt5, shots_per_k=20)
+    # each call returns its own copy: editing one, nested dicts included,
+    # leaves the next call's report as it was
+    for report, rep in zip(REPORTS, reps):
+        kept = deepcopy(rep)
+        for value in rep.values():
+            if isinstance(value, dict):
+                value.clear()
+        rep["samples"] = -1
+        assert report(cfg, g5, pt5, shots_per_k=20) == kept
     assert len(chain_calls) == n
-    with pytest.raises(FrozenInstanceError):
-        strata[0].records = ()
-    assert isinstance(strata, tuple) and isinstance(strata[0].records, tuple)
 
 
 @pytest.mark.parametrize("change", [
@@ -928,13 +968,56 @@ def test_report_shot_override_refused_before_any_work(report, shots, chain_calls
     assert chain_calls == []
 
 
+def assert_reports_close(got, want, path="report"):
+    """Equal keys in equal order, equal non-floats, floats within 1e-12 relative."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_reports_close(got[key], want[key], f"{path}[{key!r}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("case", ["adaptive", "greedy", "none", "budget_120", "cap_6",
+                                  "empty"])
+def test_reports_match_per_stratum_reference(g5, pt5, g32, pt32, case):
+    # one weighted pass gives each report the per-stratum means combined
+    # with weights P_occ(k) * (share of stratum k above the cap)
+    graph, table, shots = g5, pt5, 30
+    if case in harness.PREDECODERS:
+        cfg = report_corpus_cfg(predecoder=case)
+    elif case == "budget_120":
+        cfg = report_corpus_cfg(budget_ns=120.0)
+    elif case == "cap_6":
+        cfg = report_corpus_cfg(main_hw_cap=6, k_max=8)
+    else:  # 8 detectors can never exceed a cap of 12
+        graph, table, shots = g32, pt32, 5
+        cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, main_hw_cap=12, k_max=8)
+    reps = [report(cfg, graph, table, shots_per_k=shots) for report in REPORTS]
+    refs = reference_reports(graph, table, replace(cfg, shots_per_k=shots),
+                             harness._STREAM_REPORT, 1024)
+    for got, want in zip(reps, refs):
+        assert_reports_close(got, want)
+    lat = reps[1]
+    if case == "budget_120":
+        assert 0.0 < lat["abort_rate"] < 1.0
+    if case == "empty":
+        assert lat["samples"] == 0 and reps[0]["pre"] == {}
+    else:
+        assert lat["samples"] > 0
+
+
 def test_reports_pinned_behaviour(g5, pt5):
     """Every report field for three predecoders over a fixed d=5 corpus.
 
-    The digest was taken after greedy came to stop by the adaptive
-    predecoder's rule; the adaptive and no-predecoder reports are those of
-    block-seeded trials, unchanged since.  A change to it is a change of
-    report contents and must be declared.
+    The digest was re-taken when the reports became one P_occ-weighted sum
+    over the corpus instead of per-stratum means: the floats moved in their
+    last bits with the summation order (within 5e-15 relative), and every
+    sample count, key and non-float value stayed the same.  A change to it
+    is a change of report contents and must be declared.
     """
     digest = hashlib.sha256()
     for predecoder in ("adaptive", "greedy", "none"):
@@ -943,4 +1026,4 @@ def test_reports_pinned_behaviour(g5, pt5):
         assert [r["samples"] for r in reps] == [155] * 3
         digest.update(json.dumps(reps, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "06b96de5ff07528281136a5fb73e8c200c29db46957b8b09f2bec05eebdaca73")
+        "9692bc9db97ae628ae3eb7bec576cc9639762d97ff40621e4de562387982e99d")

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 from scipy.stats import binom
 
-from surfmatch import (ErrorSet, Syndrome, build_decoding_graph, inject_k_errors,
+from surfmatch import (ErrorSet, build_decoding_graph, inject_k_errors,
                        make_rng, noise, occurrence_probability, occurrence_tail,
                        sample_iid, syndrome_from_errors, trial_seed)
 from surfmatch.noise import log_occurrence_probability

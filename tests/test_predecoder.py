@@ -376,7 +376,10 @@ def test_config_validation():
                 dict(budget_ns=math.inf),
                 # the cap is a count; a budget below one 4 ns cycle fits nothing
                 dict(main_hw_cap=9.5), dict(main_hw_cap=True), dict(budget_ns=1.0),
-                dict(budget_ns=3.9)):
+                dict(budget_ns=3.9),
+                # the budget and the clock are real numbers, and not bools
+                dict(budget_ns=None), dict(budget_ns="960"), dict(budget_ns=True),
+                dict(clock_mhz=None), dict(clock_mhz="250"), dict(clock_mhz=True)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             PredecodeConfig(**bad)
     for cap in (1, 6, 7, 8, 10, MAX_HW_CAP):

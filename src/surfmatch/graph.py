@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -32,6 +33,18 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 BOUNDARY_JSON_ID = -1
 
 _UNREACHABLE = -9999  # scipy's predecessor sentinel
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a count that is a ``bool`` or not an ``Integral``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a quantity that is a ``bool`` or not a ``Real``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +199,14 @@ def build_decoding_graph(distance: int, rounds: int | None = None,
         distance: odd code distance >= 3.
         rounds: number of measurement rounds (defaults to ``distance``).
         p: uniform prior of every error mechanism, in (0, 0.5).
+
+    Raises ``ValueError`` for any other value, a ``bool`` or a non-number
+    among them, before building anything.
     """
+    check_integer("distance", distance)
+    if rounds is not None:
+        check_integer("rounds", rounds)
+    check_real("p", p)
     if distance < 3 or distance % 2 == 0:
         raise ValueError(f"distance must be an odd integer >= 3, got {distance}")
     if rounds is None:

@@ -12,9 +12,10 @@ P_fail(0) is 0 by definition (no errors, empty syndrome, no failure) and
 the neglected tail sum_{k > k_max} P_occ(k) is reported as ``truncation``.
 
 Trials are drawn in blocks of ``_BLOCK``: block b of a stream takes one
-generator seeded from (master_seed, stream, [k,] b), and each trial of the
-block takes the draws that follow those of the trials before it.  Results
-are reproducible bit-for-bit, and each block is the same whatever order the
+generator seeded from (master_seed, stream, [k,] b).  A block of i.i.d.
+trials is one ``sample_iid`` call on it; in an exact-k block each trial
+takes the draws that follow those of the trials before it.  Results are
+reproducible bit-for-bit, and each block is the same whatever order the
 blocks run in, so blocks (not single trials) can run in parallel.  The
 implementation here runs them serially and reduces in index order.
 
@@ -349,9 +350,11 @@ def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                table: PathTable | None = None) -> LerEstimate:
     """Monte-Carlo LER: decode iid samples and count failures.
 
-    Each block of trials is one ``sample_iid`` draw.  Only the trials with
-    an error are decoded: an error-free one cannot fail (see the module
-    docstring).
+    Each block of trials is one ``sample_iid`` call on the block's
+    generator, which samples the block's flips by their gaps, so the draw
+    costs about the block's expected number of flips.  Only the trials
+    with an error are decoded: an error-free one cannot fail (see the
+    module docstring).
     """
     graph, table = _graph_and_table(cfg, graph, table)
     trials = (errors for rng, size in _block_rngs(cfg.master_seed, cfg.shots_direct,

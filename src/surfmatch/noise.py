@@ -5,28 +5,34 @@ numpy's PCG64 generator, which is seedable and produces the same stream on
 every platform.  ``trial_seed`` derives a ``SeedSequence`` from a master
 seed plus an index path; the samplers take a seed or a ``Generator``, so a
 caller can seed each trial on its own or, as the harness does, draw a block
-of trials in order from one generator.
+of trials from one generator.
 
-``sample_iid`` draws a block of i.i.d. trials at once: one uniform double
-per edge per trial, taken row by row in a few numpy calls, with an edge
-flipped where its double falls below the graph's prior ``p``, one scalar
-for every edge.  numpy fills a ``(rows, n_edges)`` draw in row order, so a
-block equals the same number of one-trial draws made one after another on
-the same generator, and a one-trial draw takes exactly
-``rng.random(n_edges)``.  The hits are found with one flat index,
-row-major, so each trial's hits form one run of ascending columns, split
-off in one Python pass over the hits; the draw and its compare are then
-most of the sampler's time.
+``sample_iid`` draws a block of i.i.d. trials at once, as one flat field
+of ``shots * n_edges`` Bernoulli(p) flips in trial-major order, with the
+graph's one prior ``p`` for every edge.  It draws the gaps between
+successive flips, ``rng.geometric(p)``, rather than one uniform per edge:
+their running sum is the ascending flat positions of the flips, up to the
+first one past the block, so a block costs about its expected
+``shots * n_edges * p`` flips, not ``shots * n_edges`` draws.  The gaps
+are drawn in a few numpy calls sized from the expected count; numpy fills
+an array by successive scalar draws, so the block equals the one whose
+gaps are drawn one ``rng.geometric(p)`` at a time, whatever the chunk
+size.  The gaps drawn past the block are dropped: a block is one sample of
+the field, and two calls on one generator are two independent blocks, not
+one cut in two.
+Each flip's trial and edge come from one ``divmod`` of its flat position,
+so each trial's flips form one run of ascending edge ids, split off in one
+Python pass over the flips.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
-from .graph import DetectorGraph
+from .graph import DetectorGraph, check_integer, check_real  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,18 +57,6 @@ class Syndrome:
         return len(self.flipped)
 
 
-def check_integer(name: str, value) -> None:
-    """Refuse a count that is a ``bool`` or not an ``Integral``."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def check_real(name: str, value) -> None:
-    """Refuse a quantity that is a ``bool`` or not a ``Real``."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
 def make_rng(seed) -> np.random.Generator:
     """Build a PCG64 generator from an int, SeedSequence or Generator."""
     if isinstance(seed, np.random.Generator):
@@ -77,10 +71,9 @@ def trial_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master_seed),) + tuple(int(x) for x in path))
 
 
-# Doubles per uniform draw of ``sample_iid`` (256 KiB): a block is drawn in
-# chunks of whole trials up to this size, so the buffer stays small at
-# every distance.
-_DRAW_DOUBLES = 1 << 15
+# Most gaps one ``rng.geometric`` call of ``sample_iid`` draws (256 KiB of
+# int64), so the buffer stays small at every distance and rate.
+_GAPS = 1 << 15
 
 _NO_ERRORS = ErrorSet(frozenset())
 
@@ -88,31 +81,42 @@ _NO_ERRORS = ErrorSet(frozenset())
 def sample_iid(graph: DetectorGraph, rng_seed=0, shots: int = 1) -> list[ErrorSet]:
     """``shots`` trials, each flipping every edge independently with ``graph.p``.
 
-    Trial t takes the n_edges draws that follow those of trial t - 1.  The
-    error-free trials share one empty ``ErrorSet``.
+    The block is one field of ``shots * n_edges`` flips sampled by its
+    gaps (see the module docstring); the gaps drawn past its end are
+    dropped, and ``shots = 0`` draws nothing.  The error-free trials share
+    one empty ``ErrorSet``.
     """
     check_integer("shots", shots)
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     rng = make_rng(rng_seed)
-    n = graph.n_edges
-    rows = max(1, _DRAW_DOUBLES // n)
-    out: list[ErrorSet] = []
-    for start in range(0, shots, rows):
-        out += _error_sets(rng.random((min(rows, shots - start), n)) < graph.p)
-    return out
+    n, p = graph.n_edges, graph.p
+    size = shots * n
+    chunks = [np.empty(0, np.int64)]
+    end = 0  # one past the flat position of the last flip drawn
+    while end < size:
+        expect = (size - end) * p  # flips left; one gap more ends the block
+        gaps = rng.geometric(p, min(_GAPS, int(expect + 4 * math.sqrt(expect)) + 2))
+        # A gap past the block ends it whatever its length; capping it keeps
+        # the running sum from overflowing int64 at a vanishing p.
+        np.minimum(gaps, size + 1, out=gaps)
+        ends = np.cumsum(gaps)
+        ends += end
+        chunks.append(ends[:np.searchsorted(ends, size, "right")])
+        end = int(ends[-1])
+    return _error_sets(np.concatenate(chunks) - 1, shots, n)
 
 
-def _error_sets(hits: np.ndarray) -> list[ErrorSet]:
-    """The ``ErrorSet`` of the hit columns of each row of a boolean matrix.
+def _error_sets(flat: np.ndarray, shots: int, n: int) -> list[ErrorSet]:
+    """The ``ErrorSet`` of each of ``shots`` rows of ``n`` edges, from the
+    ascending flat (row-major) positions of their flips.
 
-    The flat hit index is row-major, so each row's hits are one run of
-    ascending columns; rows with no hit get the shared ``_NO_ERRORS``.
+    Each row's flips are one run of ascending columns; rows with no flip
+    get the shared ``_NO_ERRORS``.
     """
-    m, n = hits.shape
-    rows, cols = np.divmod(np.flatnonzero(hits), n)
-    runs, cols = rows.tolist() + [m], cols.tolist()  # m closes the last run
-    out = [_NO_ERRORS] * m
+    rows, cols = np.divmod(flat, n)
+    runs, cols = rows.tolist() + [shots], cols.tolist()  # shots closes the last run
+    out = [_NO_ERRORS] * shots
     first = 0
     for i, r in enumerate(runs):
         if r != runs[first]:

@@ -9,8 +9,10 @@ enumeration over the table's integer hop counts whose answer, tie-breaks
 included, the package's subset-DP matcher must reproduce exactly.  The trial-stream
 references seed through the package's own ``make_rng`` and ``trial_seed``:
 what they pin is which seed path and which draws each trial gets, not the
-generator.  ``iid_errors`` draws one trial at a time, against which the
-block sampler is checked; ``direct_failures`` decodes every trial,
+generator.  ``iid_block`` draws a block's gaps one at a time, against
+which the block sampler is checked, and ``iid_stream`` a whole stream of
+such blocks; ``iid_errors`` is the one-uniform-per-edge draw of a single
+trial that the sampler replaced.  ``direct_failures`` decodes every trial,
 error-free ones included, and ``rare_failures`` every exact-k trial, each
 on its own, repeats included, and ``reference_reports`` every heavy
 report trial, combined per stratum.  ``real_time_chain`` is the chain's bypass and
@@ -460,18 +462,46 @@ def per_trial_stream(master_seed: int, path: tuple, n: int, draw) -> list:
 
 def iid_errors(graph, rng) -> ErrorSet:
     """One i.i.d. trial drawn on its own: ``rng.random(n_edges)`` compared
-    with ``graph.p``, the sampler the package had before it drew blocks."""
+    with ``graph.p``, the draw the package made before it sampled by gaps."""
     hits = np.nonzero(rng.random(graph.n_edges) < graph.p)[0]
     return ErrorSet(frozenset(int(i) for i in hits))
 
 
+def iid_block(graph, rng, shots: int) -> list[ErrorSet]:
+    """``shots`` i.i.d. trials from gaps drawn one ``rng.geometric(p)`` at a time.
+
+    Flat position ``pos`` of the ``shots * n_edges`` field is edge
+    ``pos % n_edges`` of trial ``pos // n_edges``; each gap moves to the
+    next flip, and the first gap past the field ends the block.
+    """
+    n, size = graph.n_edges, shots * graph.n_edges
+    flips = [set() for _ in range(shots)]
+    pos = -1
+    while size:
+        pos += int(rng.geometric(graph.p))
+        if pos >= size:
+            break
+        flips[pos // n].add(pos % n)
+    return [ErrorSet(frozenset(f)) for f in flips]
+
+
+def iid_stream(graph, master_seed: int, path: tuple, n: int, block: int) -> list[ErrorSet]:
+    """The ``n`` i.i.d. trials of a block-seeded stream: block b is
+    ``iid_block`` on one generator seeded from (master_seed, *path, b)."""
+    out = []
+    for b in range(-(-n // block)):
+        rng = make_rng(trial_seed(master_seed, *path, b))
+        out += iid_block(graph, rng, min(block, n - b * block))
+    return out
+
+
 def direct_failures(graph, table, cfg, stream: int, block: int) -> int:
     """``run_direct``'s failure count, one trial at a time: every trial of
-    the block stream, error-free or not, is drawn by ``iid_errors`` and
+    the block stream, error-free or not, is drawn by ``iid_stream`` and
     goes through ``run_chain``."""
-    syndromes = block_stream(cfg.master_seed, (stream,), cfg.shots_direct, block,
-                             lambda rng: syndrome_from_errors(graph, iid_errors(graph, rng)))
-    return sum(run_chain(graph, table, s, cfg).failure for s in syndromes)
+    drawn = iid_stream(graph, cfg.master_seed, (stream,), cfg.shots_direct, block)
+    return sum(run_chain(graph, table, syndrome_from_errors(graph, e), cfg).failure
+               for e in drawn)
 
 
 def rare_failures(graph, table, cfg, stream: int, block: int) -> list[int]:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -76,6 +77,31 @@ def test_builder_rejects_bad_inputs():
         build_decoding_graph(3, 3, 0.0)
     with pytest.raises(ValueError):
         build_decoding_graph(3, 3, 0.5)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, 3, "0.01"), "p must be a real number, got '0.01'"),
+    ((3, 3, None), "p must be a real number, got None"),
+    ((3, 3, True), "p must be a real number, got True"),
+    ((5.0, None, 0.01), "distance must be an integer, got 5.0"),
+    ((5, 2.0, 0.01), "rounds must be an integer, got 2.0"),
+    ((True, 3, 0.01), "distance must be an integer, got True"),
+], ids=["p-str", "p-none", "p-bool", "distance-float", "rounds-float", "distance-bool"])
+def test_builder_refuses_non_numbers(args, message):
+    # each used to raise TypeError, or call True out of range
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_decoding_graph(*args)
+
+
+def test_builder_takes_numpy_numbers():
+    g = build_decoding_graph(np.int64(3), np.int64(2), np.float64(0.01))
+    assert (g.distance, g.rounds, g.n_edges) == (3, 2, 22)
+
+
+def test_check_helpers_reexported_from_noise():
+    from surfmatch import graph, noise
+    assert noise.check_integer is graph.check_integer
+    assert noise.check_real is graph.check_real
 
 
 def test_deterministic_construction():

@@ -18,7 +18,7 @@ from surfmatch import (GREEDY_LABEL, MAX_HW_CAP, ErrorSet, ExperimentConfig,
                        report_hw_distribution, report_latency,
                        report_step_usage, sample_iid, syndrome_from_errors)
 
-from oracles import (block_stream, direct_failures, iid_errors, per_trial_stream,
+from oracles import (block_stream, direct_failures, iid_stream, per_trial_stream,
                      rare_failures, real_time_chain, reference_reports)
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
@@ -416,8 +416,8 @@ def test_direct_always_fails(g32, pt32, monkeypatch):
     assert seen == [syndrome_from_errors(g32, ErrorSet(frozenset({0})))]
     # Under the real sampler only the trials with an error count, and the
     # chain sees each distinct error set once, in first-seen order.
-    drawn = block_stream(cfg.master_seed, (harness._STREAM_DIRECT,),
-                         cfg.shots_direct, 1024, lambda rng: iid_errors(g32, rng))
+    drawn = iid_stream(g32, cfg.master_seed, (harness._STREAM_DIRECT,),
+                       cfg.shots_direct, 1024)
     with_errors = sum(len(e) > 0 for e in drawn)
     seen.clear()
     est = run_direct(cfg, g32, pt32)
@@ -517,8 +517,7 @@ def test_direct_stream_is_block_seeded(g3, pt3, chain_calls, monkeypatch):
         return drawn[-shots:]
 
     monkeypatch.setattr(harness, "sample_iid", recording)
-    ref = block_stream(11, (harness._STREAM_DIRECT,), cfg.shots_direct, 1024,
-                       lambda rng: iid_errors(g3, rng))
+    ref = iid_stream(g3, 11, (harness._STREAM_DIRECT,), cfg.shots_direct, 1024)
     est = run_direct(cfg, g3, pt3)
     assert drawn == ref
     # the chain sees each distinct non-empty error set once, in first-seen order
@@ -584,8 +583,8 @@ def test_direct_memo_matches_per_trial_reference(hot32, chain_calls, predecoder)
     failures = direct_failures(g32, pt32, cfg, harness._STREAM_DIRECT, 1024)
     assert est.ler == failures / cfg.shots_direct
     assert failures > 0
-    drawn = block_stream(cfg.master_seed, (harness._STREAM_DIRECT,), cfg.shots_direct,
-                         1024, lambda rng: iid_errors(g32, rng))
+    drawn = iid_stream(g32, cfg.master_seed, (harness._STREAM_DIRECT,), cfg.shots_direct,
+                       1024)
     nonempty = sum(len(e) > 0 for e in drawn)
     assert len(chain_calls) == len(distinct_nonempty(drawn)) < nonempty / 2
 

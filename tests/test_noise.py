@@ -14,7 +14,7 @@ from surfmatch import (ErrorSet, build_decoding_graph, inject_k_errors,
                        sample_iid, syndrome_from_errors, trial_seed)
 from surfmatch.noise import log_occurrence_probability
 
-from oracles import iid_errors, log_binom_pmf
+from oracles import iid_block, log_binom_pmf
 from patterns import boundary_edge_ids, find_adjacent_pair
 
 
@@ -40,33 +40,93 @@ def test_sample_iid_deterministic(g3):
 
 @pytest.mark.parametrize("d", [3, 5, 11])
 @pytest.mark.parametrize("p", [1e-3, 0.05, 0.3])
-def test_sample_iid_block_equals_successive_draws(d, p):
+def test_sample_iid_block_equals_successive_draws(d, p, monkeypatch):
+    # the block against gaps drawn one rng.geometric(p) at a time
     graph = build_decoding_graph(d, d, p)
-    chunk = noise._DRAW_DOUBLES // graph.n_edges
-    assert 1 < chunk < 1024  # a 1024-trial block spans several draws
-    # counts ending inside, exactly on and one past a draw's chunk boundary
-    for shots in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 1024, 1027):
+    refs = {}
+    for shots in (0, 1, 2, 1024, 1027):
         seed = trial_seed(17, d, shots)
         block = sample_iid(graph, seed, shots)
-        one_row, ref = make_rng(seed), make_rng(seed)
-        assert block == [sample_iid(graph, one_row)[0] for _ in range(shots)]
-        assert block == [iid_errors(graph, ref) for _ in range(shots)]
+        refs[shots] = iid_block(graph, make_rng(seed), shots)
+        assert block == refs[shots]
         assert all(type(i) is int for errors in block for i in errors.edge_ids)
         empty = [errors for errors in block if not errors.edge_ids]
-        assert all(errors == ErrorSet(frozenset()) for errors in empty)
-        if p == 1e-3 and shots > 1:
+        assert all(errors is noise._NO_ERRORS for errors in empty)
+        if p == 1e-3 and shots > 2:
             assert 0 < len(empty) < shots
-        if p == 0.3:  # most rows hold many hits
+        if p == 0.3 and shots > 2:  # most rows hold many hits
             assert sorted(map(len, block))[shots // 2] >= 0.2 * graph.n_edges
+    # a small chunk cap: the hits of a block span about eight gap draws
+    cap = max(4, int(1024 * graph.n_edges * p) // 8)
+    monkeypatch.setattr(noise, "_GAPS", cap)
+    for shots in (1024, 1027):
+        assert sum(map(len, refs[shots])) > 2 * cap
+        assert sample_iid(graph, trial_seed(17, d, shots), shots) == refs[shots]
+
+
+@pytest.mark.parametrize("p", [1e-20, 1e-300])
+def test_sample_iid_vanishing_rate_draws_nothing(p):
+    # numpy returns INT64_MAX gaps here; their running sum must not wrap
+    graph = build_decoding_graph(3, 3, p)
+    assert sample_iid(graph, 3, 1027) == [noise._NO_ERRORS] * 1027
 
 
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.bool_, st.tuples(st.integers(0, 12), st.integers(1, 40))))
 def test_error_sets_group_hits_by_row(hits):
-    # the flat-index grouping against row-by-row np.nonzero
-    sets = noise._error_sets(hits)
+    # the flat-position grouping against row-by-row np.nonzero
+    m, n = hits.shape
+    sets = noise._error_sets(np.flatnonzero(hits), m, n)
     assert sets == [ErrorSet(frozenset(np.nonzero(row)[0].tolist())) for row in hits]
     assert all(s is noise._NO_ERRORS for s, row in zip(sets, hits) if not row.any())
+
+
+# The distribution of the gap sampler at fixed seeds, on 10^5 d=3 trials
+# drawn as one block (so across many gap chunks at the higher rates).
+# p = 0.4 takes numpy's search branch of ``geometric`` (p >= 1/3).
+DIST_TRIALS = 100_000
+
+
+@pytest.fixture(scope="module", params=[1e-3, 0.05, 0.4])
+def iid_field(request):
+    """(p, n_edges, the trials' hits as a (DIST_TRIALS, n_edges) bool matrix)."""
+    p = request.param
+    graph = build_decoding_graph(3, 3, p)
+    block = sample_iid(graph, trial_seed(19, 3), DIST_TRIALS)
+    rows = np.repeat(np.arange(DIST_TRIALS), [len(e) for e in block])
+    cols = [i for e in block for i in e.edge_ids]
+    hits = np.zeros((DIST_TRIALS, graph.n_edges), dtype=bool)
+    hits[rows, cols] = True
+    return p, graph.n_edges, hits
+
+
+def test_sample_iid_count_moments(iid_field):
+    p, n, hits = iid_field
+    counts = hits.sum(axis=1).astype(float)
+    N, var = DIST_TRIALS, n * p * (1 - p)
+    assert abs(counts.mean() - n * p) <= 4 * math.sqrt(var / N)
+    # the sample variance's spread from the binomial's fourth central moment
+    mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+    assert abs(counts.var(ddof=1) - var) <= 4 * math.sqrt((mu4 - var ** 2) / N)
+    free = (1 - p) ** n
+    assert abs((counts == 0).mean() - free) <= 4 * math.sqrt(free * (1 - free) / N)
+
+
+def test_sample_iid_edge_marginals(iid_field):
+    p, n, hits = iid_field
+    z = (hits.sum(axis=0) - DIST_TRIALS * p) / math.sqrt(DIST_TRIALS * p * (1 - p))
+    assert np.abs(z).max() < 4.5
+
+
+def test_sample_iid_trials_independent_across_boundaries(iid_field):
+    # the last edge of trial t against the first of trial t + 1, and the
+    # counts of consecutive trials: adjacent in the flat field, so a gap
+    # that carried over a trial boundary would correlate them
+    p, n, hits = iid_field
+    counts = hits.sum(axis=1)
+    bound = 4 / math.sqrt(DIST_TRIALS - 1)
+    for a, b in ((hits[:-1, -1], hits[1:, 0]), (counts[:-1], counts[1:])):
+        assert abs(np.corrcoef(a, b)[0, 1]) <= bound
 
 
 @pytest.mark.parametrize("shots", [-3, True, 2.5, "3"])

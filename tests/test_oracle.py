@@ -4,7 +4,7 @@ from surfmatch import (GREEDY_LABEL, ErrorSet, PredecodeConfig, Step, Syndrome,
                        adaptive_predecode, build_decoding_graph, build_path_table,
                        greedy_baseline, make_rng, sample_iid, syndrome_from_errors)
 
-from oracles import chain_length_counts, matching_failure, oracle_mwpm
+from oracles import chain_length_counts, iid_errors, matching_failure, oracle_mwpm
 from patterns import (find_adjacent_pair, find_chain_with_lowest_middle,
                       find_disjoint_pairs)
 
@@ -165,14 +165,16 @@ def test_chain_length_counts_pinned():
     """Chain-length counts over a fixed corpus of 300 nonempty d=7 syndromes.
 
     The counts were taken when hop counts were still stored in the path
-    table; reading them off the routes must give the same histogram.
+    table; reading them off the routes must give the same histogram.  The
+    corpus is drawn by ``oracles.iid_errors``, one uniform per edge, as it
+    was then: the subject here is chain lengths, not the sampler.
     """
     graph = build_decoding_graph(7, 3, 0.01)
     table = build_path_table(graph)
     rng = make_rng(707)
     kept = []
     while len(kept) < 300:
-        syn = syndrome_from_errors(graph, sample_iid(graph, rng_seed=rng)[0])
+        syn = syndrome_from_errors(graph, iid_errors(graph, rng))
         if 0 < syn.hamming_weight <= 14:
             kept.append(syn)
     assert chain_length_counts(graph, table, kept) == Counter({1: 660, 2: 17, 3: 1})

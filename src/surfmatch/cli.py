@@ -26,7 +26,7 @@ from .harness import (PREDECODERS, SCHEMA_VERSION, ExperimentConfig,
                       report_hw_distribution, report_latency, report_step_usage,
                       run_chain, run_direct, run_rare_event)
 from .maindecoder import DEFAULT_HW_CAP
-from .noise import ErrorSet, Syndrome, inject_k_errors, syndrome_from_errors, trial_seed
+from .noise import Syndrome, inject_k_errors, syndrome_from_errors, trial_seed
 
 
 def _int_list(text: str) -> list[int]:
@@ -111,7 +111,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                                  trial_seed(args.seed, 0, args.inject_k))
         syndrome = syndrome_from_errors(graph, errors)
     elif args.errors is not None:
-        syndrome = syndrome_from_errors(graph, ErrorSet(frozenset(args.errors)))
+        syndrome = syndrome_from_errors(graph, frozenset(args.errors))
     else:
         syndrome = Syndrome(frozenset(args.flipped), args.obs or 0)
     rec = run_chain(graph, table, syndrome, cfg)

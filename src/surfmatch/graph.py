@@ -47,6 +47,26 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def check_code_params(distance, rounds, p) -> None:
+    """Refuse a code ``distance``, ``rounds`` or ``p`` no graph is built for.
+
+    ``distance`` must be an odd integer >= 3, ``rounds`` an integer >= 1 or
+    None, and ``p`` a real number in (0, 0.5).  The types are checked
+    before the ranges.
+    """
+    check_integer("distance", distance)
+    if rounds is not None:
+        check_integer("rounds", rounds)
+    check_real("p", p)
+    if distance < 3 or distance % 2 == 0:
+        raise ValueError(f"distance must be an odd integer >= 3, got {distance}")
+    if rounds is not None and rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    # Written so that NaN, for which every comparison is false, fails.
+    if not 0.0 < p < 0.5:
+        raise ValueError(f"p must be in (0, 0.5), got {p}")
+
+
 @dataclass(frozen=True)
 class Detector:
     """One parity check in one round.
@@ -201,18 +221,11 @@ def build_decoding_graph(distance: int, rounds: int | None = None,
         p: uniform prior of every error mechanism, in (0, 0.5).
 
     Raises ``ValueError`` for any other value, a ``bool`` or a non-number
-    among them, before building anything.
+    among them, before building anything (``check_code_params``).
     """
-    check_integer("distance", distance)
-    if rounds is not None:
-        check_integer("rounds", rounds)
-    check_real("p", p)
-    if distance < 3 or distance % 2 == 0:
-        raise ValueError(f"distance must be an odd integer >= 3, got {distance}")
+    check_code_params(distance, rounds, p)
     if rounds is None:
         rounds = distance
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
 
     plaqs = _z_plaquettes(distance)
     index = {q: i for i, q in enumerate(plaqs)}

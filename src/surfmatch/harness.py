@@ -25,21 +25,21 @@ The three estimators run their trials through one loop,
 such a trial is a success without decoding, as its syndrome is empty and
 its observable 0, and the chain bypasses the predecoder on it
 (``fits(0, 0)`` holds), admits it and predicts 0.  The exact-k strata have
-k >= 1.  The loop turns each ``run_chain`` record into a row of the seven
-atomic fields the estimators and reports read (failure, pre and post HW,
-predecode and total ns, abort, deepest step), so a record, its outcome and
-everything that hangs off it are freed by reference counting as soon as
-the row is made.  The memo holds rows only, and the reports hold none:
-their one pass adds each heavy row into weighted sums (``_reports``).
-Every trial's row is a pure function of its error set under a fixed config, so
-within one estimator call the loop decodes each distinct light error set
-once and gives its repeats the same row object.  Light means a weight
-(number of edges) up to the largest w for which weights 1..w have at most
-``_MEMO_ENTRIES`` distinct sets in all, one edge at d=5: under i.i.d. noise
-most trials with an error are that light, while the sets of a heavier
-weight are too many to repeat often.  The memo lives for that call only and
-so holds at most ``_MEMO_ENTRIES`` error sets by construction; any heavier
-error set is decoded every time it occurs.
+k >= 1.  The loop sets the ``outcome`` of each ``run_chain`` record to None
+before it yields the record, so a record holds only atomic values, and its
+outcome, matching, prematches and correction sets are freed by reference
+counting at once.  The memo holds such records only, and the reports hold
+none: their one pass adds each heavy record into weighted sums
+(``_reports``).  Every trial's record is a pure function of its error set
+under a fixed config, so within one estimator call the loop decodes each
+distinct light error set once and gives its repeats the same record
+object.  Light means a weight (number of edges) up to the largest w for
+which weights 1..w have at most ``_MEMO_ENTRIES`` distinct sets in all,
+one edge at d=5: under i.i.d. noise most trials with an error are that
+light, while the sets of a heavier weight are too many to repeat often.
+The memo lives for that call only and so holds at most ``_MEMO_ENTRIES``
+error sets by construction; any heavier error set is decoded every time
+it occurs.
 """
 from __future__ import annotations
 
@@ -48,11 +48,11 @@ from collections import Counter
 from copy import deepcopy
 from dataclasses import astuple, dataclass, replace
 from itertools import islice, repeat
-from typing import NamedTuple
 
-from .graph import DetectorGraph, PathTable, build_decoding_graph, build_path_table
+from .graph import (DetectorGraph, PathTable, build_decoding_graph, build_path_table,
+                    check_code_params)
 from .maindecoder import DEFAULT_HW_CAP, DecodeOutcome, check_detector_ids, decode
-from .noise import (Syndrome, check_integer, check_real, inject_k_errors, make_rng,
+from .noise import (Syndrome, check_integer, inject_k_errors, make_rng,
                     occurrence_probability, occurrence_tail, sample_iid,
                     syndrome_from_errors, trial_seed)
 from .predecoder import (GREEDY_LABEL, STEP_RANK, PredecodeConfig, adaptive_predecode,
@@ -70,7 +70,7 @@ _STREAM_REPORT = 3
 # Trials per generator: one SeedSequence and PCG64 serve this many trials.
 _BLOCK = 1024
 
-# Distinct error sets one estimator call may remember the rows of: the
+# Distinct error sets one estimator call may remember the records of: the
 # memo admits the weights 1..w that have at most this many sets in all
 # (``_memo_weight``).
 _MEMO_ENTRIES = 4096
@@ -103,13 +103,7 @@ class ExperimentConfig:
                 check_integer(name, value)
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.distance < 3 or self.distance % 2 == 0:
-            raise ValueError(f"distance must be an odd integer >= 3, got {self.distance}")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        check_real("p", self.p)
-        if not 0.0 < self.p < 0.5:
-            raise ValueError(f"p must be in (0, 0.5), got {self.p}")
+        check_code_params(self.distance, self.rounds, self.p)
         if self.predecoder not in PREDECODERS:
             raise ValueError(f"predecoder must be one of {PREDECODERS}, got {self.predecoder!r}")
         self.predecode_config()  # checks main_hw_cap, budget_ns and clock_mhz
@@ -150,7 +144,8 @@ class TrialRecord:
     """Chain-level result of decoding one sampled syndrome.
 
     Not frozen, so that it is cheap to build, and so not hashable; treat
-    it as read-only.
+    it as read-only.  ``outcome`` is None on an abort, and on the records
+    the estimators keep, which release it (``_decoded_trials``).
     """
 
     failure: bool
@@ -203,28 +198,6 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     out = decode(graph, table, syndrome, pre, cap)
     return TrialRecord(out.logical_failure, hw, post, cycles, pre_ns,
                        pre_ns + pcfg.main_latency(post), False, bypassed, deepest, out)
-
-
-class _TrialRow(NamedTuple):
-    """The fields of a ``TrialRecord`` that the estimators and reports read.
-
-    All atomic, so a row keeps no decode object alive: the record, its
-    outcome, matching, prematches and correction sets are freed once the
-    trial's row is made.
-    """
-
-    failure: bool
-    pre_hw: int
-    post_hw: int
-    predecode_ns: float
-    total_ns: float | None
-    aborted: bool
-    deepest_step: str | None
-
-
-def _row(r: TrialRecord) -> _TrialRow:
-    return _TrialRow(r.failure, r.pre_hw, r.post_hw, r.predecode_ns, r.total_ns,
-                     r.aborted, r.deepest_step)
 
 
 def _deepest_step(pre) -> str | None:
@@ -308,7 +281,7 @@ def _memo_weight(n_edges: int) -> int:
     The weights 1..w have at most ``_MEMO_ENTRIES`` distinct sets in all, so
     the memo cannot outgrow that bound and a stream of such trials repeats
     soon.  A heavier set is one of too many to repeat often: keeping its
-    row until the call ends would save little and let the memo grow with
+    record until the call ends would save little and let the memo grow with
     the number of trials.
     """
     w, sets = 0, 0
@@ -322,28 +295,30 @@ def _memo_weight(n_edges: int) -> int:
 
 def _decoded_trials(graph: DetectorGraph, table: PathTable, cfg: ExperimentConfig,
                     trials, min_hw: int = 0):
-    """The ``_TrialRow`` of each non-empty ``ErrorSet`` of ``trials``, or None.
+    """The ``TrialRecord`` of each non-empty error set of ``trials``, or None.
 
     None marks a trial whose syndrome weighs less than ``min_hw``, which is
-    not decoded.  A repeated error set the memo holds gets the row object
-    of its first occurrence without a new syndrome or chain (see the module
-    docstring).  The ``run_chain`` record of a trial lives only until its
-    row is made.
+    not decoded.  Each record is yielded with its ``outcome`` released
+    (set to None), so it holds atomic values only and keeps no decode
+    object alive.  A repeated error set the memo holds gets the record
+    object of its first occurrence without a new syndrome or chain (see
+    the module docstring).
     """
     pcfg = cfg.predecode_config()
-    memo: dict[frozenset, _TrialRow | None] = {}
+    memo: dict[frozenset, TrialRecord | None] = {}
     w_max = _memo_weight(graph.n_edges)
     for errors in trials:
-        edges = errors.edge_ids
-        if edges in memo:
-            yield memo[edges]
+        if errors in memo:
+            yield memo[errors]
         else:
             syndrome = syndrome_from_errors(graph, errors)
-            row = (_row(run_chain(graph, table, syndrome, cfg, pcfg))
-                   if syndrome.hamming_weight >= min_hw else None)
-            if len(edges) <= w_max:
-                memo[edges] = row
-            yield row
+            record = None
+            if syndrome.hamming_weight >= min_hw:
+                record = run_chain(graph, table, syndrome, cfg, pcfg)
+                record.outcome = None
+            if len(errors) <= w_max:
+                memo[errors] = record
+            yield record
 
 
 def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
@@ -359,7 +334,7 @@ def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
     graph, table = _graph_and_table(cfg, graph, table)
     trials = (errors for rng, size in _block_rngs(cfg.master_seed, cfg.shots_direct,
                                                   _STREAM_DIRECT)
-              for errors in sample_iid(graph, rng, size) if errors.edge_ids)
+              for errors in filter(None, sample_iid(graph, rng, size)))
     failures = sum(r.failure for r in _decoded_trials(graph, table, cfg, trials))
     n = cfg.shots_direct
     ler = failures / n
@@ -422,7 +397,7 @@ def _reports(cfg: ExperimentConfig, graph: DetectorGraph | None,
     if memo and memo[0] is graph and memo[1] is table and memo[2] == key:
         return memo[3]
     ks = range(cfg.main_hw_cap // 2 + 1, cfg.k_max + 1)
-    rows = _decoded_trials(graph, table, cfg, _exact_k_trials(
+    records = _decoded_trials(graph, table, cfg, _exact_k_trials(
         graph, cfg.master_seed, shots, _STREAM_REPORT, ks), cfg.main_hw_cap + 1)
     pre: Counter = Counter()
     post: Counter = Counter()
@@ -431,7 +406,7 @@ def _reports(cfg: ExperimentConfig, graph: DetectorGraph | None,
     total = aborted = decoded = pre_ns = total_ns = pre_max = total_max = 0.0
     for k in ks:
         w = occurrence_probability(k, graph.n_edges, graph.p)
-        for r in islice(rows, shots):
+        for r in islice(records, shots):
             if r is None:
                 continue
             # Both histograms cover every trial; `post` is the residual

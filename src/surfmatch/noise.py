@@ -23,6 +23,11 @@ one cut in two.
 Each flip's trial and edge come from one ``divmod`` of its flat position,
 so each trial's flips form one run of ascending edge ids, split off in one
 Python pass over the flips.
+
+An error set is a plain ``frozenset`` of Python ``int`` edge ids;
+``ErrorSet`` names that type.  It is hashable and equal by value, so the
+harness keys its memo by it, and it is empty, and so false, exactly when
+no edge flipped.
 """
 from __future__ import annotations
 
@@ -35,14 +40,8 @@ from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 from .graph import DetectorGraph, check_integer, check_real  # noqa: F401 (re-exported)
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorSet:
-    """A set of simultaneously flipped edge ids."""
-
-    edge_ids: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
+# A set of simultaneously flipped edge ids.
+ErrorSet = frozenset
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +74,7 @@ def trial_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
 # int64), so the buffer stays small at every distance and rate.
 _GAPS = 1 << 15
 
-_NO_ERRORS = ErrorSet(frozenset())
+_NO_ERRORS: ErrorSet = frozenset()
 
 
 def sample_iid(graph: DetectorGraph, rng_seed=0, shots: int = 1) -> list[ErrorSet]:
@@ -84,7 +83,7 @@ def sample_iid(graph: DetectorGraph, rng_seed=0, shots: int = 1) -> list[ErrorSe
     The block is one field of ``shots * n_edges`` flips sampled by its
     gaps (see the module docstring); the gaps drawn past its end are
     dropped, and ``shots = 0`` draws nothing.  The error-free trials share
-    one empty ``ErrorSet``.
+    one empty set.
     """
     check_integer("shots", shots)
     if shots < 0:
@@ -108,7 +107,7 @@ def sample_iid(graph: DetectorGraph, rng_seed=0, shots: int = 1) -> list[ErrorSe
 
 
 def _error_sets(flat: np.ndarray, shots: int, n: int) -> list[ErrorSet]:
-    """The ``ErrorSet`` of each of ``shots`` rows of ``n`` edges, from the
+    """The error set of each of ``shots`` rows of ``n`` edges, from the
     ascending flat (row-major) positions of their flips.
 
     Each row's flips are one run of ascending columns; rows with no flip
@@ -120,7 +119,7 @@ def _error_sets(flat: np.ndarray, shots: int, n: int) -> list[ErrorSet]:
     first = 0
     for i, r in enumerate(runs):
         if r != runs[first]:
-            out[runs[first]] = ErrorSet(frozenset(cols[first:i]))
+            out[runs[first]] = frozenset(cols[first:i])
             first = i
     return out
 
@@ -132,7 +131,7 @@ def inject_k_errors(graph: DetectorGraph, k: int, rng_seed=0) -> ErrorSet:
         raise ValueError(f"k must be in [0, {graph.n_edges}], got {k}")
     rng = make_rng(rng_seed)
     picks = rng.choice(graph.n_edges, size=k, replace=False)
-    return ErrorSet(frozenset(picks.tolist()))
+    return frozenset(picks.tolist())
 
 
 def syndrome_from_errors(graph: DetectorGraph, errors: ErrorSet) -> Syndrome:
@@ -140,9 +139,9 @@ def syndrome_from_errors(graph: DetectorGraph, errors: ErrorSet) -> Syndrome:
     n = graph.n_edges
     flipped: set[int] = set()
     obs = 0
-    for eid in errors.edge_ids:
+    for eid in errors:
         if not 0 <= eid < n:
-            bad = sorted(i for i in errors.edge_ids if not 0 <= i < n)
+            bad = sorted(i for i in errors if not 0 <= i < n)
             raise ValueError(f"edge ids out of range: {bad}")
         e = graph.edges[eid]
         for node in (e.u, e.v):

@@ -1,11 +1,13 @@
 import json
+import math
 import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from surfmatch import (BOUNDARY_JSON_ID, Edge, build_decoding_graph,
+import surfmatch.graph as graph_module
+from surfmatch import (BOUNDARY_JSON_ID, Edge, ExperimentConfig, build_decoding_graph,
                        reconstruct_boundary_path, reconstruct_path)
 
 from oracles import (apsp_weights, bfs_boundary_hops, bfs_hops,
@@ -91,6 +93,32 @@ def test_builder_refuses_non_numbers(args, message):
     # each used to raise TypeError, or call True out of range
     with pytest.raises(ValueError, match=re.escape(message)):
         build_decoding_graph(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (4, None, 1e-3), (1, 3, 1e-3), (-3, 3, 1e-3), (3, 0, 1e-3), (3, -2, 1e-3),
+    (3, 3, 0.0), (3, 3, 0.5), (3, 3, -1e-3), (3, 3, math.nan), (3, 3, math.inf),
+    (5.0, None, 0.01), (5, 2.0, 0.01), (True, 3, 0.01), (3, True, 0.01),
+    (3, 3, "0.01"), (3, 3, None), (3, 3, True), (4, 0, "0.01"), (4, 0, 0.7),
+])
+def test_config_and_builder_refuse_code_params_alike(args):
+    # one check serves both entry points: same error, same message
+    with pytest.raises(ValueError) as built:
+        build_decoding_graph(*args)
+    d, rounds, p = args
+    with pytest.raises(ValueError) as checked:
+        ExperimentConfig(distance=d, rounds=rounds, p=p).validate()
+    assert str(checked.value) == str(built.value)
+
+
+@pytest.mark.parametrize("p", [0.7, 0.5, 0.0, -1e-3, math.nan, math.inf])
+def test_builder_refuses_p_before_building(p, monkeypatch):
+    def lattice(d):
+        raise AssertionError("the lattice was built before p was checked")
+
+    monkeypatch.setattr(graph_module, "_z_plaquettes", lattice)
+    with pytest.raises(ValueError, match=re.escape(f"p must be in (0, 0.5), got {p}")):
+        build_decoding_graph(3, 3, p)
 
 
 def test_builder_takes_numpy_numbers():

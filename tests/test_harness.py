@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 from copy import deepcopy
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from functools import partial
 
 import numpy as np
@@ -235,8 +235,7 @@ def test_per_trial_records_are_slotted(g5, pt5):
     pre = adaptive_predecode(g5, pt5, syndrome, cfg.predecode_config())
     rec = run_chain(g5, pt5, syndrome, cfg)
     out = rec.outcome
-    for obj in (ErrorSet(frozenset({0})), syndrome, rec, out.matching, out,
-                out.prematches[0], pre):
+    for obj in (syndrome, rec, out.matching, out, out.prematches[0], pre):
         assert "__slots__" in vars(type(obj)) and not hasattr(obj, "__dict__")
     flipped = replace(rec, failure=not rec.failure)
     assert flipped.failure != rec.failure and replace(flipped, failure=rec.failure) == rec
@@ -255,13 +254,13 @@ def test_per_trial_records_are_slotted(g5, pt5):
     bad = out.correction_edges ^ {0}
     corrupted = replace(rec, outcome=replace(out, correction_edges=bad))
     assert corrupted != rec and out.correction_edges != bad == corrupted.outcome.correction_edges
-    # the trial inputs stay frozen and hashable
-    errors = ErrorSet(frozenset({0, 1}))
+    # the trial inputs stay immutable, hashable and equal by value
+    errors = ErrorSet({0, 1})
     assert len({errors, ErrorSet(frozenset({1, 0})), syndrome,
                 syndrome_of(independent_set(g5, 8))}) == 2
-    for obj, field in ((errors, "edge_ids"), (syndrome, "flipped")):
-        with pytest.raises(FrozenInstanceError):
-            setattr(obj, field, frozenset())
+    assert not hasattr(errors, "add") and not hasattr(errors, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        syndrome.flipped = frozenset()
 
 
 @pytest.mark.parametrize("predecoder", harness.PREDECODERS)
@@ -373,7 +372,7 @@ def test_greedy_chain_decodes_heavy_syndromes(g5, pt5):
 
 def distinct_nonempty(error_sets) -> list:
     """The distinct non-empty error sets, in first-seen order."""
-    return list(dict.fromkeys(e for e in error_sets if e.edge_ids))
+    return list(dict.fromkeys(e for e in error_sets if e))
 
 
 def fixed_chain(monkeypatch, failure: bool) -> list:
@@ -521,7 +520,7 @@ def test_direct_stream_is_block_seeded(g3, pt3, chain_calls, monkeypatch):
     est = run_direct(cfg, g3, pt3)
     assert drawn == ref
     # the chain sees each distinct non-empty error set once, in first-seen order
-    decoded = [syndrome_from_errors(g3, e) for e in ref if e.edge_ids]
+    decoded = [syndrome_from_errors(g3, e) for e in ref if e]
     distinct = [syndrome_from_errors(g3, e) for e in distinct_nonempty(ref)]
     assert [args[2] for args in chain_calls] == distinct
     assert 0 < len(distinct) < len(decoded) < len(ref)
@@ -659,9 +658,9 @@ def test_corpus_repeats_share_one_record(hot32, chain_calls):
     rep = report_hw_distribution(cfg, g32, pt32, shots_per_k=300)
     heavy = heavy_report_errors(g32, cfg, 300)
     w = harness._memo_weight(g32.n_edges)
-    light = {e.edge_ids for e in heavy if len(e.edge_ids) <= w}
+    light = {e for e in heavy if len(e) <= w}
     assert rep["samples"] == len(heavy)
-    assert len(chain_calls) == len(light) + sum(len(e.edge_ids) > w for e in heavy)
+    assert len(chain_calls) == len(light) + sum(len(e) > w for e in heavy)
     assert len(chain_calls) < len(heavy)
 
 
@@ -678,10 +677,21 @@ def nested_values(obj):
             yield from nested_values(value)
 
 
-def test_memo_and_corpus_rows_hold_only_atomic_values(hot32, g5, pt5, chain_calls):
-    # the memo keeps rows of plain values, never a record or its outcome, and
-    # repeats share one row object; the report slot keeps no row at all
+def test_memo_and_corpus_rows_hold_only_atomic_values(hot32, g5, pt5, chain_calls,
+                                                      monkeypatch):
+    # the memo keeps run_chain's records with their outcome released, so
+    # every field is a plain value, and repeats share one record object; the
+    # report slot keeps no record at all
     g32, pt32 = hot32
+    returned = []  # did each run_chain result carry its outcome when returned?
+    chain = harness.run_chain
+
+    def observed(*args):
+        record = chain(*args)
+        returned.append(record.aborted or record.outcome is not None)
+        return record
+
+    monkeypatch.setattr(harness, "run_chain", observed)
     cfg = memo_cfg()
     rows = list(harness._decoded_trials(g32, pt32, cfg, harness._exact_k_trials(
         g32, cfg.master_seed, cfg.shots_per_k, harness._STREAM_RARE, range(1, 5))))
@@ -695,11 +705,13 @@ def test_memo_and_corpus_rows_hold_only_atomic_values(hot32, g5, pt5, chain_call
         graph, table, key, slot = harness._last_reports
         assert graph is g5 and table is pt5 and list(slot) == reps
         held = list(nested_values((key, slot)))
-        assert not any(isinstance(v, harness._TrialRow) for v in held)
+        assert not any(isinstance(v, TrialRecord) for v in held)
         assert {type(v) for v in held} <= ATOMIC | {tuple, dict}
     for row in rows + heavy:
-        assert type(row) is harness._TrialRow and len(row) == 7
-        assert {type(v) for v in row} <= ATOMIC, row
+        assert type(row) is TrialRecord and row.outcome is None
+        assert {type(v) for v in astuple(row)} <= ATOMIC, row
+    assert len(returned) == len(chain_calls) and all(returned)
+    assert any(not r.aborted for r in rows + heavy)
     assert {type(r.deepest_step) for r in heavy} == {str, type(None)}
     assert {type(r.total_ns) for r in heavy} == {float, type(None)}
 
@@ -764,7 +776,7 @@ def test_block_streams_match_per_trial_exact_k_edge_frequencies(g3):
     def edge_frequencies(error_sets):
         counts = np.zeros(g3.n_edges)
         for errors in error_sets:
-            counts[list(errors.edge_ids)] += 1
+            counts[list(errors)] += 1
         return counts / n
 
     block = edge_frequencies(inject_k_errors(g3, k, rng) for rng in

@@ -352,7 +352,7 @@ def test_decode_self_consistency(g3, pt3):
         if syn.hamming_weight > 10:
             continue
         out = decode(g3, pt3, syn)
-        loop = errors.edge_ids ^ out.correction_edges
+        loop = errors ^ out.correction_edges
         assert syndrome_from_errors(g3, ErrorSet(loop)).flipped == frozenset()
         assert out.logical_failure == bool(observable_parity(g3, loop))
         assert out.cycles_total == matching_search_size(syn.hamming_weight)

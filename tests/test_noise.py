@@ -49,8 +49,8 @@ def test_sample_iid_block_equals_successive_draws(d, p, monkeypatch):
         block = sample_iid(graph, seed, shots)
         refs[shots] = iid_block(graph, make_rng(seed), shots)
         assert block == refs[shots]
-        assert all(type(i) is int for errors in block for i in errors.edge_ids)
-        empty = [errors for errors in block if not errors.edge_ids]
+        assert all(type(i) is int for errors in block for i in errors)
+        empty = [errors for errors in block if not errors]
         assert all(errors is noise._NO_ERRORS for errors in empty)
         if p == 1e-3 and shots > 2:
             assert 0 < len(empty) < shots
@@ -69,6 +69,18 @@ def test_sample_iid_vanishing_rate_draws_nothing(p):
     # numpy returns INT64_MAX gaps here; their running sum must not wrap
     graph = build_decoding_graph(3, 3, p)
     assert sample_iid(graph, 3, 1027) == [noise._NO_ERRORS] * 1027
+
+
+def test_error_sets_are_plain_frozensets_of_ints(g3):
+    # no wrapper: a sampled or injected set is a bare frozenset of Python
+    # ints, equal to the same ids built by hand
+    assert ErrorSet is frozenset
+    hot = build_decoding_graph(3, 3, 0.3)
+    sets = sample_iid(hot, 7, 50) + [inject_k_errors(g3, k, k) for k in (0, 1, 5)]
+    assert sum(map(len, sets)) > 50
+    for errors in sets:
+        assert type(errors) is frozenset and all(type(i) is int for i in errors)
+        assert errors == frozenset(list(errors)) and isinstance(errors, ErrorSet)
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,7 +106,7 @@ def iid_field(request):
     graph = build_decoding_graph(3, 3, p)
     block = sample_iid(graph, trial_seed(19, 3), DIST_TRIALS)
     rows = np.repeat(np.arange(DIST_TRIALS), [len(e) for e in block])
-    cols = [i for e in block for i in e.edge_ids]
+    cols = [i for e in block for i in e]
     hits = np.zeros((DIST_TRIALS, graph.n_edges), dtype=bool)
     hits[rows, cols] = True
     return p, graph.n_edges, hits
@@ -145,7 +157,7 @@ def test_sample_iid_takes_zero_and_numpy_counts(g3):
 
 def test_inject_k_bounds(g3):
     assert len(inject_k_errors(g3, 0, 0)) == 0
-    assert inject_k_errors(g3, g3.n_edges, 0).edge_ids == frozenset(range(g3.n_edges))
+    assert inject_k_errors(g3, g3.n_edges, 0) == frozenset(range(g3.n_edges))
     with pytest.raises(ValueError):
         inject_k_errors(g3, g3.n_edges + 1, 0)
     with pytest.raises(ValueError):
@@ -166,7 +178,7 @@ def test_inject_k_uniform(g3):
     counts = np.zeros(g3.n_edges)
     n_draws = 100_000
     for _ in range(n_draws):
-        (eid,) = inject_k_errors(g3, 1, rng).edge_ids
+        (eid,) = inject_k_errors(g3, 1, rng)
         counts[eid] += 1
     q = 1.0 / g3.n_edges
     sigma = math.sqrt(q * (1 - q) / n_draws)

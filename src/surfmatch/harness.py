@@ -21,11 +21,24 @@ implementation here runs them serially and reduces in index order.
 
 The three estimators run their trials through one loop,
 ``_decoded_trials``, which is handed only error sets with at least one edge.
-``run_direct`` filters out the error-free i.i.d. trials before the loop:
-such a trial is a success without decoding, as its syndrome is empty and
-its observable 0, and the chain bypasses the predecoder on it
-(``fits(0, 0)`` holds), admits it and predicts 0.  The exact-k strata have
-k >= 1.  The loop sets the ``outcome`` of each ``run_chain`` record to None
+``run_direct`` keeps out of the loop every i.i.d. trial of at most
+``t_safe(cfg)`` edges, as such a trial provably succeeds.  This is the
+distance argument for minimum-weight matching (Dennis, Kitaev, Landahl &
+Preskill, "Topological quantum memory", 2002).  An error set E of w edges
+flips at most 2w detectors.  ``t_safe`` is the largest w <= (d-1)/2 at
+which the chain sends every syndrome of weight <= 2w straight to exact
+MWPM, so E's syndrome is matched exactly.  The correction C then has at
+most w edges, as E itself pairs the defects at that cost.  E xor C has an
+empty syndrome, so it is a union of closed walks through the detectors
+and the boundary node, and has at most 2w <= d-1 edges.  A closed walk
+that flips the observable has at least d edges (the shortest logical), so
+E xor C flips nothing and the trial succeeds.  At w = 0 this is the
+error-free trial: its syndrome is empty and its observable 0.  ``t_safe``
+falls below (d-1)/2 only at a low cap or a tight budget, where a weight-2w
+syndrome would be predecoded or aborted: 0 at cap 1, and 1 at the 4 ns
+budget floor.  The exact-k strata have k >= 1 and are all decoded.
+
+The loop sets the ``outcome`` of each ``run_chain`` record to None
 before it yields the record, so a record holds only atomic values, and its
 outcome, matching, prematches and correction sets are freed by reference
 counting at once.  The memo holds such records only, and the reports hold
@@ -35,11 +48,13 @@ under a fixed config, so within one estimator call the loop decodes each
 distinct light error set once and gives its repeats the same record
 object.  Light means a weight (number of edges) up to the largest w for
 which weights 1..w have at most ``_MEMO_ENTRIES`` distinct sets in all,
-one edge at d=5: under i.i.d. noise most trials with an error are that
-light, while the sets of a heavier weight are too many to repeat often.
-The memo lives for that call only and so holds at most ``_MEMO_ENTRIES``
-error sets by construction; any heavier error set is decoded every time
-it occurs.
+one edge at d=5 and up to three at d=3: the exact-k strata and corpora
+draw such sets often, while the sets of a heavier weight are too many to
+repeat often.  In ``run_direct`` it acts only where t_safe is below that
+weight, as at d=3 or at cap 1; at d >= 5 and t_safe >= 1 every light set
+is skipped.  The memo lives for that call only and so holds at most
+``_MEMO_ENTRIES`` error sets by construction; any heavier error set is
+decoded every time it occurs.
 """
 from __future__ import annotations
 
@@ -321,6 +336,27 @@ def _decoded_trials(graph: DetectorGraph, table: PathTable, cfg: ExperimentConfi
             yield record
 
 
+def t_safe(cfg: ExperimentConfig) -> int:
+    """The heaviest error-set weight the configured chain provably corrects.
+
+    The largest w <= (d-1)/2 for which every syndrome of weight <= 2w goes
+    straight to exact MWPM: ``pcfg.fits(2w, 0)`` for the adaptive and
+    greedy chains, which bypass the predecoder there (``fits`` is monotone
+    in the weight, as ``matching_search_size`` is), and 2w <= the cap for
+    no predecoder.  A set of w edges flips at most 2w detectors, and the
+    matching it reaches is corrected (see the module docstring).  Below
+    (d-1)/2 only at a low cap or a tight budget: 0 at cap 1, and 1 at the
+    4 ns budget floor.
+    """
+    pcfg = cfg.predecode_config()
+    w = (cfg.distance - 1) // 2
+    if cfg.predecoder == "none":
+        return min(w, pcfg.main_hw_cap // 2)
+    while w > 0 and not pcfg.fits(2 * w, 0):
+        w -= 1
+    return w
+
+
 def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
                table: PathTable | None = None) -> LerEstimate:
     """Monte-Carlo LER: decode iid samples and count failures.
@@ -328,13 +364,17 @@ def run_direct(cfg: ExperimentConfig, graph: DetectorGraph | None = None,
     Each block of trials is one ``sample_iid`` call on the block's
     generator, which samples the block's flips by their gaps, so the draw
     costs about the block's expected number of flips.  Only the trials
-    with an error are decoded: an error-free one cannot fail (see the
-    module docstring).
+    heavier than ``t_safe(cfg)`` edges are decoded: a lighter one is
+    provably corrected, and an error-free one (weight 0) always succeeds
+    (see the module docstring).
     """
     graph, table = _graph_and_table(cfg, graph, table)
-    trials = (errors for rng, size in _block_rngs(cfg.master_seed, cfg.shots_direct,
-                                                  _STREAM_DIRECT)
-              for errors in filter(None, sample_iid(graph, rng, size)))
+    t = t_safe(cfg)
+    blocks = (sample_iid(graph, rng, size)
+              for rng, size in _block_rngs(cfg.master_seed, cfg.shots_direct, _STREAM_DIRECT))
+    # filter(None) drops the error-free trials, most of a block, in C
+    trials = (errors for block in blocks
+              for errors in filter(None, block) if len(errors) > t)
     failures = sum(r.failure for r in _decoded_trials(graph, table, cfg, trials))
     n = cfg.shots_direct
     ler = failures / n

@@ -40,6 +40,41 @@ def test_observable_edges_are_left_boundary_edges(g5):
             assert e.v == g5.boundary_id
 
 
+def shortest_logical(graph) -> int:
+    """Edges in the shortest closed walk from the boundary node whose
+    ``flips_observable`` parity is odd: a BFS over (node, parity) states."""
+    adj = [[] for _ in range(graph.n_detectors + 1)]
+    for e in graph.edges:
+        adj[e.u].append((e.v, e.flips_observable))
+        adj[e.v].append((e.u, e.flips_observable))
+    start, goal = (graph.boundary_id, False), (graph.boundary_id, True)
+    dist = {start: 0}
+    frontier = [start]
+    while goal not in dist:
+        nxt = []
+        for u, parity in frontier:
+            for v, flip in adj[u]:
+                state = (v, parity != flip)
+                if state not in dist:
+                    dist[state] = dist[(u, parity)] + 1
+                    nxt.append(state)
+        assert nxt, "no closed walk flips the observable"
+        frontier = nxt
+    return dist[goal]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
+def test_shortest_logical_has_d_edges(d):
+    # The skip of provably corrected trials (harness.t_safe) rests on this:
+    # an edge set with an empty syndrome is a union of closed walks, so one
+    # that flips the observable has at least d edges.  Every observable edge
+    # ends at the boundary, so every such walk passes through it.
+    for rounds in (d, 1, 2, d + 2):
+        graph = build_decoding_graph(d, rounds, 1e-3)
+        assert all(e.v == graph.boundary_id for e in graph.edges if e.flips_observable)
+        assert shortest_logical(graph) == d, rounds
+
+
 def test_timelike_edges_connect_same_check(g5):
     n_checks = (g5.distance ** 2 - 1) // 2
     timelike = [e for e in g5.edges if e.v != g5.boundary_id

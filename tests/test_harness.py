@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from copy import deepcopy
@@ -8,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from surfmatch import (GREEDY_LABEL, MAX_HW_CAP, ErrorSet, ExperimentConfig,
+from surfmatch import (DEFAULT_HW_CAP, GREEDY_LABEL, MAX_HW_CAP, ErrorSet, ExperimentConfig,
                        PredecodeConfig, Syndrome, TrialRecord, adaptive_predecode,
                        build_decoding_graph,
                        build_path_table, build_subgraph, greedy_baseline, harness,
@@ -370,9 +371,9 @@ def test_greedy_chain_decodes_heavy_syndromes(g5, pt5):
 # ----------------------------------------------------------- direct LER
 
 
-def distinct_nonempty(error_sets) -> list:
-    """The distinct non-empty error sets, in first-seen order."""
-    return list(dict.fromkeys(e for e in error_sets if e))
+def distinct_heavier(error_sets, t: int) -> list:
+    """The distinct error sets of more than ``t`` edges, in first-seen order."""
+    return list(dict.fromkeys(e for e in error_sets if len(e) > t))
 
 
 def fixed_chain(monkeypatch, failure: bool) -> list:
@@ -405,25 +406,140 @@ def test_direct_deterministic(g3, pt3):
 
 def test_direct_always_fails(g32, pt32, monkeypatch):
     cfg = ExperimentConfig(distance=3, rounds=2, p=0.01, k_max=8, shots_direct=1500)
+    t = harness.t_safe(cfg)
+    assert t == 1
     seen = fixed_chain(monkeypatch, True)
+    heavy = ErrorSet(frozenset({0, 1}))  # two edges, more than t_safe
     with monkeypatch.context() as m:
-        m.setattr(harness, "sample_iid",
-                  lambda graph, rng, shots: [ErrorSet(frozenset({0}))] * shots)
+        m.setattr(harness, "sample_iid", lambda graph, rng, shots: [heavy] * shots)
         est = run_direct(cfg, g32, pt32)
     assert est.ler == 1.0 and est.stderr == 0.0
     # one error set repeated: the chain sees its syndrome once
-    assert seen == [syndrome_from_errors(g32, ErrorSet(frozenset({0})))]
-    # Under the real sampler only the trials with an error count, and the
-    # chain sees each distinct error set once, in first-seen order.
+    assert seen == [syndrome_from_errors(g32, heavy)]
+    # Under the real sampler only the trials heavier than t_safe count, and
+    # the chain sees each distinct one once, in first-seen order.
     drawn = iid_stream(g32, cfg.master_seed, (harness._STREAM_DIRECT,),
                        cfg.shots_direct, 1024)
-    with_errors = sum(len(e) > 0 for e in drawn)
+    heavier = sum(len(e) > t for e in drawn)
     seen.clear()
     est = run_direct(cfg, g32, pt32)
-    assert 0 < with_errors < cfg.shots_direct
-    assert est.ler == with_errors / cfg.shots_direct
-    assert seen == [syndrome_from_errors(g32, e) for e in distinct_nonempty(drawn)]
-    assert len(seen) < with_errors
+    assert 0 < heavier < sum(len(e) > 0 for e in drawn) < cfg.shots_direct
+    assert est.ler == heavier / cfg.shots_direct
+    assert seen == [syndrome_from_errors(g32, e) for e in distinct_heavier(drawn, t)]
+    assert len(seen) < heavier
+
+
+# ------------------------------------------------------------- t_safe
+#
+# run_direct skips the trials of at most t_safe(cfg) edges: exact MWPM
+# corrects any such set that reaches it, and the chain sends it there.
+
+# (main_hw_cap, budget_ns): the defaults, then a low cap or a tight budget.
+T_SAFE_SETTINGS = ((DEFAULT_HW_CAP, 960.0), (1, 960.0), (2, 960.0),
+                   (DEFAULT_HW_CAP, 120.0), (DEFAULT_HW_CAP, 4.0))
+
+
+def test_t_safe_pinned_values():
+    assert [harness.t_safe(ExperimentConfig(distance=d)) for d in (3, 5, 7, 9)] == [1, 2, 3, 4]
+    assert harness.t_safe(ExperimentConfig(distance=5, rounds=2)) == 2  # rounds play no part
+    assert harness.t_safe(ExperimentConfig(distance=9, main_hw_cap=1)) == 0
+    assert harness.t_safe(ExperimentConfig(distance=9, predecoder="none", main_hw_cap=2)) == 1
+    # the 4 ns floor admits one cycle, a syndrome of weight <= 2; no predecoder
+    # has no budget
+    assert harness.t_safe(ExperimentConfig(distance=9, budget_ns=4.0)) == 1
+    assert harness.t_safe(ExperimentConfig(distance=9, predecoder="none", budget_ns=4.0)) == 4
+    # 120 ns is 30 cycles: weight 6 needs 15, weight 8 needs 105
+    assert harness.t_safe(ExperimentConfig(distance=9, budget_ns=120.0)) == 3
+
+
+def test_fits_is_monotone_in_weight():
+    for cap in range(1, MAX_HW_CAP + 1):
+        for budget in (4.0, 7.9, 12.0, 120.0, 960.0, 4e6):
+            pcfg = PredecodeConfig(main_hw_cap=cap, budget_ns=budget)
+            fits = [pcfg.fits(h, 0) for h in range(MAX_HW_CAP + 3)]
+            assert fits[0] and fits == sorted(fits, reverse=True), (cap, budget)
+
+
+def assert_corrected(graph, table, cfg, error_sets) -> int:
+    """Decode each error set through ``run_chain`` and assert that the chain
+    bypasses the predecoder, admits the syndrome and corrects it; returns
+    the number of sets."""
+    pcfg = cfg.predecode_config()
+    n = 0
+    for errors in error_sets:
+        r = run_chain(graph, table, syndrome_from_errors(graph, errors), cfg, pcfg)
+        assert r.bypassed and not r.aborted and not r.failure, sorted(errors)
+        n += 1
+    return n
+
+
+def sets_up_to(n_edges: int, t: int):
+    """Every error set of at most ``t`` of ``n_edges`` edges."""
+    for w in range(t + 1):
+        yield from map(frozenset, itertools.combinations(range(n_edges), w))
+
+
+@pytest.mark.parametrize("predecoder", harness.PREDECODERS)
+def test_t_safe_trials_are_always_corrected(predecoder):
+    # every set of weight <= t_safe, exhaustively at d=3 and d=5 (rounds 5,
+    # and rounds 2 and 7 at the defaults), and 33,600 sampled sets per
+    # chain at d=7 and d=9: over 10^5 across the three chains
+    def cfg_of(d, rounds, cap=DEFAULT_HW_CAP, budget=960.0):
+        return ExperimentConfig(distance=d, rounds=rounds, predecoder=predecoder,
+                                main_hw_cap=cap, budget_ns=budget)
+
+    for d, rounds, settings in ((3, 3, T_SAFE_SETTINGS), (5, 5, T_SAFE_SETTINGS),
+                                (5, 2, T_SAFE_SETTINGS[:1]), (5, 7, T_SAFE_SETTINGS[:1])):
+        graph, table = cfg_of(d, rounds).build()
+        for cap, budget in settings:
+            cfg = cfg_of(d, rounds, cap, budget)
+            t = harness.t_safe(cfg)
+            n = assert_corrected(graph, table, cfg, sets_up_to(graph.n_edges, t))
+            assert n == sum(math.comb(graph.n_edges, w) for w in range(t + 1))
+    sampled = 0
+    rng = make_rng(2024)
+    for d in (7, 9):
+        graph, table = cfg_of(d, d).build()
+        cfgs = [cfg_of(d, d, cap, budget) for cap, budget in T_SAFE_SETTINGS]
+        heavy = [cfg for cfg in cfgs if harness.t_safe(cfg) >= 2]
+        for cfg in cfgs:
+            t = harness.t_safe(cfg)
+            if t < 2:
+                assert_corrected(graph, table, cfg, sets_up_to(graph.n_edges, t))
+                continue
+            shots = 16_800 // len(heavy)
+            sampled += assert_corrected(graph, table, cfg, (
+                inject_k_errors(graph, int(k), rng) for k in rng.integers(1, t + 1, shots)))
+    assert sampled == 33_600
+
+
+# Every setting the skip can take: both code sizes, a low cap, no
+# predecoder, the budget floor and a tight budget.
+SKIP_CONFIGS = (
+    dict(distance=3, p=1e-2),
+    dict(distance=5, rounds=2, p=3e-3),
+    dict(distance=5, rounds=2, p=3e-3, main_hw_cap=1),
+    dict(distance=5, rounds=2, p=3e-3, main_hw_cap=2),
+    dict(distance=5, rounds=2, p=3e-3, predecoder="none"),
+    dict(distance=5, rounds=2, p=3e-3, predecoder="none", main_hw_cap=2),
+    dict(distance=5, rounds=2, p=3e-3, budget_ns=4.0),
+    dict(distance=5, rounds=2, p=3e-3, budget_ns=120.0),
+)
+
+
+@pytest.mark.parametrize("kwargs", SKIP_CONFIGS, ids=lambda kw: "-".join(
+    f"{k}={v}" for k, v in kw.items()))
+def test_direct_skip_matches_per_trial_reference(kwargs):
+    # the per-trial reference decodes every trial, the skipped ones too
+    cfg = ExperimentConfig(master_seed=37, shots_direct=4 * 1024 + 7, **kwargs)
+    graph, table = cfg.build()
+    est = run_direct(cfg, graph, table)
+    failures = direct_failures(graph, table, cfg, harness._STREAM_DIRECT, 1024)
+    assert est.ler == failures / cfg.shots_direct
+    drawn = iid_stream(graph, cfg.master_seed, (harness._STREAM_DIRECT,),
+                       cfg.shots_direct, 1024)
+    t = harness.t_safe(cfg)
+    assert t == 0 or any(0 < len(e) <= t for e in drawn)  # the skip acted
 
 
 # ------------------------------------------------------- rare-event LER
@@ -519,11 +635,13 @@ def test_direct_stream_is_block_seeded(g3, pt3, chain_calls, monkeypatch):
     ref = iid_stream(g3, 11, (harness._STREAM_DIRECT,), cfg.shots_direct, 1024)
     est = run_direct(cfg, g3, pt3)
     assert drawn == ref
-    # the chain sees each distinct non-empty error set once, in first-seen order
+    # the chain sees each distinct error set heavier than t_safe once, in
+    # first-seen order; the failures are those of every trial with an error
+    t = harness.t_safe(cfg)
     decoded = [syndrome_from_errors(g3, e) for e in ref if e]
-    distinct = [syndrome_from_errors(g3, e) for e in distinct_nonempty(ref)]
+    distinct = [syndrome_from_errors(g3, e) for e in distinct_heavier(ref, t)]
     assert [args[2] for args in chain_calls] == distinct
-    assert 0 < len(distinct) < len(decoded) < len(ref)
+    assert 0 < len(distinct) <= sum(len(e) > t for e in ref) < len(decoded) < len(ref)
     assert round(est.ler * cfg.shots_direct) == chain_failures(g3, pt3, decoded, cfg) > 0
 
 
@@ -576,16 +694,21 @@ def hot32():
 
 @pytest.mark.parametrize("predecoder", harness.PREDECODERS)
 def test_direct_memo_matches_per_trial_reference(hot32, chain_calls, predecoder):
+    # At the default cap t_safe is 1, so only the sets of two or more edges
+    # reach the memo; at cap 1 it is 0 and every trial with an error does.
     g32, pt32 = hot32
-    cfg = memo_cfg(predecoder=predecoder)
-    est = run_direct(cfg, g32, pt32)
-    failures = direct_failures(g32, pt32, cfg, harness._STREAM_DIRECT, 1024)
-    assert est.ler == failures / cfg.shots_direct
-    assert failures > 0
-    drawn = iid_stream(g32, cfg.master_seed, (harness._STREAM_DIRECT,), cfg.shots_direct,
-                       1024)
-    nonempty = sum(len(e) > 0 for e in drawn)
-    assert len(chain_calls) == len(distinct_nonempty(drawn)) < nonempty / 2
+    for cap, t, calls_per_trial in ((DEFAULT_HW_CAP, 1, 0.8), (1, 0, 0.5)):
+        cfg = memo_cfg(predecoder=predecoder, main_hw_cap=cap)
+        assert harness.t_safe(cfg) == t
+        chain_calls.clear()
+        est = run_direct(cfg, g32, pt32)
+        failures = direct_failures(g32, pt32, cfg, harness._STREAM_DIRECT, 1024)
+        assert est.ler == failures / cfg.shots_direct
+        assert failures > 0
+        drawn = iid_stream(g32, cfg.master_seed, (harness._STREAM_DIRECT,),
+                           cfg.shots_direct, 1024)
+        heavier = sum(len(e) > t for e in drawn)
+        assert len(chain_calls) == len(distinct_heavier(drawn, t)) < calls_per_trial * heavier
 
 
 @pytest.mark.parametrize("predecoder", harness.PREDECODERS)

@@ -5,6 +5,9 @@ beyond ``ast``.  ``__init__.py`` re-exports by design and is skipped; a
 line marked ``# noqa: F401`` is exempt, for a deliberate re-export.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,17 @@ def test_scan_finds_an_unused_import():
               "    return math.pi\n")
     assert unused_imports(source) == ["line 3: NamedTuple"]
     assert len(MODULES) >= 6
+
+
+def test_direct_run_does_not_import_scipy_special():
+    # scipy.special serves only the occurrence probabilities and weighs
+    # about 3.6 MB of resident memory, so an i.i.d. run goes without it.
+    code = ("import sys\n"
+            "from surfmatch import ExperimentConfig, run_direct\n"
+            "run_direct(ExperimentConfig(distance=3, p=0.01, shots_direct=2000))\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "from surfmatch import occurrence_probability\n"
+            "occurrence_probability(1, 10, 0.1)\n"
+            "assert 'scipy.special' in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(SRC.parent)})

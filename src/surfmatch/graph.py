@@ -11,10 +11,16 @@ mechanisms:
 * timelike   -- a measurement error, connecting the same check in two
   consecutive rounds.
 
-There are no diagonal space-time edges.  Every edge flips with the same
-prior ``p``, stored once as ``DetectorGraph.p``, so every edge weighs the
-same and a path's weight is its hop count.  The logical observable is a
-horizontal operator crossing the lattice; the spacelike edges in
+There are no diagonal space-time edges, and every round has the same
+spacelike and boundary edges.  The detector graph is therefore the
+Cartesian product of one round's check graph and a path of ``rounds``
+nodes (``DetectorGraph.validate`` enforces this), and the fewest hops
+between check ``a`` in round ``s`` and check ``b`` in round ``u`` are
+``D[a, b] + |s - u|``, with ``D`` the hop counts of one round.
+``PathTable`` is built from that product form.  Every edge flips with the
+same prior ``p``, stored once as ``DetectorGraph.p``, so every edge weighs
+the same and a path's weight is its hop count.  The logical observable is
+a horizontal operator crossing the lattice; the spacelike edges in
 data-qubit column 0 cross its cut and are flagged ``flips_observable``,
 identically in every round.
 """
@@ -25,14 +31,10 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 # Id used for the boundary node in exported JSON.  Internally the boundary
 # node is ``n_detectors`` so that detector ids stay usable as array indices.
 BOUNDARY_JSON_ID = -1
-
-_UNREACHABLE = -9999  # scipy's predecessor sentinel
 
 
 def check_integer(name: str, value) -> None:
@@ -174,6 +176,7 @@ class DetectorGraph:
             raise ValueError("edge count does not match lattice")
         if any(e.u == self.boundary_id for e in self.edges):
             raise ValueError("boundary must be the v endpoint")
+        self._check_product_form(n_checks)
         n_obs = sum(1 for e in self.edges if e.flips_observable)
         if n_obs != r * d:
             raise ValueError("observable cut must contain d spacelike edges per round")
@@ -190,6 +193,41 @@ class DetectorGraph:
                         stack.append(w)
         if len(seen) != self.n_detectors + 1:
             raise ValueError("decoding graph is not connected")
+
+    def _check_product_form(self, m: int) -> None:
+        """Refuse a detector graph that is not one round's check graph times
+        a path of rounds, the form ``build_path_table`` relies on.
+
+        Detector ``t * m + a`` is check ``a`` in round ``t``.  Every
+        detector-detector edge lists its lower id first and is timelike,
+        ``v == u + m``, or spacelike within one round; every round has the
+        same spacelike edges and the same checks with a boundary edge as
+        round 0, and every check has its timelike edge between each pair of
+        consecutive rounds.
+        """
+        spacelike = [set() for _ in range(self.rounds)]
+        exits = [set() for _ in range(self.rounds)]
+        timelike = set()
+        for e in self.edges:
+            t, a = divmod(e.u, m)
+            if e.v == self.boundary_id:
+                exits[t].add(a)
+                continue
+            if e.v <= e.u:
+                raise ValueError(f"edge {e.id} must list its lower detector id first")
+            s, b = divmod(e.v, m)
+            if s == t:
+                spacelike[t].add((a, b))
+            elif a == b and s == t + 1:
+                timelike.add(e.u)
+            else:
+                raise ValueError(f"edge {e.id} joins different checks in different rounds")
+        if any(edges != spacelike[0] for edges in spacelike):
+            raise ValueError("rounds differ in their spacelike edges")
+        if any(checks != exits[0] for checks in exits):
+            raise ValueError("rounds differ in their boundary edges")
+        if len(timelike) != (self.rounds - 1) * m:
+            raise ValueError("a check lacks a timelike edge")
 
     def to_json(self) -> str:
         doc = {
@@ -269,68 +307,118 @@ class PathTable:
     Detector-to-detector paths never pass through the boundary node.  The
     boundary route of ``i`` is the shortest detector path from ``i`` to the
     lowest-id nearest detector with a boundary edge, ``boundary_via[i]``,
-    plus that detector's first boundary edge, ``boundary_edge[i]``.
+    plus that detector's first boundary edge, ``boundary_edge[i]``; it
+    never leaves the round of ``i``.
 
-    ``route[i, j]`` is the predecessor of ``j`` on the chosen shortest path
-    from ``i``; together with the graph's edge lookup it reconstructs the
-    full edge list of any path.
+    The graph is one round's check graph times a path of rounds, so no
+    per-pair route is stored.  The chosen path from ``i`` to ``j``, walked
+    back from ``j``, always steps to the highest-id neighbour one hop nearer
+    ``i``: when ``i`` lies in a later round it first climbs to that round,
+    then steps within the round by ``pred``, and when ``i`` lies in an
+    earlier round it steps within ``j``'s round first and descends last.
+    ``pred[a][c]`` is the highest-id neighbour of check ``c`` one hop nearer
+    check ``a`` within a round (``pred[a][a]`` is ``a``).
     """
 
     def __init__(self, graph: DetectorGraph, hops: np.ndarray,
-                 route: np.ndarray, boundary_hops: np.ndarray,
-                 boundary_via: np.ndarray, boundary_edge: np.ndarray):
+                 boundary_hops: np.ndarray, boundary_via: np.ndarray,
+                 boundary_edge: np.ndarray, pred: list[list[int]]):
         self.graph = graph
         self.n = graph.n_detectors
+        self.n_checks = len(pred)
         self.hops = hops
-        self.route = route
         self.boundary_hops = boundary_hops
         self.boundary_via = boundary_via
         self.boundary_edge = boundary_edge
+        self.pred = pred
 
 
 def build_path_table(graph: DetectorGraph) -> PathTable:
-    """Precompute fewest-edge paths among detectors and to the boundary."""
-    n = graph.n_detectors
-    rows, cols = [], []
-    for e in graph.edges:
-        if e.v != graph.boundary_id:
-            rows.extend((e.u, e.v))
-            cols.extend((e.v, e.u))
-    mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    dist, pred = _dijkstra(mat, directed=True, return_predecessors=True)
-    if not np.all(np.isfinite(dist)):
-        raise ValueError("detector subgraph is not connected")
-    hops = dist.astype(np.int16)
+    """Precompute fewest-edge paths among detectors and to the boundary.
 
-    # The nearest boundary-adjacent detector; argmin keeps the lowest id.
-    exits = np.array([u for u in range(n) if graph.boundary_edges_of(u)])
-    via = exits[np.argmin(hops[:, exits], axis=1)]
-    boundary_hops = (hops[np.arange(n), via] + 1).astype(np.int16)
+    One breadth-first search per check over round 0 gives the in-round hop
+    counts ``D``; between rounds ``s`` and ``u`` a path adds ``|s - u|``
+    timelike hops.  ``graph`` must have the product form that
+    ``DetectorGraph.validate`` checks.
+    """
+    n, rounds = graph.n_detectors, graph.rounds
+    m = n // rounds
+    # Round 0's check graph, each neighbour list in ascending id order.
+    neighbours = [[v for v, _ in graph.detector_neighbors[c] if v < m] for c in range(m)]
+    dist, pred = [], []
+    for a in range(m):
+        hops_a = [-1] * m
+        pred_a = [a] * m
+        hops_a[a] = 0
+        frontier = [a]
+        level = 0
+        while frontier:
+            level += 1
+            # Scanned from the highest id down, the first check to reach w
+            # is w's highest-id neighbour one hop nearer a.
+            frontier.sort(reverse=True)
+            nxt = []
+            for c in frontier:
+                for w in neighbours[c]:
+                    if hops_a[w] < 0:
+                        hops_a[w] = level
+                        pred_a[w] = c
+                        nxt.append(w)
+            frontier = nxt
+        if -1 in hops_a:
+            raise ValueError("detector subgraph is not connected")
+        dist.append(hops_a)
+        pred.append(pred_a)
+    d = np.array(dist, dtype=np.int16)
+    rs = np.arange(rounds, dtype=np.int16)
+    dt = np.abs(rs[:, None] - rs[None, :])
+    hops = (dt[:, None, :, None] + d[None, :, None, :]).reshape(n, n)
+
+    # The nearest boundary-adjacent check of round 0; argmin keeps the
+    # lowest id.  A later round is the same route shifted by whole rounds.
+    exits = np.array([c for c in range(m) if graph.boundary_edges_of(c)])
+    via0 = exits[np.argmin(d[:, exits], axis=1)]
+    via = (np.arange(rounds)[:, None] * m + via0[None, :]).reshape(n)
+    boundary_hops = np.tile(d[np.arange(m), via0] + 1, rounds).astype(np.int16)
     boundary_edge = np.array([graph.boundary_edges_of(int(u))[0] for u in via])
-    return PathTable(graph, hops, pred, boundary_hops, via, boundary_edge)
+    return PathTable(graph, hops, boundary_hops, via, boundary_edge, pred)
 
 
 def reconstruct_path(table: PathTable, i: int, j: int) -> list[int]:
     """Edge ids of the chosen shortest path between detectors i and j."""
+    n = table.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"detector ids must be in [0, {n}), got {i} and {j}")
     if i == j:
         raise ValueError("no path from a node to itself")
-    path = []
-    k = j
-    while k != i:
-        pk = int(table.route[i, k])
-        if pk == _UNREACHABLE:
-            raise ValueError(f"no path between {i} and {j}")
-        edge = table.graph.edge_between(pk, k)
-        if edge is None:
-            raise ValueError("route table references a missing edge")
-        path.append(edge.id)
-        k = pk
+    m = table.n_checks
+    s, a = divmod(i, m)
+    u, b = divmod(j, m)
+    edge = table.graph._pair_to_edge
+    path = []  # walked back from j, reversed at the end
+    if s > u:
+        for k in range(j, s * m + b, m):
+            path.append(edge[(k, k + m)])
+        base = s * m
+    else:
+        base = u * m
+    step = table.pred[a]
+    c = b
+    while c != a:
+        q = step[c]
+        path.append(edge[(base + q, base + c) if q < c else (base + c, base + q)])
+        c = q
+    if s < u:
+        for k in range(base + a, i, -m):
+            path.append(edge[(k - m, k)])
     path.reverse()
     return path
 
 
 def reconstruct_boundary_path(table: PathTable, i: int) -> list[int]:
     """Edge ids of the chosen shortest path from detector i to the boundary."""
+    if not 0 <= i < table.n:
+        raise ValueError(f"detector id must be in [0, {table.n}), got {i}")
     via = int(table.boundary_via[i])
     path = [] if via == i else reconstruct_path(table, i, via)
     path.append(int(table.boundary_edge[i]))

@@ -24,7 +24,10 @@ helpers at the end serve the tests only: ``graph_from_json`` reads what
 predecode for digests, and ``oracle_mwpm`` and ``chain_length_counts`` run
 the exact matcher on a whole syndrome.  ``reference_scan`` and
 ``reference_step3`` are the per-edge and per-node predecoder scans that the
-package's linear-time ones replaced, kept for differential tests.
+package's linear-time ones replaced, kept for differential tests, and
+``dijkstra_path_table`` with ``route_path`` and ``route_boundary_path`` is
+the all-pairs Dijkstra path table and route walk that the product-form
+builder replaced.
 """
 from __future__ import annotations
 
@@ -33,8 +36,11 @@ import itertools
 import json
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from surfmatch.graph import (BOUNDARY_JSON_ID, Detector, DetectorGraph, Edge,
                              reconstruct_boundary_path, reconstruct_path)
@@ -128,6 +134,57 @@ def enumerate_simple_path_weights(graph, i: int, j: int, max_edges: int = 6):
 
     walk(i, {i}, 0, 0)
     return weights
+
+
+class DijkstraTable(NamedTuple):
+    """The path table as scipy's all-pairs Dijkstra builds it, with the
+    n x n predecessor matrix ``route``."""
+
+    hops: np.ndarray
+    route: np.ndarray
+    boundary_hops: np.ndarray
+    boundary_via: np.ndarray
+    boundary_edge: np.ndarray
+
+
+def dijkstra_path_table(graph) -> DijkstraTable:
+    """All-pairs Dijkstra over the whole detector graph, the builder that the
+    product-form ``build_path_table`` replaced."""
+    n = graph.n_detectors
+    rows, cols = [], []
+    for e in graph.edges:
+        if e.v != graph.boundary_id:
+            rows.extend((e.u, e.v))
+            cols.extend((e.v, e.u))
+    mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    dist, pred = dijkstra(mat, directed=True, return_predecessors=True)
+    assert np.all(np.isfinite(dist))
+    hops = dist.astype(np.int16)
+    exits = np.array([u for u in range(n) if graph.boundary_edges_of(u)])
+    via = exits[np.argmin(hops[:, exits], axis=1)]
+    boundary_hops = (hops[np.arange(n), via] + 1).astype(np.int16)
+    boundary_edge = np.array([graph.boundary_edges_of(int(u))[0] for u in via])
+    return DijkstraTable(hops, pred, boundary_hops, via, boundary_edge)
+
+
+def route_path(graph, ref: DijkstraTable, i: int, j: int) -> list[int]:
+    """Edge ids of the path from i to j, walked back along ``ref.route``."""
+    path = []
+    k = j
+    while k != i:
+        pk = int(ref.route[i, k])
+        path.append(graph.edge_between(pk, k).id)
+        k = pk
+    path.reverse()
+    return path
+
+
+def route_boundary_path(graph, ref: DijkstraTable, i: int) -> list[int]:
+    """Edge ids of the boundary route of i, read off ``ref``."""
+    via = int(ref.boundary_via[i])
+    path = [] if via == i else route_path(graph, ref, i, via)
+    path.append(int(ref.boundary_edge[i]))
+    return path
 
 
 def all_pairings(items: tuple):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -8,11 +9,12 @@ import pytest
 
 import surfmatch.graph as graph_module
 from surfmatch import (BOUNDARY_JSON_ID, Edge, ExperimentConfig, build_decoding_graph,
-                       reconstruct_boundary_path, reconstruct_path)
+                       build_path_table, reconstruct_boundary_path, reconstruct_path)
 
 from oracles import (apsp_weights, bfs_boundary_hops, bfs_hops,
-                     boundary_route_weight, enumerate_simple_path_weights,
-                     graph_from_json, heap_dijkstra)
+                     boundary_route_weight, dijkstra_path_table,
+                     enumerate_simple_path_weights, graph_from_json, heap_dijkstra,
+                     route_boundary_path, route_path)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
@@ -189,6 +191,64 @@ def test_from_json_rejects_corrupt_p(g32):
             graph_from_json(json.dumps(doc))
 
 
+def _edge_index(doc, u, v):
+    return next(k for k, e in enumerate(doc["edges"]) if (e["u"], e["v"]) == (u, v))
+
+
+def _spacelike(graph, t):
+    m = graph.n_detectors // graph.rounds
+    return [(e.u, e.v) for e in graph.edges
+            if e.v != graph.boundary_id and e.u // m == e.v // m == t]
+
+
+def _diagonal(doc, graph, m):
+    # the timelike edge of check 0 rerouted to check 1 of the next round
+    doc["edges"][_edge_index(doc, 0, m)]["v"] = m + 1
+
+
+def _spacelike_in_one_round(doc, graph, m):
+    # a round-1 spacelike edge moved to two checks not adjacent in round 0
+    a, b = next((a, b) for a, b in itertools.combinations(range(m), 2)
+                if graph.edge_between(a, b) is None)
+    doc["edges"][_edge_index(doc, *_spacelike(graph, 1)[0])].update(u=m + a, v=m + b)
+
+
+def _reversed(doc, graph, m):
+    u, v = _spacelike(graph, 0)[0]
+    doc["edges"][_edge_index(doc, u, v)].update(u=v, v=u)
+
+
+def _exit_in_one_round(doc, graph, m):
+    # a round-1 boundary edge moved to a check with none in round 0
+    inner = next(c for c in range(m) if not graph.boundary_edges_of(c))
+    k = next(k for k, e in enumerate(doc["edges"])
+             if m <= e["u"] < 2 * m and e["v"] == BOUNDARY_JSON_ID)
+    doc["edges"][k]["u"] = m + inner
+
+
+def _timelike_twice(doc, graph, m):
+    doc["edges"][_edge_index(doc, 1, m + 1)].update(u=0, v=m)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_diagonal, "joins different checks in different rounds"),
+    (_spacelike_in_one_round, "rounds differ in their spacelike edges"),
+    (_reversed, "must list its lower detector id first"),
+    (_exit_in_one_round, "rounds differ in their boundary edges"),
+    (_timelike_twice, "a check lacks a timelike edge"),
+], ids=["diagonal", "spacelike-in-one-round", "reversed", "exit-in-one-round",
+        "timelike-twice"])
+def test_from_json_rejects_non_product_graph(g5, mutate, message):
+    # build_path_table relies on the product form: one round's check graph
+    # times a path of rounds.  Each mutation keeps the edge count.
+    m = g5.n_detectors // g5.rounds
+    doc = json.loads(g5.to_json())
+    mutate(doc, g5, m)
+    assert len(doc["edges"]) == g5.n_edges
+    with pytest.raises(ValueError, match=message):
+        graph_from_json(json.dumps(doc))
+
+
 def test_path_table_holds_hop_counts(g5, pt5):
     assert pt5.hops.dtype == pt5.boundary_hops.dtype == np.int16
     assert pt5.hops.shape == (g5.n_detectors, g5.n_detectors)
@@ -292,3 +352,64 @@ def test_reconstruct_boundary_path(g3, pt3):
         assert len(path) == pt3.boundary_hops[i] == bfs_boundary_hops(g3, i)
         end = _walk_endpoints(g3, path[:-1], i)
         assert end == int(pt3.boundary_via[i])
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
+def test_path_table_equals_dijkstra_table(d):
+    # The product-form table against the all-pairs Dijkstra it replaced:
+    # the same arrays with the same dtypes, and the same path, tie-breaks
+    # included, for every pair at d <= 7 and for sampled pairs above.
+    rng = np.random.default_rng(d)
+    for rounds in sorted({1, 2, 4, d}):
+        graph = build_decoding_graph(d, rounds, 1e-3)
+        table, ref = build_path_table(graph), dijkstra_path_table(graph)
+        for name in ("hops", "boundary_hops", "boundary_via", "boundary_edge"):
+            got, want = getattr(table, name), getattr(ref, name)
+            assert got.dtype == want.dtype, (rounds, name)
+            assert np.array_equal(got, want), (rounds, name)
+        n = graph.n_detectors
+        if d <= 7:
+            pairs = itertools.permutations(range(n), 2)
+        else:
+            first = rng.integers(0, n, size=20_000)
+            pairs = zip(first.tolist(), ((first + rng.integers(1, n, size=20_000)) % n).tolist())
+        for i, j in pairs:
+            assert reconstruct_path(table, i, j) == route_path(graph, ref, i, j)
+        for i in range(n):
+            assert reconstruct_boundary_path(table, i) == route_boundary_path(graph, ref, i)
+
+
+@pytest.mark.parametrize("d, rounds", [(3, 1), (5, 2), (7, 3), (9, 12)])
+def test_path_table_rows_match_bfs_when_rounds_differ_from_d(d, rounds):
+    graph = build_decoding_graph(d, rounds, 1e-3)
+    table = build_path_table(graph)
+    rng = np.random.default_rng(rounds)
+    for i in rng.choice(graph.n_detectors, size=min(6, graph.n_detectors), replace=False):
+        hops = bfs_hops(graph, int(i))
+        assert table.hops[i].tolist() == [hops[j] for j in range(graph.n_detectors)]
+        assert table.boundary_hops[i] == bfs_boundary_hops(graph, int(i))
+
+
+def test_path_table_refuses_disconnected_round(g32):
+    # Every spacelike edge turned into a boundary edge, in every round: the
+    # graph keeps the product form and reaches every detector through the
+    # boundary, but no detector path joins two checks of one round.
+    m = g32.n_detectors // g32.rounds
+    doc = json.loads(g32.to_json())
+    for e in doc["edges"]:
+        if e["v"] != BOUNDARY_JSON_ID and e["v"] - e["u"] != m:
+            e["v"] = BOUNDARY_JSON_ID
+    with pytest.raises(ValueError, match="detector subgraph is not connected"):
+        build_path_table(graph_from_json(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("bad", [-1, "n"])
+def test_reconstruction_refuses_ids_outside_the_detectors(pt3, bad):
+    # a negative id used to wrap numpy indexing into a misleading error
+    bad = pt3.n if bad == "n" else bad
+    with pytest.raises(ValueError, match=re.escape(f"must be in [0, {pt3.n})")):
+        reconstruct_path(pt3, 3, bad)
+    with pytest.raises(ValueError, match=re.escape(f"must be in [0, {pt3.n})")):
+        reconstruct_path(pt3, bad, 3)
+    with pytest.raises(ValueError, match=re.escape(f"must be in [0, {pt3.n})")):
+        reconstruct_boundary_path(pt3, bad)

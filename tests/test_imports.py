@@ -63,3 +63,18 @@ def test_direct_run_does_not_import_scipy_special():
             "assert 'scipy.special' in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+
+
+def test_build_and_runs_do_not_import_scipy_sparse():
+    # The path table is built from the lattice's product structure, so no
+    # run loads scipy.sparse or its graph routines.
+    code = ("import sys\n"
+            "from surfmatch import ExperimentConfig, run_direct, run_rare_event\n"
+            "cfg = ExperimentConfig(distance=5, p=1e-3, shots_direct=2000,\n"
+            "                       shots_per_k=20, k_max=4)\n"
+            "graph, table = cfg.build()\n"
+            "run_direct(cfg, graph, table)\n"
+            "run_rare_event(cfg, graph, table)\n"
+            "assert 'scipy.sparse' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(SRC.parent)})

@@ -20,9 +20,9 @@ def syndrome_of(nodes, obs=0):
 
 
 def with_hops(table: PathTable, hops, boundary_hops) -> PathTable:
-    """``table`` with its hop counts replaced; routes and corrections unchanged."""
-    return PathTable(table.graph, hops, table.route, boundary_hops,
-                     table.boundary_via, table.boundary_edge)
+    """``table`` with its hop counts replaced; paths and corrections unchanged."""
+    return PathTable(table.graph, hops, boundary_hops, table.boundary_via,
+                     table.boundary_edge, table.pred)
 
 
 def pair_sets(matching):

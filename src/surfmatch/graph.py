@@ -12,11 +12,12 @@ mechanisms:
   consecutive rounds.
 
 There are no diagonal space-time edges, and every round has the same
-spacelike and boundary edges.  The detector graph is therefore the
-Cartesian product of one round's check graph and a path of ``rounds``
-nodes (``DetectorGraph.validate`` enforces this), and the fewest hops
-between check ``a`` in round ``s`` and check ``b`` in round ``u`` are
-``D[a, b] + |s - u|``, with ``D`` the hop counts of one round.
+spacelike and boundary edges: ``DetectorGraph`` builds round 0 and repeats
+it.  The detector graph is therefore, by construction, the Cartesian
+product of one round's check graph and a path of ``rounds`` nodes, and
+the fewest hops between check ``a`` in round ``s`` and check ``b`` in
+round ``u`` are ``D[a, b] + |s - u|``, with ``D`` the hop counts of one
+round.
 ``PathTable`` is built from that product form.  Every edge flips with the
 same prior ``p``, stored once as ``DetectorGraph.p``, so every edge weighs
 the same and a path's weight is its hop count.  The logical observable is
@@ -114,37 +115,74 @@ def _z_plaquettes(d: int) -> list[tuple[int, int]]:
 class DetectorGraph:
     """Decoding graph plus adjacency and edge lookup tables.
 
-    Treat instances as immutable after construction; derived tables are
-    built once here.
+    Built from round 0 alone: its ``n_checks`` checks, and for each data
+    qubit ``q`` in row-major order the one or two checks it touches.  Every
+    round repeats round 0, so the product form holds by construction:
+
+    * detector ``t * n_checks + a`` is check ``a`` in round ``t``;
+    * the edge of qubit ``q`` in round ``t`` has id ``t * d**2 + q`` and
+      lists its lower detector id first, the boundary last;
+    * the timelike edge of check ``a`` between rounds ``t`` and ``t + 1``
+      has id ``rounds * d**2 + t * n_checks + a``.
+
+    ``check_neighbors[a]`` holds the ``(b, edge id)`` of check ``a``'s
+    spacelike edges in round 0, in ascending ``b``, and ``check_exits[a]``
+    the ids of its round-0 boundary edges; round ``t`` shifts both by whole
+    rounds.  Treat instances as immutable after construction.
     """
 
-    def __init__(self, distance: int, rounds: int, p: float,
-                 nodes: list[Detector], edges: list[Edge], boundary_id: int):
-        self.distance = distance
-        self.rounds = rounds
-        self.p = p
-        self.nodes = nodes
-        self.edges = edges
-        self.boundary_id = boundary_id
-        self.n_detectors = len(nodes)
+    def __init__(self, distance: int, rounds: int | None, p: float):
+        check_code_params(distance, rounds, p)
+        if rounds is None:
+            rounds = distance
+        plaqs = _z_plaquettes(distance)
+        index = {q: i for i, q in enumerate(plaqs)}
+        m = len(plaqs)
+        self.distance, self.rounds, self.p = distance, rounds, p
+        self.n_checks = m
+        self.n_detectors = self.boundary_id = boundary = rounds * m
+        self.nodes = [Detector(t * m + i, (pc, pr), t)
+                      for t in range(rounds) for i, (pr, pc) in enumerate(plaqs)]
 
-        self.adjacency: list[list[int]] = [[] for _ in range(self.n_detectors + 1)]
-        self._boundary_edges: list[list[int]] = [[] for _ in range(self.n_detectors)]
-        self._pair_to_edge: dict[tuple[int, int], int] = {}
-        self.detector_neighbors: list[list[tuple[int, int]]] = [
-            [] for _ in range(self.n_detectors)
-        ]
-        for e in edges:
-            self.adjacency[e.u].append(e.id)
-            self.adjacency[e.v].append(e.id)
-            if e.v == boundary_id:
-                self._boundary_edges[e.u].append(e.id)
-            else:
-                self._pair_to_edge[(e.u, e.v)] = e.id
-                self.detector_neighbors[e.u].append((e.v, e.id))
-                self.detector_neighbors[e.v].append((e.u, e.id))
-        for lst in self.detector_neighbors:
+        # Round 0: the checks each data qubit touches, (a, b) with a < b, or
+        # (a, None) for a qubit on an open side.
+        qubits = []
+        self.check_neighbors: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        self.check_exits: list[list[int]] = [[] for _ in range(m)]
+        for r in range(distance):
+            for c in range(distance):
+                adj = sorted(index[q] for q in ((r - 1, c - 1), (r - 1, c), (r, c - 1), (r, c))
+                             if q in index)
+                a, b = adj if len(adj) == 2 else (*adj, None)
+                if b is None:
+                    self.check_exits[a].append(len(qubits))
+                else:
+                    self.check_neighbors[a].append((b, len(qubits)))
+                    self.check_neighbors[b].append((a, len(qubits)))
+                qubits.append((a, b, c == 0))
+        for lst in self.check_neighbors:
             lst.sort()
+
+        per_round = distance * distance
+        timelike = rounds * per_round  # id of the first timelike edge
+        self.edges = [Edge(t * per_round + q, t * m + a,
+                           boundary if b is None else t * m + b, obs)
+                      for t in range(rounds) for q, (a, b, obs) in enumerate(qubits)]
+        self.edges += [Edge(timelike + i, i, i + m, False) for i in range((rounds - 1) * m)]
+        self._pair_to_edge = {(e.u, e.v): e.id for e in self.edges if e.v != boundary}
+        self._boundary_edges: list[list[int]] = []
+        self.detector_neighbors: list[list[tuple[int, int]]] = []
+        for t in range(rounds):
+            base, shift = t * m, t * per_round
+            for a in range(m):
+                i = base + a
+                nbrs = [(base + b, shift + eid) for b, eid in self.check_neighbors[a]]
+                if t:
+                    nbrs.insert(0, (i - m, timelike + i - m))
+                if t < rounds - 1:
+                    nbrs.append((i + m, timelike + i))
+                self.detector_neighbors.append(nbrs)
+                self._boundary_edges.append([shift + eid for eid in self.check_exits[a]])
 
     @property
     def n_edges(self) -> int:
@@ -160,74 +198,6 @@ class DetectorGraph:
     def boundary_edges_of(self, u: int) -> list[int]:
         """Ids of the boundary edges incident to detector u (may be several)."""
         return self._boundary_edges[u]
-
-    def validate(self) -> None:
-        # Written so that NaN, for which every comparison is false, fails.
-        if not 0.0 < self.p < 0.5:
-            raise ValueError(f"p must be in (0, 0.5), got {self.p}")
-        d, r = self.distance, self.rounds
-        n_checks = (d * d - 1) // 2
-        if self.n_detectors != r * n_checks:
-            raise ValueError("detector count does not match lattice")
-        if self.boundary_id != self.n_detectors:
-            raise ValueError("boundary id must follow the detector ids")
-        expected_edges = r * d * d + (r - 1) * n_checks
-        if self.n_edges != expected_edges:
-            raise ValueError("edge count does not match lattice")
-        if any(e.u == self.boundary_id for e in self.edges):
-            raise ValueError("boundary must be the v endpoint")
-        self._check_product_form(n_checks)
-        n_obs = sum(1 for e in self.edges if e.flips_observable)
-        if n_obs != r * d:
-            raise ValueError("observable cut must contain d spacelike edges per round")
-        # Connectivity over detectors + boundary.
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for eid in self.adjacency[u]:
-                e = self.edges[eid]
-                for w in (e.u, e.v):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        if len(seen) != self.n_detectors + 1:
-            raise ValueError("decoding graph is not connected")
-
-    def _check_product_form(self, m: int) -> None:
-        """Refuse a detector graph that is not one round's check graph times
-        a path of rounds, the form ``build_path_table`` relies on.
-
-        Detector ``t * m + a`` is check ``a`` in round ``t``.  Every
-        detector-detector edge lists its lower id first and is timelike,
-        ``v == u + m``, or spacelike within one round; every round has the
-        same spacelike edges and the same checks with a boundary edge as
-        round 0, and every check has its timelike edge between each pair of
-        consecutive rounds.
-        """
-        spacelike = [set() for _ in range(self.rounds)]
-        exits = [set() for _ in range(self.rounds)]
-        timelike = set()
-        for e in self.edges:
-            t, a = divmod(e.u, m)
-            if e.v == self.boundary_id:
-                exits[t].add(a)
-                continue
-            if e.v <= e.u:
-                raise ValueError(f"edge {e.id} must list its lower detector id first")
-            s, b = divmod(e.v, m)
-            if s == t:
-                spacelike[t].add((a, b))
-            elif a == b and s == t + 1:
-                timelike.add(e.u)
-            else:
-                raise ValueError(f"edge {e.id} joins different checks in different rounds")
-        if any(edges != spacelike[0] for edges in spacelike):
-            raise ValueError("rounds differ in their spacelike edges")
-        if any(checks != exits[0] for checks in exits):
-            raise ValueError("rounds differ in their boundary edges")
-        if len(timelike) != (self.rounds - 1) * m:
-            raise ValueError("a check lacks a timelike edge")
 
     def to_json(self) -> str:
         doc = {
@@ -261,41 +231,7 @@ def build_decoding_graph(distance: int, rounds: int | None = None,
     Raises ``ValueError`` for any other value, a ``bool`` or a non-number
     among them, before building anything (``check_code_params``).
     """
-    check_code_params(distance, rounds, p)
-    if rounds is None:
-        rounds = distance
-
-    plaqs = _z_plaquettes(distance)
-    index = {q: i for i, q in enumerate(plaqs)}
-    n_checks = len(plaqs)
-    boundary_id = rounds * n_checks
-
-    nodes = [Detector(t * n_checks + i, (pc, pr), t)
-             for t in range(rounds) for i, (pr, pc) in enumerate(plaqs)]
-
-    edges: list[Edge] = []
-    for t in range(rounds):
-        base = t * n_checks
-        for r in range(distance):
-            for c in range(distance):
-                corners = [(r - 1, c - 1), (r - 1, c), (r, c - 1), (r, c)]
-                adj = [index[q] for q in corners if q in index]
-                if len(adj) not in (1, 2):
-                    raise AssertionError("data qubit must touch 1 or 2 checks")
-                obs = c == 0
-                if len(adj) == 2:
-                    u, v = sorted(base + i for i in adj)
-                    edges.append(Edge(len(edges), u, v, obs))
-                else:
-                    edges.append(Edge(len(edges), base + adj[0], boundary_id, obs))
-    for t in range(rounds - 1):
-        for i in range(n_checks):
-            edges.append(Edge(len(edges), t * n_checks + i,
-                              (t + 1) * n_checks + i, False))
-
-    g = DetectorGraph(distance, rounds, p, nodes, edges, boundary_id)
-    g.validate()
-    return g
+    return DetectorGraph(distance, rounds, p)
 
 
 class PathTable:
@@ -338,13 +274,11 @@ def build_path_table(graph: DetectorGraph) -> PathTable:
 
     One breadth-first search per check over round 0 gives the in-round hop
     counts ``D``; between rounds ``s`` and ``u`` a path adds ``|s - u|``
-    timelike hops.  ``graph`` must have the product form that
-    ``DetectorGraph.validate`` checks.
+    timelike hops.
     """
-    n, rounds = graph.n_detectors, graph.rounds
-    m = n // rounds
+    n, rounds, m = graph.n_detectors, graph.rounds, graph.n_checks
     # Round 0's check graph, each neighbour list in ascending id order.
-    neighbours = [[v for v, _ in graph.detector_neighbors[c] if v < m] for c in range(m)]
+    neighbours = [[b for b, _ in nbrs] for nbrs in graph.check_neighbors]
     dist, pred = [], []
     for a in range(m):
         hops_a = [-1] * m
@@ -376,11 +310,13 @@ def build_path_table(graph: DetectorGraph) -> PathTable:
 
     # The nearest boundary-adjacent check of round 0; argmin keeps the
     # lowest id.  A later round is the same route shifted by whole rounds.
-    exits = np.array([c for c in range(m) if graph.boundary_edges_of(c)])
+    exits = np.array([c for c, ids in enumerate(graph.check_exits) if ids])
     via0 = exits[np.argmin(d[:, exits], axis=1)]
-    via = (np.arange(rounds)[:, None] * m + via0[None, :]).reshape(n)
+    shift = np.arange(rounds)[:, None]
+    via = (shift * m + via0).reshape(n)
     boundary_hops = np.tile(d[np.arange(m), via0] + 1, rounds).astype(np.int16)
-    boundary_edge = np.array([graph.boundary_edges_of(int(u))[0] for u in via])
+    first_exit = np.array([graph.check_exits[c][0] for c in via0])
+    boundary_edge = (shift * graph.distance ** 2 + first_exit).reshape(n)
     return PathTable(graph, hops, boundary_hops, via, boundary_edge, pred)
 
 

@@ -160,9 +160,13 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     the enumeration's.  A pair that only ties its boundary routes is kept, as
     enumeration order puts it before the boundary.  Without the boundary
     nothing is skipped.
+
+    An id outside ``[0, table.n)`` is refused with ``ValueError`` before
+    the DP; this is the only id check on the decode path.
     """
     nodes = tuple(sorted(flipped))
     m = len(nodes)
+    check_detector_ids(table.graph, nodes)
     if m > hw_cap:
         raise ValueError(f"Hamming weight {m} exceeds cap {hw_cap}")
     if hw_cap > MAX_HW_CAP:
@@ -262,7 +266,6 @@ def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     pre_cycles = predecode.cycles if predecode is not None else 0
 
     flipped = predecode.residual.flipped if predecode is not None else syndrome.flipped
-    check_detector_ids(graph, flipped)
     if len(flipped) > hw_cap:
         raise ValueError(
             f"residual Hamming weight {len(flipped)} exceeds cap {hw_cap}")

@@ -20,7 +20,9 @@ admission rule written as separate checks, the residual's ``fits`` among
 them.  The weighted references count one hop per edge: every edge of a
 built graph flips with the graph's one ``p`` and so weighs the same.  The
 helpers at the end serve the tests only: ``graph_from_json`` reads what
-``DetectorGraph.to_json`` writes, ``predecode_result_to_json`` serialises a
+``DetectorGraph.to_json`` writes and refuses any other doc,
+``check_product_form`` checks an edge list for the product form that the
+builder gives by construction, ``predecode_result_to_json`` serialises a
 predecode for digests, and ``oracle_mwpm`` and ``chain_length_counts`` run
 the exact matcher on a whole syndrome.  ``reference_scan`` and
 ``reference_step3`` are the per-edge and per-node predecoder scans that the
@@ -42,8 +44,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from surfmatch.graph import (BOUNDARY_JSON_ID, Detector, DetectorGraph, Edge,
-                             reconstruct_boundary_path, reconstruct_path)
+from surfmatch.graph import (DetectorGraph, build_decoding_graph, reconstruct_boundary_path,
+                             reconstruct_path)
 from surfmatch.harness import run_chain
 from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet, decode
 from surfmatch.noise import (ErrorSet, inject_k_errors, make_rng, occurrence_probability,
@@ -649,17 +651,54 @@ def real_time_chain(syndrome, predecoder: str, pcfg, predecode):
 
 
 def graph_from_json(text: str) -> DetectorGraph:
-    """The graph ``DetectorGraph.to_json`` wrote, validated."""
+    """The graph ``DetectorGraph.to_json`` wrote: rebuilt from the doc's
+    distance, rounds and p, and refused unless every key it writes holds
+    the same value in the doc (other keys, such as the CLI's
+    ``schema_version``, are ignored)."""
     doc = json.loads(text)
-    nodes = [Detector(n["id"], (n["x"], n["y"]), n["round"]) for n in doc["nodes"]]
-    boundary_id = len(nodes)
-    edges = [Edge(e["id"], e["u"], boundary_id if e["v"] == BOUNDARY_JSON_ID else e["v"],
-                  bool(e["obs"]))
-             for e in doc["edges"]]
-    graph = DetectorGraph(doc["distance"], doc["rounds"], doc["p"], nodes, edges,
-                          boundary_id)
-    graph.validate()
+    graph = build_decoding_graph(doc["distance"], doc["rounds"], doc["p"])
+    built = json.loads(graph.to_json())
+    if {key: doc.get(key) for key in built} != built:
+        raise ValueError("graph JSON differs from the graph built for its distance, "
+                         "rounds and p")
     return graph
+
+
+def check_product_form(edges, m: int, rounds: int) -> None:
+    """Refuse an edge list that is not one round's check graph times a path
+    of ``rounds`` nodes, the form ``build_path_table`` relies on.
+
+    Detector ``t * m + a`` is check ``a`` in round ``t``, and ``rounds * m``
+    is the boundary.  Every detector-detector edge lists its lower id first
+    and is timelike, ``v == u + m``, or spacelike within one round; every
+    round has the same spacelike edges and the same checks with a boundary
+    edge as round 0, and every check has its timelike edge between each pair
+    of consecutive rounds.
+    """
+    boundary = rounds * m
+    spacelike = [set() for _ in range(rounds)]
+    exits = [set() for _ in range(rounds)]
+    timelike = set()
+    for e in edges:
+        t, a = divmod(e.u, m)
+        if e.v == boundary:
+            exits[t].add(a)
+            continue
+        if e.v <= e.u:
+            raise ValueError(f"edge {e.id} must list its lower detector id first")
+        s, b = divmod(e.v, m)
+        if s == t:
+            spacelike[t].add((a, b))
+        elif a == b and s == t + 1:
+            timelike.add(e.u)
+        else:
+            raise ValueError(f"edge {e.id} joins different checks in different rounds")
+    if any(round_edges != spacelike[0] for round_edges in spacelike):
+        raise ValueError("rounds differ in their spacelike edges")
+    if any(checks != exits[0] for checks in exits):
+        raise ValueError("rounds differ in their boundary edges")
+    if len(timelike) != (rounds - 1) * m:
+        raise ValueError("a check lacks a timelike edge")
 
 
 def predecode_result_to_json(result, p: float) -> str:

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import itertools
 import json
 import math
@@ -12,9 +14,27 @@ from surfmatch import (BOUNDARY_JSON_ID, Edge, ExperimentConfig, build_decoding_
                        build_path_table, reconstruct_boundary_path, reconstruct_path)
 
 from oracles import (apsp_weights, bfs_boundary_hops, bfs_hops,
-                     boundary_route_weight, dijkstra_path_table,
+                     boundary_route_weight, check_product_form, dijkstra_path_table,
                      enumerate_simple_path_weights, graph_from_json, heap_dijkstra,
                      route_boundary_path, route_path)
+
+
+def reached_from_boundary(graph) -> set[int]:
+    """Nodes a search over the edge list reaches from the boundary node,
+    the boundary included."""
+    adj = [[] for _ in range(graph.n_detectors + 1)]
+    for e in graph.edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    seen = {graph.boundary_id}
+    stack = [graph.boundary_id]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
@@ -27,7 +47,10 @@ def test_counting_formulas(d):
         assert sum(1 for e in g.edges if e.flips_observable) == rounds * d
         n_boundary = sum(1 for e in g.edges if e.v == g.boundary_id)
         assert n_boundary == 2 * d * rounds
-        g.validate()
+        assert not any(e.u == g.boundary_id for e in g.edges)  # the boundary is the v end
+        assert all(e.v == g.boundary_id for e in g.edges if e.flips_observable)
+        check_product_form(g.edges, n_checks, rounds)
+        assert len(reached_from_boundary(g)) == g.n_detectors + 1
 
 
 def test_node_count_example():
@@ -240,13 +263,43 @@ def _timelike_twice(doc, graph, m):
         "timelike-twice"])
 def test_from_json_rejects_non_product_graph(g5, mutate, message):
     # build_path_table relies on the product form: one round's check graph
-    # times a path of rounds.  Each mutation keeps the edge count.
+    # times a path of rounds.  Each mutation keeps the edge count; the
+    # oracle check names what broke, and the reader refuses the doc.
     m = g5.n_detectors // g5.rounds
     doc = json.loads(g5.to_json())
     mutate(doc, g5, m)
     assert len(doc["edges"]) == g5.n_edges
+    edges = [Edge(e["id"], e["u"], g5.boundary_id if e["v"] == BOUNDARY_JSON_ID else e["v"],
+                  e["obs"])
+             for e in doc["edges"]]
     with pytest.raises(ValueError, match=message):
+        check_product_form(edges, m, g5.rounds)
+    with pytest.raises(ValueError, match="graph JSON differs"):
         graph_from_json(json.dumps(doc))
+
+
+def test_graph_structure_digest_pinned():
+    # Pinned from the edge-list builder that the one-round builder replaced:
+    # the same graph, lookup tables and path table, byte for byte.
+    digest = hashlib.sha256()
+    for d in (3, 5, 7, 9, 11, 13):
+        for rounds in (1, 2, d, d + 2):
+            graph = build_decoding_graph(d, rounds, 1e-3)
+            table = build_path_table(graph)
+            digest.update(graph.to_json().encode())
+            digest.update(json.dumps(graph.detector_neighbors).encode())
+            digest.update(json.dumps([graph.edge_between(u, v).id
+                                      for u, nbrs in enumerate(graph.detector_neighbors)
+                                      for v, _ in nbrs]).encode())
+            digest.update(json.dumps([graph.boundary_edges_of(u)
+                                      for u in range(graph.n_detectors)]).encode())
+            for name in ("hops", "boundary_hops", "boundary_via", "boundary_edge"):
+                array = getattr(table, name)
+                digest.update(str(array.dtype).encode())
+                digest.update(array.tobytes())
+            digest.update(json.dumps(table.pred).encode())
+    assert digest.hexdigest() == (
+        "bf710206bb605af139b50ae3e237e90f8666f4d35c2fafb165afbe118c33694c")
 
 
 def test_path_table_holds_hop_counts(g5, pt5):
@@ -391,16 +444,12 @@ def test_path_table_rows_match_bfs_when_rounds_differ_from_d(d, rounds):
 
 
 def test_path_table_refuses_disconnected_round(g32):
-    # Every spacelike edge turned into a boundary edge, in every round: the
-    # graph keeps the product form and reaches every detector through the
-    # boundary, but no detector path joins two checks of one round.
-    m = g32.n_detectors // g32.rounds
-    doc = json.loads(g32.to_json())
-    for e in doc["edges"]:
-        if e["v"] != BOUNDARY_JSON_ID and e["v"] - e["u"] != m:
-            e["v"] = BOUNDARY_JSON_ID
+    # No built graph has a disconnected round, so round 0's check graph is
+    # emptied on a copy: no detector path joins two checks of one round.
+    graph = copy.copy(g32)
+    graph.check_neighbors = [[] for _ in g32.check_neighbors]
     with pytest.raises(ValueError, match="detector subgraph is not connected"):
-        build_path_table(graph_from_json(json.dumps(doc)))
+        build_path_table(graph)
 
 
 @pytest.mark.parametrize("bad", [-1, "n"])

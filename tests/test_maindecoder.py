@@ -314,6 +314,16 @@ def test_decode_refuses_detector_ids_out_of_range(g3, pt3):
             decode(g3, pt3, syndrome_of({u, v, bad}))
 
 
+@pytest.mark.parametrize("bad", [-1, "n"])
+def test_brute_force_refuses_ids_outside_the_detectors(pt3, bad):
+    # id n used to raise IndexError from the hop lookup, and -1 wrapped
+    # round to the last row before the path walk refused it
+    bad = pt3.n if bad == "n" else bad
+    with pytest.raises(ValueError, match=re.escape(
+            f"flipped ids outside detector range: [{bad}]")):
+        brute_force_mwpm([bad, 1], pt3)
+
+
 # ------------------------------------------------------ decode
 
 

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graph import DetectorGraph, PathTable, reconstruct_boundary_path, reconstruct_path
+from .graph import (DetectorGraph, PathTable, check_integer, reconstruct_boundary_path,
+                    reconstruct_path)
 from .noise import Syndrome
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -161,12 +162,14 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     enumeration order puts it before the boundary.  Without the boundary
     nothing is skipped.
 
-    An id outside ``[0, table.n)`` is refused with ``ValueError`` before
-    the DP; this is the only id check on the decode path.
+    An id that is not an integer in ``[0, table.n)`` is refused with
+    ``ValueError`` before the DP; this is the only id check on the decode
+    path.
     """
-    nodes = tuple(sorted(flipped))
+    nodes = tuple(flipped)
+    check_detector_ids(table.graph, nodes)  # before sorting: 'a' < 1 raises TypeError
+    nodes = tuple(sorted(nodes))
     m = len(nodes)
-    check_detector_ids(table.graph, nodes)
     if m > hw_cap:
         raise ValueError(f"Hamming weight {m} exceeds cap {hw_cap}")
     if hw_cap > MAX_HW_CAP:
@@ -233,11 +236,23 @@ class DecodeOutcome:
     cycles_total: int
 
 
+_INT = frozenset({int})
+
+
 def check_detector_ids(graph: DetectorGraph, flipped) -> None:
-    """Refuse flipped ids outside ``[0, n_detectors)``."""
-    if flipped and not (min(flipped) >= 0 and max(flipped) < graph.n_detectors):
-        bad = sorted(i for i in flipped if not 0 <= i < graph.n_detectors)
-        raise ValueError(f"flipped ids outside detector range: {bad}")
+    """Refuse flipped ids that are not integers in ``[0, n_detectors)``.
+
+    An id is an integer as ``check_integer`` has it: numpy integers pass,
+    ``bool`` does not.  Ids of type ``int`` within range pass on a fast
+    path of a few C-level passes; any other id takes the per-id checks.
+    """
+    if flipped and not (_INT.issuperset(map(type, flipped))
+                        and min(flipped) >= 0 and max(flipped) < graph.n_detectors):
+        for i in flipped:
+            check_integer("flipped id", i)
+        bad = sorted(int(i) for i in flipped if not 0 <= i < graph.n_detectors)
+        if bad:
+            raise ValueError(f"flipped ids outside detector range: {bad}")
 
 
 def _observable_parity(graph: DetectorGraph, edge_ids) -> int:

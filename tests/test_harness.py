@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from copy import deepcopy
 from dataclasses import FrozenInstanceError, astuple, replace
 from functools import partial
@@ -190,6 +191,32 @@ def test_chain_greedy_strands_singletons_above_cap(g5, pt5):
     assert rec.post_hw == 12 > cfg.main_hw_cap
     assert rec.aborted and rec.failure
     assert rec.predecode_cycles == 0 and rec.deepest_step is None
+
+
+@pytest.mark.parametrize("bad", [1.5, "a", True])
+@pytest.mark.parametrize("predecoder", harness.PREDECODERS)
+def test_chain_refuses_non_integer_detector_ids(g5, pt5, predecoder, bad):
+    # alone and among three ids (a bypass), and among eleven (above the
+    # cap: a predecode, or not admitted).  Each used to raise TypeError, and
+    # True ran as id 1.
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003, predecoder=predecoder)
+    nodes = sorted(u for p in find_disjoint_pairs(g5, 6) for u in p)
+    for flipped in ([bad], nodes[:3] + [bad], nodes[1:] + [bad]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"flipped id must be an integer, got {bad!r}")):
+            run_chain(g5, pt5, syndrome_of(flipped), cfg)
+
+
+def test_chain_takes_numpy_detector_ids(g5, pt5):
+    pairs = find_disjoint_pairs(g5, 6)
+    nodes = [u for p in pairs for u in p]
+    cfg = ExperimentConfig(distance=5, rounds=5, p=0.003)
+    for flipped in (nodes[:2], nodes):
+        rec = run_chain(g5, pt5, syndrome_of(flipped), cfg)
+        assert run_chain(g5, pt5, syndrome_of(map(np.int64, flipped)), cfg) == rec
+    with pytest.raises(ValueError, match=re.escape(
+            f"flipped ids outside detector range: [{g5.n_detectors}]")):
+        run_chain(g5, pt5, syndrome_of(map(np.int64, [g5.n_detectors] + nodes[:1])), cfg)
 
 
 @pytest.mark.parametrize("predecoder", harness.PREDECODERS)
@@ -659,6 +686,32 @@ def test_direct_triage_exact_at_budget_floor():
     cfg.budget_ns = 3.9
     with pytest.raises(ValueError, match="budget_ns"):
         run_direct(cfg, graph, table)
+
+
+# run_direct's failure counts on the direct-d5 benchmark configuration
+# (d=5, p=1e-3, 10^4 shots): master seeds 3001-3012 and the first eight
+# later seeds with a failure.  Most seeds have none at this rate.
+DIRECT_D5_FAILURES = {3001: 0, 3002: 0, 3003: 0, 3004: 0, 3005: 0, 3006: 0,
+                      3007: 0, 3008: 0, 3009: 0, 3010: 0, 3011: 0, 3012: 2,
+                      3032: 1, 3050: 2, 3065: 1, 3089: 1, 3116: 1, 3134: 1,
+                      3142: 1, 3165: 1}
+
+
+@pytest.fixture(scope="module")
+def direct_d5():
+    """The direct-d5 configuration with its graph and path table."""
+    cfg = ExperimentConfig(distance=5, p=1e-3, shots_direct=10_000)
+    return (cfg, *cfg.build())
+
+
+@pytest.mark.parametrize("seed", list(DIRECT_D5_FAILURES))
+def test_direct_d5_failures_pinned(direct_d5, seed):
+    # pinned, and equal to the reference that decodes every trial
+    cfg, graph, table = direct_d5
+    cfg = replace(cfg, master_seed=seed)
+    failures = DIRECT_D5_FAILURES[seed]
+    assert run_direct(cfg, graph, table).ler == failures / cfg.shots_direct
+    assert direct_failures(graph, table, cfg, harness._STREAM_DIRECT, 1024) == failures
 
 
 def test_direct_triage_matches_per_trial_reference():

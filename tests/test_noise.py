@@ -86,11 +86,33 @@ def test_error_sets_are_plain_frozensets_of_ints(g3):
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.bool_, st.tuples(st.integers(0, 12), st.integers(1, 40))))
 def test_error_sets_group_hits_by_row(hits):
-    # the flat-position grouping against row-by-row np.nonzero
+    # the flat-position grouping against row-by-row np.nonzero; rows with
+    # no hit or one hit get a shared set, heavier rows a new one
     m, n = hits.shape
     sets = noise._error_sets(np.flatnonzero(hits), m, n)
     assert sets == [ErrorSet(frozenset(np.nonzero(row)[0].tolist())) for row in hits]
-    assert all(s is noise._NO_ERRORS for s, row in zip(sets, hits) if not row.any())
+    for s, row in zip(sets, hits):
+        cols = np.flatnonzero(row).tolist()
+        if not cols:
+            assert s is noise._NO_ERRORS
+        elif len(cols) == 1:
+            assert s is noise._single_sets(n)[cols[0]]
+        else:
+            assert s == frozenset(cols) and all(type(i) is int for i in s)
+
+
+def test_single_sets_are_kept_per_edge_count():
+    # blocks on graphs of different sizes, interleaved: every id stays below
+    # its own graph's edge count, and one-edge trials share that graph's sets
+    graphs = [build_decoding_graph(d, d, 1e-3) for d in (3, 5, 11, 3)]
+    for i, graph in enumerate(graphs):
+        n = graph.n_edges
+        block = sample_iid(graph, trial_seed(23, i), 4096)
+        assert max(max(errors) for errors in block if errors) < n
+        singles = [errors for errors in block if len(errors) == 1]
+        assert len(singles) > 10
+        assert all(s is noise._single_sets(n)[next(iter(s))] for s in singles)
+        assert len(noise._single_sets(n)) == n
 
 
 # The distribution of the gap sampler at fixed seeds, on 10^5 d=3 trials
@@ -191,6 +213,23 @@ def test_syndrome_single_interior_edge(g3):
     syn = syndrome_from_errors(g3, ErrorSet(frozenset({eid})))
     assert syn.flipped == frozenset({u, v})
     assert syn.hamming_weight == 2
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.5, "a", True])
+def test_syndrome_refuses_non_integer_edge_ids(g3, bad):
+    # 1.0 and 'a' used to raise TypeError, and True flipped edge 1
+    for errors in ({bad}, {g3.n_edges - 1, bad}):
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge id must be an integer, got {bad!r}")):
+            syndrome_from_errors(g3, ErrorSet(frozenset(errors)))
+
+
+def test_syndrome_takes_numpy_edge_ids(g3):
+    ids = [0, 4, 9, g3.n_edges - 1]
+    syn = syndrome_from_errors(g3, ErrorSet(frozenset(ids)))
+    assert syndrome_from_errors(g3, ErrorSet(frozenset(map(np.int64, ids)))) == syn
+    with pytest.raises(ValueError, match=re.escape(f"edge ids out of range: [{g3.n_edges}]")):
+        syndrome_from_errors(g3, ErrorSet(frozenset([np.int64(g3.n_edges), 4])))
 
 
 def test_syndrome_refuses_edge_ids_out_of_range(g3):

@@ -239,15 +239,21 @@ class DecodeOutcome:
 _INT = frozenset({int})
 
 
+@functools.cache
+def _id_range(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
+
 def check_detector_ids(graph: DetectorGraph, flipped) -> None:
     """Refuse flipped ids that are not integers in ``[0, n_detectors)``.
 
     An id is an integer as ``check_integer`` has it: numpy integers pass,
-    ``bool`` does not.  Ids of type ``int`` within range pass on a fast
-    path of a few C-level passes; any other id takes the per-id checks.
+    ``bool`` does not.  Ids that are all ``int`` and in range pass after
+    two passes in C, about as fast as the ``min`` and ``max`` of a range
+    test alone; any other set of ids is checked id by id.
     """
-    if flipped and not (_INT.issuperset(map(type, flipped))
-                        and min(flipped) >= 0 and max(flipped) < graph.n_detectors):
+    if not (_INT.issuperset(map(type, flipped))
+            and _id_range(graph.n_detectors).issuperset(flipped)):
         for i in flipped:
             check_integer("flipped id", i)
         bad = sorted(int(i) for i in flipped if not 0 <= i < graph.n_detectors)

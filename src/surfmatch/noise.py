@@ -31,8 +31,7 @@ new set.
 An error set is a plain ``frozenset`` of Python ``int`` edge ids;
 ``ErrorSet`` names that type.  It is hashable and equal by value, so the
 harness keys its memo by it, and it is empty, and so false, exactly when
-no edge flipped.  A caller must not rely on two equal sets being distinct
-objects, or on their being the same one.
+no edge flipped.  Equal sets may or may not be one object.
 """
 from __future__ import annotations
 
@@ -161,7 +160,7 @@ def syndrome_from_errors(graph: DetectorGraph, errors: ErrorSet) -> Syndrome:
     Edge ids must be integers in ``[0, n_edges)``, as ``check_integer`` has
     integers: numpy integers pass, ``bool`` does not.
     """
-    n = graph.n_edges
+    n, edges, boundary = graph.n_edges, graph.edges, graph.boundary_id
     flipped: set[int] = set()
     obs = 0
     for eid in errors:
@@ -172,9 +171,9 @@ def syndrome_from_errors(graph: DetectorGraph, errors: ErrorSet) -> Syndrome:
                     check_integer("edge id", i)
                 bad = sorted(int(i) for i in errors if not 0 <= i < n)
                 raise ValueError(f"edge ids out of range: {bad}")
-        e = graph.edges[eid]
+        e = edges[eid]
         for node in (e.u, e.v):
-            if node == graph.boundary_id:
+            if node == boundary:
                 continue
             if node in flipped:
                 flipped.remove(node)

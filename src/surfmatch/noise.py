@@ -172,13 +172,16 @@ def syndrome_from_errors(graph: DetectorGraph, errors: ErrorSet) -> Syndrome:
                 bad = sorted(int(i) for i in errors if not 0 <= i < n)
                 raise ValueError(f"edge ids out of range: {bad}")
         e = edges[eid]
-        for node in (e.u, e.v):
-            if node == boundary:
-                continue
-            if node in flipped:
-                flipped.remove(node)
+        u, v = e.u, e.v  # u is a detector; v is a detector or the boundary
+        if u in flipped:
+            flipped.remove(u)
+        else:
+            flipped.add(u)
+        if v != boundary:
+            if v in flipped:
+                flipped.remove(v)
             else:
-                flipped.add(node)
+                flipped.add(v)
         if e.flips_observable:
             obs ^= 1
     return Syndrome(frozenset(flipped), obs)

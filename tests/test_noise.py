@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 from scipy.stats import binom
 
-from surfmatch import (ErrorSet, build_decoding_graph, inject_k_errors,
+from surfmatch import (ErrorSet, Syndrome, build_decoding_graph, inject_k_errors,
                        make_rng, noise, occurrence_probability, occurrence_tail,
                        sample_iid, syndrome_from_errors, trial_seed)
 from surfmatch.noise import log_occurrence_probability
@@ -213,6 +214,20 @@ def test_syndrome_single_interior_edge(g3):
     syn = syndrome_from_errors(g3, ErrorSet(frozenset({eid})))
     assert syn.flipped == frozenset({u, v})
     assert syn.hamming_weight == 2
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_syndrome_equals_incidence_parity(d):
+    # against a count of each detector's flipped edges, boundary dropped
+    graph = build_decoding_graph(d, d, 0.01)
+    rng = make_rng(trial_seed(29, d))
+    for k in (1, 2, 5, 20, graph.n_edges):
+        for _ in range(20):
+            errors = inject_k_errors(graph, k, rng)
+            ends = Counter(x for eid in errors for x in (graph.edges[eid].u, graph.edges[eid].v))
+            flipped = {x for x, c in ends.items() if c % 2 and x != graph.boundary_id}
+            obs = sum(graph.edges[eid].flips_observable for eid in errors) % 2
+            assert syndrome_from_errors(graph, errors) == Syndrome(frozenset(flipped), obs)
 
 
 @pytest.mark.parametrize("bad", [1.0, 2.5, "a", True])

@@ -249,8 +249,7 @@ def check_detector_ids(graph: DetectorGraph, flipped) -> None:
 
     An id is an integer as ``check_integer`` has it: numpy integers pass,
     ``bool`` does not.  Ids that are all ``int`` and in range pass after
-    two passes in C, about as fast as the ``min`` and ``max`` of a range
-    test alone; any other set of ids is checked id by id.
+    two passes in C; any other set of ids is checked id by id.
     """
     if not (_INT.issuperset(map(type, flipped))
             and _id_range(graph.n_detectors).issuperset(flipped)):

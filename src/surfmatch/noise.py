@@ -36,7 +36,6 @@ no edge flipped.  Equal sets may or may not be one object.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -122,25 +121,19 @@ def _error_sets(flat: np.ndarray, shots: int, n: int) -> list[ErrorSet]:
     """The error set of each of ``shots`` rows of ``n`` edges, from the
     ascending flat (row-major) positions of their flips.
 
-    Rows with no flip get the shared ``_NO_ERRORS``.  A row's first flip
-    gives it the shared one-edge set from ``_single_sets(n)``, and only the
-    rows with two or more flips build a set, from their one run of
-    ascending columns.
+    Each row's flips are one run of ascending columns.  Rows with no flip
+    get the shared ``_NO_ERRORS`` and rows with one flip the shared set of
+    its edge from ``_single_sets(n)``; only heavier rows build a set.
     """
     rows, cols = np.divmod(flat, n)
-    rows, cols = rows.tolist(), cols.tolist()
+    runs, cols = rows.tolist() + [shots], cols.tolist()  # shots closes the last run
     one = _single_sets(n)
     out = [_NO_ERRORS] * shots
-    heavy = []  # the row of every flip after its row's first
-    last = -1
-    for r, c in zip(rows, cols):
-        if r != last:
-            out[r] = one[c]
-            last = r
-        else:
-            heavy.append(r)
-    for r in dict.fromkeys(heavy):
-        out[r] = frozenset(cols[bisect_left(rows, r):bisect_right(rows, r)])
+    first = 0
+    for i, r in enumerate(runs):
+        if r != runs[first]:
+            out[runs[first]] = one[cols[first]] if i - first == 1 else frozenset(cols[first:i])
+            first = i
     return out
 
 

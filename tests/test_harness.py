@@ -689,8 +689,9 @@ def test_direct_triage_exact_at_budget_floor():
 
 
 # run_direct's failure counts on the direct-d5 benchmark configuration
-# (d=5, p=1e-3, 10^4 shots): master seeds 3001-3012 and the first eight
-# later seeds with a failure.  Most seeds have none at this rate.
+# (d=5, p=1e-3, 10^4 shots), pinned from the sampler that built a new set
+# for every trial with an error: master seeds 3001-3012 and the first
+# eight later seeds with a failure.  Most seeds have none at this rate.
 DIRECT_D5_FAILURES = {3001: 0, 3002: 0, 3003: 0, 3004: 0, 3005: 0, 3006: 0,
                       3007: 0, 3008: 0, 3009: 0, 3010: 0, 3011: 0, 3012: 2,
                       3032: 1, 3050: 2, 3065: 1, 3089: 1, 3116: 1, 3134: 1,

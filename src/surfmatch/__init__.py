@@ -1,7 +1,7 @@
 """Surface-code decoding toolkit: adaptive predecoding in front of exact
 minimum-weight matching, with rare-event logical-error-rate estimation.
 """
-from .graph import (BOUNDARY_JSON_ID, Detector, DetectorGraph, Edge, PathTable,
+from .graph import (BOUNDARY_JSON_ID, DetectorGraph, Edge, PathTable,
                     build_decoding_graph, build_path_table, reconstruct_boundary_path,
                     reconstruct_path)
 from .harness import (ExperimentConfig, KStratum, LerEstimate, TrialRecord,
@@ -20,7 +20,7 @@ from .predecoder import (GREEDY_LABEL, DecodingSubgraph, Prematch, PredecodeConf
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY_JSON_ID", "Detector", "DetectorGraph", "Edge", "PathTable",
+    "BOUNDARY_JSON_ID", "DetectorGraph", "Edge", "PathTable",
     "build_decoding_graph", "build_path_table", "reconstruct_path",
     "reconstruct_boundary_path",
     "ErrorSet", "Syndrome", "make_rng", "trial_seed", "sample_iid",

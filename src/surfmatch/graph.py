@@ -71,20 +71,6 @@ def check_code_params(distance, rounds, p) -> None:
 
 
 @dataclass(frozen=True)
-class Detector:
-    """One parity check in one round.
-
-    ``space_coord`` is the (x, y) position of the check on the plaquette
-    grid (x = column, y = row; y = -1 is the row of half-plaquettes above
-    the lattice).
-    """
-
-    id: int
-    space_coord: tuple[int, int]
-    round: int
-
-
-@dataclass(frozen=True)
 class Edge:
     """A single independent error mechanism; it flips with the graph's ``p``."""
 
@@ -125,10 +111,13 @@ class DetectorGraph:
     * the timelike edge of check ``a`` between rounds ``t`` and ``t + 1``
       has id ``rounds * d**2 + t * n_checks + a``.
 
-    ``check_neighbors[a]`` holds the ``(b, edge id)`` of check ``a``'s
-    spacelike edges in round 0, in ascending ``b``, and ``check_exits[a]``
-    the ids of its round-0 boundary edges; round ``t`` shifts both by whole
-    rounds.  Treat instances as immutable after construction.
+    Round 0 is the only copy kept of what every round repeats: check
+    ``a``'s (x, y) plaquette position ``check_coords[a]`` (y = -1 is the
+    row above the lattice), the ``(b, edge id)`` of its spacelike edges in
+    ascending ``b``, ``check_neighbors[a]``, and its boundary edge ids,
+    ``check_exits[a]``; lookups add whole rounds by the layout above.  Only
+    ``edges`` and ``detector_neighbors``, which decodes read per edge and
+    per defect, cover every round.  Treat instances as immutable.
     """
 
     def __init__(self, distance: int, rounds: int | None, p: float):
@@ -141,8 +130,7 @@ class DetectorGraph:
         self.distance, self.rounds, self.p = distance, rounds, p
         self.n_checks = m
         self.n_detectors = self.boundary_id = boundary = rounds * m
-        self.nodes = [Detector(t * m + i, (pc, pr), t)
-                      for t in range(rounds) for i, (pr, pc) in enumerate(plaqs)]
+        self.check_coords = [(pc, pr) for pr, pc in plaqs]
 
         # Round 0: the checks each data qubit touches, (a, b) with a < b, or
         # (a, None) for a qubit on an open side.
@@ -169,8 +157,6 @@ class DetectorGraph:
                            boundary if b is None else t * m + b, obs)
                       for t in range(rounds) for q, (a, b, obs) in enumerate(qubits)]
         self.edges += [Edge(timelike + i, i, i + m, False) for i in range((rounds - 1) * m)]
-        self._pair_to_edge = {(e.u, e.v): e.id for e in self.edges if e.v != boundary}
-        self._boundary_edges: list[list[int]] = []
         self.detector_neighbors: list[list[tuple[int, int]]] = []
         for t in range(rounds):
             base, shift = t * m, t * per_round
@@ -182,7 +168,6 @@ class DetectorGraph:
                 if t < rounds - 1:
                     nbrs.append((i + m, timelike + i))
                 self.detector_neighbors.append(nbrs)
-                self._boundary_edges.append([shift + eid for eid in self.check_exits[a]])
 
     @property
     def n_edges(self) -> int:
@@ -192,12 +177,20 @@ class DetectorGraph:
         """The detector-detector edge joining u and v, if any."""
         if u > v:
             u, v = v, u
-        eid = self._pair_to_edge.get((u, v))
-        return None if eid is None else self.edges[eid]
+        if u < 0 or v >= self.n_detectors:
+            return None
+        (s, a), (t, b) = divmod(u, self.n_checks), divmod(v, self.n_checks)
+        if a == b:
+            return self.edges[self.rounds * self.distance ** 2 + u] if t == s + 1 else None
+        eid = next((e for c, e in self.check_neighbors[a] if c == b), None) if s == t else None
+        return None if eid is None else self.edges[s * self.distance ** 2 + eid]
 
     def boundary_edges_of(self, u: int) -> list[int]:
         """Ids of the boundary edges incident to detector u (may be several)."""
-        return self._boundary_edges[u]
+        if not 0 <= u < self.n_detectors:
+            raise ValueError(f"detector id must be in [0, {self.n_detectors}), got {u}")
+        t, a = divmod(u, self.n_checks)
+        return [t * self.distance ** 2 + eid for eid in self.check_exits[a]]
 
     def to_json(self) -> str:
         doc = {
@@ -205,9 +198,8 @@ class DetectorGraph:
             "rounds": self.rounds,
             "p": self.p,
             "nodes": [
-                {"id": n.id, "x": n.space_coord[0], "y": n.space_coord[1],
-                 "round": n.round}
-                for n in self.nodes
+                {"id": t * self.n_checks + a, "x": x, "y": y, "round": t}
+                for t in range(self.rounds) for a, (x, y) in enumerate(self.check_coords)
             ],
             "edges": [
                 {"id": e.id, "u": e.u,
@@ -253,12 +245,15 @@ class PathTable:
     then steps within the round by ``pred``, and when ``i`` lies in an
     earlier round it steps within ``j``'s round first and descends last.
     ``pred[a][c]`` is the highest-id neighbour of check ``c`` one hop nearer
-    check ``a`` within a round (``pred[a][a]`` is ``a``).
+    check ``a`` within a round (``pred[a][a]`` is ``a``), and
+    ``pred_edge[a][c]`` the round-0 id of the edge joining them (-1 for
+    ``c == a``); a path's edge ids follow from these by the id layout.
     """
 
     def __init__(self, graph: DetectorGraph, hops: np.ndarray,
                  boundary_hops: np.ndarray, boundary_via: np.ndarray,
-                 boundary_edge: np.ndarray, pred: list[list[int]]):
+                 boundary_edge: np.ndarray, pred: list[list[int]],
+                 pred_edge: list[list[int]]):
         self.graph = graph
         self.n = graph.n_detectors
         self.n_checks = len(pred)
@@ -267,6 +262,7 @@ class PathTable:
         self.boundary_via = boundary_via
         self.boundary_edge = boundary_edge
         self.pred = pred
+        self.pred_edge = pred_edge
 
 
 def build_path_table(graph: DetectorGraph) -> PathTable:
@@ -278,11 +274,12 @@ def build_path_table(graph: DetectorGraph) -> PathTable:
     """
     n, rounds, m = graph.n_detectors, graph.rounds, graph.n_checks
     # Round 0's check graph, each neighbour list in ascending id order.
-    neighbours = [[b for b, _ in nbrs] for nbrs in graph.check_neighbors]
-    dist, pred = [], []
+    neighbours = graph.check_neighbors
+    dist, pred, pred_edge = [], [], []
     for a in range(m):
         hops_a = [-1] * m
         pred_a = [a] * m
+        edge_a = [-1] * m
         hops_a[a] = 0
         frontier = [a]
         level = 0
@@ -293,16 +290,18 @@ def build_path_table(graph: DetectorGraph) -> PathTable:
             frontier.sort(reverse=True)
             nxt = []
             for c in frontier:
-                for w in neighbours[c]:
+                for w, eid in neighbours[c]:
                     if hops_a[w] < 0:
                         hops_a[w] = level
                         pred_a[w] = c
+                        edge_a[w] = eid
                         nxt.append(w)
             frontier = nxt
         if -1 in hops_a:
             raise ValueError("detector subgraph is not connected")
         dist.append(hops_a)
         pred.append(pred_a)
+        pred_edge.append(edge_a)
     d = np.array(dist, dtype=np.int16)
     rs = np.arange(rounds, dtype=np.int16)
     dt = np.abs(rs[:, None] - rs[None, :])
@@ -317,7 +316,7 @@ def build_path_table(graph: DetectorGraph) -> PathTable:
     boundary_hops = np.tile(d[np.arange(m), via0] + 1, rounds).astype(np.int16)
     first_exit = np.array([graph.check_exits[c][0] for c in via0])
     boundary_edge = (shift * graph.distance ** 2 + first_exit).reshape(n)
-    return PathTable(graph, hops, boundary_hops, via, boundary_edge, pred)
+    return PathTable(graph, hops, boundary_hops, via, boundary_edge, pred, pred_edge)
 
 
 def reconstruct_path(table: PathTable, i: int, j: int) -> list[int]:
@@ -327,26 +326,25 @@ def reconstruct_path(table: PathTable, i: int, j: int) -> list[int]:
         raise ValueError(f"detector ids must be in [0, {n}), got {i} and {j}")
     if i == j:
         raise ValueError("no path from a node to itself")
-    m = table.n_checks
+    m, graph = table.n_checks, table.graph
     s, a = divmod(i, m)
     u, b = divmod(j, m)
-    edge = table.graph._pair_to_edge
-    path = []  # walked back from j, reversed at the end
+    per_round = graph.distance ** 2
+    timelike = graph.rounds * per_round  # plus the lower detector's id
+    # Walked back from j, reversed at the end: up to round s if i lies in a
+    # later round, within round r (made an int, so that numpy ids give int
+    # edge ids), then down to round s if i lies in an earlier one.
     if s > u:
-        for k in range(j, s * m + b, m):
-            path.append(edge[(k, k + m)])
-        base = s * m
+        path, r = list(range(timelike + j, timelike + s * m + b, m)), s
     else:
-        base = u * m
-    step = table.pred[a]
+        path, r = [], u
+    step, via, shift = table.pred[a], table.pred_edge[a], int(r) * per_round
     c = b
     while c != a:
-        q = step[c]
-        path.append(edge[(base + q, base + c) if q < c else (base + c, base + q)])
-        c = q
+        path.append(shift + via[c])
+        c = step[c]
     if s < u:
-        for k in range(base + a, i, -m):
-            path.append(edge[(k - m, k)])
+        path += range(timelike + (u - 1) * m + a, timelike + i - m, -m)
     path.reverse()
     return path
 

@@ -166,9 +166,8 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     ``ValueError`` before the DP; this is the only id check on the decode
     path.
     """
-    nodes = tuple(flipped)
-    check_detector_ids(table.graph, nodes)  # before sorting: 'a' < 1 raises TypeError
-    nodes = tuple(sorted(nodes))
+    # Checked before sorting: 'a' < 1 raises TypeError.
+    nodes = tuple(sorted(check_detector_ids(table.graph, tuple(flipped))))
     m = len(nodes)
     if m > hw_cap:
         raise ValueError(f"Hamming weight {m} exceeds cap {hw_cap}")
@@ -244,20 +243,22 @@ def _id_range(n: int) -> frozenset[int]:
     return frozenset(range(n))
 
 
-def check_detector_ids(graph: DetectorGraph, flipped) -> None:
+def check_detector_ids(graph: DetectorGraph, flipped):
     """Refuse flipped ids that are not integers in ``[0, n_detectors)``.
 
     An id is an integer as ``check_integer`` has it: numpy integers pass,
     ``bool`` does not.  Ids that are all ``int`` and in range pass after
-    two passes in C; any other set of ids is checked id by id.
+    two passes in C and are returned as given; any other set of ids is
+    checked id by id and returned, as the same type, with plain ``int``s.
     """
-    if not (_INT.issuperset(map(type, flipped))
-            and _id_range(graph.n_detectors).issuperset(flipped)):
-        for i in flipped:
-            check_integer("flipped id", i)
-        bad = sorted(int(i) for i in flipped if not 0 <= i < graph.n_detectors)
-        if bad:
-            raise ValueError(f"flipped ids outside detector range: {bad}")
+    if _INT.issuperset(map(type, flipped)) and _id_range(graph.n_detectors).issuperset(flipped):
+        return flipped
+    for i in flipped:
+        check_integer("flipped id", i)
+    bad = sorted(int(i) for i in flipped if not 0 <= i < graph.n_detectors)
+    if bad:
+        raise ValueError(f"flipped ids outside detector range: {bad}")
+    return type(flipped)(map(int, flipped))
 
 
 def _observable_parity(graph: DetectorGraph, edge_ids) -> int:

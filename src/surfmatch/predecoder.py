@@ -140,8 +140,7 @@ def build_subgraph(graph: DetectorGraph, syndrome: Syndrome) -> DecodingSubgraph
 
     ``edges`` is filled in ascending id order, the order every scan reads.
     """
-    flipped = syndrome.flipped
-    check_detector_ids(graph, flipped)
+    flipped = check_detector_ids(graph, syndrome.flipped)
     adj, edges = {}, []
     for i in flipped:
         adj[i] = nbrs = {}

@@ -107,8 +107,9 @@ def test_timelike_edges_connect_same_check(g5):
     assert len(timelike) == (g5.rounds - 1) * n_checks
     for e in timelike:
         assert not e.flips_observable
-        assert g5.nodes[e.u].space_coord == g5.nodes[e.v].space_coord
-        assert g5.nodes[e.v].round == g5.nodes[e.u].round + 1
+        (su, au), (sv, av) = divmod(e.u, n_checks), divmod(e.v, n_checks)
+        assert g5.check_coords[au] == g5.check_coords[av]
+        assert sv == su + 1
 
 
 def test_uniform_weights():
@@ -302,6 +303,50 @@ def test_graph_structure_digest_pinned():
         "bf710206bb605af139b50ae3e237e90f8666f4d35c2fafb165afbe118c33694c")
 
 
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("rounds", [1, 2, "d"])
+def test_derived_lookups_equal_an_edge_scan(d, rounds):
+    # edge_between and boundary_edges_of are worked out from round 0 and
+    # the id layout; a scan of the edge list is the reference, for every
+    # ordered pair of detectors and every detector.
+    graph = build_decoding_graph(d, d if rounds == "d" else rounds, 1e-3)
+    n, m = graph.n_detectors, graph.n_checks
+    joined, exits = {}, [[] for _ in range(n)]
+    for e in graph.edges:
+        if e.v == graph.boundary_id:
+            exits[e.u].append(e.id)
+        else:
+            joined[e.u, e.v] = joined[e.v, e.u] = e
+    for u in range(n):
+        assert graph.boundary_edges_of(u) == exits[u], u
+        for v in range(n):
+            assert graph.edge_between(u, v) is joined.get((u, v)), (u, v)
+    # The None cases the loop covers: non-adjacent checks in one round,
+    # the same check two rounds apart, a node and itself, and the boundary.
+    a, b = next((a, b) for a, b in itertools.combinations(range(m), 2)
+                if (a, b) not in joined)
+    assert graph.edge_between(a, b) is None
+    if graph.rounds > 2:
+        assert graph.edge_between(a, a + 2 * m) is None
+    assert graph.edge_between(a, a) is None
+    assert graph.edge_between(0, graph.boundary_id) is None
+    with pytest.raises(ValueError, match=re.escape(f"must be in [0, {n})")):
+        graph.boundary_edges_of(n)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
+def test_pred_edge_joins_each_check_to_its_pred(d):
+    graph = build_decoding_graph(d, 2, 1e-3)
+    table = build_path_table(graph)
+    m = graph.n_checks
+    for a in range(m):
+        assert table.pred_edge[a][a] == -1
+        for c in range(m):
+            if c != a:
+                e = graph.edges[table.pred_edge[a][c]]
+                assert e.id < d * d and {e.u, e.v} == {c, table.pred[a][c]}, (a, c)
+
+
 def test_path_table_holds_hop_counts(g5, pt5):
     assert pt5.hops.dtype == pt5.boundary_hops.dtype == np.int16
     assert pt5.hops.shape == (g5.n_detectors, g5.n_detectors)
@@ -335,7 +380,7 @@ def test_two_spacelike_steps_weight(g32, pt32):
     for i in range(g32.n_detectors):
         hops = bfs_hops(g32, i)
         for j in range(i + 1, g32.n_detectors):
-            if g32.nodes[i].round == g32.nodes[j].round and hops[j] == 2:
+            if i // g32.n_checks == j // g32.n_checks and hops[j] == 2:
                 assert len(reconstruct_path(pt32, i, j)) == pt32.hops[i, j] == 2
                 # cross-check against exhaustive path enumeration
                 all_paths = enumerate_simple_path_weights(g32, i, int(j))

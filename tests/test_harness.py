@@ -2,9 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import re
 from copy import deepcopy
-from dataclasses import FrozenInstanceError, astuple, replace
+from dataclasses import FrozenInstanceError, astuple, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -207,13 +208,39 @@ def test_chain_refuses_non_integer_detector_ids(g5, pt5, predecoder, bad):
             run_chain(g5, pt5, syndrome_of(flipped), cfg)
 
 
+def integers_in(obj):
+    """Every integer field or item reachable from a result, bools aside."""
+    if is_dataclass(obj):
+        for f in fields(obj):
+            yield from integers_in(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list, frozenset, set)):
+        for x in obj:
+            yield from integers_in(x)
+    elif isinstance(obj, numbers.Integral) and not isinstance(obj, bool):
+        yield obj
+
+
 def test_chain_takes_numpy_detector_ids(g5, pt5):
+    # A bypass (a pair and a boundary match) and a predecode (six S1 pairs
+    # and a residual pair): numpy ids give the outcome that ints give, with
+    # every id in it, and in the predecode's prematches and residual, an int.
     pairs = find_disjoint_pairs(g5, 6)
     nodes = [u for p in pairs for u in p]
     cfg = ExperimentConfig(distance=5, rounds=5, p=0.003)
-    for flipped in (nodes[:2], nodes):
+    for flipped, bypassed in ((nodes[:2], True), ([2, 3, 40], True),
+                              (nodes, False), (nodes + [40, 45], False)):
         rec = run_chain(g5, pt5, syndrome_of(flipped), cfg)
-        assert run_chain(g5, pt5, syndrome_of(map(np.int64, flipped)), cfg) == rec
+        got = run_chain(g5, pt5, syndrome_of(map(np.int64, flipped)), cfg)
+        assert got == rec and got.bypassed is bypassed
+        ids = list(integers_in(got.outcome))
+        assert ids and all(type(x) is int for x in ids), ids
+        if not bypassed:
+            pre = adaptive_predecode(g5, pt5, syndrome_of(map(np.int64, flipped)),
+                                     cfg.predecode_config())
+            assert pre == adaptive_predecode(g5, pt5, syndrome_of(flipped),
+                                             cfg.predecode_config())
+            ids = list(integers_in((pre.prematches, pre.residual)))
+            assert ids and all(type(x) is int for x in ids), ids
     with pytest.raises(ValueError, match=re.escape(
             f"flipped ids outside detector range: [{g5.n_detectors}]")):
         run_chain(g5, pt5, syndrome_of(map(np.int64, [g5.n_detectors] + nodes[:1])), cfg)

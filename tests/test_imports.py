@@ -78,3 +78,19 @@ def test_build_and_runs_do_not_import_scipy_sparse():
             "assert 'scipy.sparse' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+
+
+def test_exports_resolve_and_cover_the_imports():
+    # Every name in __all__ resolves, once, and every public name that
+    # __init__.py imports is listed, so a removed class cannot leave a
+    # dangling export and a new one cannot go unlisted.
+    import surfmatch
+
+    exported = surfmatch.__all__
+    assert len(exported) == len(set(exported))
+    assert [n for n in exported if not hasattr(surfmatch, n)] == []
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    assert sorted(n for n in imported if not n.startswith("_")) == sorted(exported)

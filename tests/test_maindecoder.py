@@ -22,7 +22,7 @@ def syndrome_of(nodes, obs=0):
 def with_hops(table: PathTable, hops, boundary_hops) -> PathTable:
     """``table`` with its hop counts replaced; paths and corrections unchanged."""
     return PathTable(table.graph, hops, boundary_hops, table.boundary_via,
-                     table.boundary_edge, table.pred)
+                     table.boundary_edge, table.pred, table.pred_edge)
 
 
 def pair_sets(matching):

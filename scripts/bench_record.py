@@ -5,7 +5,9 @@ Runs ``perfbench/run.py`` as a subprocess in two checkouts, the parent and
 the change, and writes one JSON document with:
 
 - the untraced end-to-end metrics of each side: medians, quartiles, every
-  value, and per pair whether the change was better;
+  value, per pair whether the change was better, and the pair count that
+  the observed change needs to stand out of the parent's spread
+  (``pairs_needed``, also printed);
 - the traced per-layer metrics and counts of each side at one seed;
 - the modeled-behaviour fingerprint SHAs of every run;
 - the machine block perfbench prints;
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -89,11 +92,30 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
+def pairs_needed(change_over_parent: float, parent_iqr_over_median: float) -> int | None:
+    """The fewest pairs at which the observed change exceeds two standard errors.
+
+    One run's relative spread is taken as sigma = (parent IQR / median) /
+    1.349, the IQR of a normal distribution being 1.349 sigma.  A pair
+    compares two runs, so over n pairs the standard error of the relative
+    change is sigma * sqrt(2 / n), and the answer is the least n with
+    ``|change_over_parent - 1| > 2 * sigma * sqrt(2 / n)``.  None when
+    nothing changed, as no pair count shows a change of 0.
+    """
+    delta = abs(change_over_parent - 1.0)
+    if delta == 0.0:
+        return None
+    sigma = parent_iqr_over_median / 1.349
+    return math.floor(8.0 * sigma * sigma / (delta * delta)) + 1
+
+
 def summarize_untraced(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per-side spreads and per-pair comparisons of each end-to-end metric.
 
     ``pairs`` holds ``{"seed", "parent", "change"}`` with the parsed runs;
-    ``end_to_end`` is the list of the same name in BENCHMARK.json.
+    ``end_to_end`` is the list of the same name in BENCHMARK.json.  A
+    "does not move" reading is only as good as ``pairs_needed``: a change
+    smaller than the spread needs more pairs than were run to show.
     """
     doc: dict = {"pairs": len(pairs), "seeds": [p["seed"] for p in pairs]}
     for spec in end_to_end:
@@ -103,12 +125,15 @@ def summarize_untraced(pairs: list[dict], end_to_end: list[dict]) -> dict:
         change = spread(sides["change"])
         better = sum((c > p) if higher else (c < p)
                      for p, c in zip(sides["parent"], sides["change"]))
+        ratio = change["median"] / parent["median"]
+        iqr = (parent["q3"] - parent["q1"]) / parent["median"]
         doc[name] = {
             "parent": parent,
             "change": change,
-            "change_over_parent": change["median"] / parent["median"],
+            "change_over_parent": ratio,
             "change_better_pairs": better,
-            "parent_iqr_over_median": (parent["q3"] - parent["q1"]) / parent["median"],
+            "parent_iqr_over_median": iqr,
+            "pairs_needed": pairs_needed(ratio, iqr),
         }
     doc["sha256"] = {s: [p[s]["sha256"] for p in pairs] for s in SIDES}
     doc["fingerprints_equal"] = doc["sha256"]["parent"] == doc["sha256"]["change"]
@@ -166,7 +191,12 @@ def collect(checkouts: dict, workloads: list[str], end_to_end: list[dict], *,
                 log(f"{wl} pair {i} {side}: shots_per_s "
                     f"{pair[side]['metrics']['shots_per_s']:.1f}")
             done.append(pair)
-        doc["untraced"]["workloads"][wl] = summarize_untraced(done, end_to_end)
+        summary = doc["untraced"]["workloads"][wl] = summarize_untraced(done, end_to_end)
+        for spec in end_to_end:
+            m = summary[spec["name"]]
+            log(f"{wl} {spec['name']}: change/parent {m['change_over_parent']:.4f}, "
+                f"better in {m['change_better_pairs']} of {pairs} pairs, "
+                f"pairs needed {m['pairs_needed']}")
         traced = {side: measure(side, wl, traced_seed, traced_seconds, 1)
                   for side in SIDES}
         doc["traced"]["workloads"][wl] = summarize_traced(traced)

@@ -99,7 +99,7 @@ def _z_plaquettes(d: int) -> list[tuple[int, int]]:
 
 
 class DetectorGraph:
-    """Decoding graph plus adjacency and edge lookup tables.
+    """Decoding graph plus its adjacency lists.
 
     Built from round 0 alone: its ``n_checks`` checks, and for each data
     qubit ``q`` in row-major order the one or two checks it touches.  Every
@@ -115,9 +115,10 @@ class DetectorGraph:
     ``a``'s (x, y) plaquette position ``check_coords[a]`` (y = -1 is the
     row above the lattice), the ``(b, edge id)`` of its spacelike edges in
     ascending ``b``, ``check_neighbors[a]``, and its boundary edge ids,
-    ``check_exits[a]``; lookups add whole rounds by the layout above.  Only
-    ``edges`` and ``detector_neighbors``, which decodes read per edge and
-    per defect, cover every round.  Treat instances as immutable.
+    ``check_exits[a]``; a later round's ids add whole rounds by the layout
+    above.  Only ``edges`` and ``detector_neighbors``, which decodes read
+    per edge and per defect, cover every round.  Treat instances as
+    immutable.
     """
 
     def __init__(self, distance: int, rounds: int | None, p: float):
@@ -173,25 +174,6 @@ class DetectorGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def edge_between(self, u: int, v: int) -> Edge | None:
-        """The detector-detector edge joining u and v, if any."""
-        if u > v:
-            u, v = v, u
-        if u < 0 or v >= self.n_detectors:
-            return None
-        (s, a), (t, b) = divmod(u, self.n_checks), divmod(v, self.n_checks)
-        if a == b:
-            return self.edges[self.rounds * self.distance ** 2 + u] if t == s + 1 else None
-        eid = next((e for c, e in self.check_neighbors[a] if c == b), None) if s == t else None
-        return None if eid is None else self.edges[s * self.distance ** 2 + eid]
-
-    def boundary_edges_of(self, u: int) -> list[int]:
-        """Ids of the boundary edges incident to detector u (may be several)."""
-        if not 0 <= u < self.n_detectors:
-            raise ValueError(f"detector id must be in [0, {self.n_detectors}), got {u}")
-        t, a = divmod(u, self.n_checks)
-        return [t * self.distance ** 2 + eid for eid in self.check_exits[a]]
-
     def to_json(self) -> str:
         doc = {
             "distance": self.distance,
@@ -236,7 +218,11 @@ class PathTable:
     boundary route of ``i`` is the shortest detector path from ``i`` to the
     lowest-id nearest detector with a boundary edge, ``boundary_via[i]``,
     plus that detector's first boundary edge, ``boundary_edge[i]``; it
-    never leaves the round of ``i``.
+    never leaves the round of ``i``.  ``boundary_obs[i]``, a plain list of
+    0s and 1s, is that edge's ``flips_observable``.  Only boundary edges
+    flip the observable, so a matching's observable parity is the XOR of
+    ``boundary_obs`` over its boundary-matched defects: its pair paths and
+    the first legs of its boundary routes join detectors.
 
     The graph is one round's check graph times a path of rounds, so no
     per-pair route is stored.  The chosen path from ``i`` to ``j``, walked
@@ -252,8 +238,8 @@ class PathTable:
 
     def __init__(self, graph: DetectorGraph, hops: np.ndarray,
                  boundary_hops: np.ndarray, boundary_via: np.ndarray,
-                 boundary_edge: np.ndarray, pred: list[list[int]],
-                 pred_edge: list[list[int]]):
+                 boundary_edge: np.ndarray, boundary_obs: list[int],
+                 pred: list[list[int]], pred_edge: list[list[int]]):
         self.graph = graph
         self.n = graph.n_detectors
         self.n_checks = len(pred)
@@ -261,6 +247,7 @@ class PathTable:
         self.boundary_hops = boundary_hops
         self.boundary_via = boundary_via
         self.boundary_edge = boundary_edge
+        self.boundary_obs = boundary_obs
         self.pred = pred
         self.pred_edge = pred_edge
 
@@ -316,7 +303,10 @@ def build_path_table(graph: DetectorGraph) -> PathTable:
     boundary_hops = np.tile(d[np.arange(m), via0] + 1, rounds).astype(np.int16)
     first_exit = np.array([graph.check_exits[c][0] for c in via0])
     boundary_edge = (shift * graph.distance ** 2 + first_exit).reshape(n)
-    return PathTable(graph, hops, boundary_hops, via, boundary_edge, pred, pred_edge)
+    # Edge q of round 0 is qubit q's, and every round flags the same qubits.
+    boundary_obs = [int(graph.edges[q].flips_observable) for q in first_exit.tolist()] * rounds
+    return PathTable(graph, hops, boundary_hops, via, boundary_edge, boundary_obs,
+                     pred, pred_edge)
 
 
 def reconstruct_path(table: PathTable, i: int, j: int) -> list[int]:

@@ -38,23 +38,23 @@ falls below (d-1)/2 only at a low cap or a tight budget, where a weight-2w
 syndrome would be predecoded or aborted: 0 at cap 1, and 1 at the 4 ns
 budget floor.  The exact-k strata have k >= 1 and are all decoded.
 
-The loop sets the ``outcome`` of each ``run_chain`` record to None
-before it yields the record, so a record holds only atomic values, and its
-outcome, matching, prematches and correction sets are freed by reference
-counting at once.  The memo holds such records only, and the reports hold
-none: their one pass adds each heavy record into weighted sums
-(``_reports``).  Every trial's record is a pure function of its error set
-under a fixed config, so within one estimator call the loop decodes each
-distinct light error set once and gives its repeats the same record
-object.  Light means a weight (number of edges) up to the largest w for
-which weights 1..w have at most ``_MEMO_ENTRIES`` distinct sets in all,
-one edge at d=5 and up to three at d=3: the exact-k strata and corpora
-draw such sets often, while the sets of a heavier weight are too many to
-repeat often.  In ``run_direct`` it acts only where t_safe is below that
-weight, as at d=3 or at cap 1; at d >= 5 and t_safe >= 1 every light set
-is skipped.  The memo lives for that call only and so holds at most
-``_MEMO_ENTRIES`` error sets by construction; any heavier error set is
-decoded every time it occurs.
+The loop sets the ``outcome`` of each ``run_chain`` record to None before
+it yields the record, so a record holds only atomic values, and its
+outcome, matching and prematches are freed by reference counting at once;
+its correction, built only when read, is never built.  The memo holds
+such records only, and the reports hold none: their one pass adds each
+heavy record into weighted sums (``_reports``).  Every trial's record is
+a pure function of its error set under a fixed config, so within one
+estimator call the loop decodes each distinct light error set once and
+gives its repeats the same record object.  Light means a weight (number
+of edges) up to the largest w for which weights 1..w have at most
+``_MEMO_ENTRIES`` distinct sets in all, one edge at d=5 and up to three
+at d=3: the exact-k strata and corpora draw such sets often, while the
+sets of a heavier weight are too many to repeat often.  In ``run_direct``
+it acts only where t_safe is below that weight, as at d=3 or at cap 1; at
+d >= 5 and t_safe >= 1 every light set is skipped.  The memo lives for
+that call only and so holds at most ``_MEMO_ENTRIES`` error sets by
+construction; any heavier error set is decoded every time it occurs.
 """
 from __future__ import annotations
 

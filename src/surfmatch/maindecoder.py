@@ -11,14 +11,23 @@ down it.  With the boundary allowed, the DP skips any pair whose hops
 exceed its two boundary routes': no minimum pairing can use it, so the
 answer is unchanged and the DP visits about half the masks at HW 8.
 The stage is only modeled as viable up to a small Hamming weight cap.
-Corrections are the symmetric difference of the constituent shortest
-paths.
+
+Only boundary edges flip the observable, so a decode's failure bit comes
+from the boundary parities alone: the predicted observable is the XOR of
+``PathTable.boundary_obs`` over the matching's boundary-matched defects,
+since every prematch and every pair path joins two detectors.  The
+correction, the symmetric difference of the prematches' edges and the
+matching's shortest paths, is built only when
+``DecodeOutcome.correction_edges`` is first read (``matching_correction``
+rebuilds the matching's part), so the estimators, which read only the
+failure bit, build no path.  This is how PyMatching's Sparse Blossom
+(Higgott & Gidney, 2023) returns observable predictions, not corrections.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .graph import (DetectorGraph, PathTable, check_integer, reconstruct_boundary_path,
@@ -60,7 +69,8 @@ class MatchingSet:
     (9,496 at HW 10 with boundary, 945 without).  It is neither the work
     the software did nor the paper's modeled ``matching_search_size``,
     which charges (hw-1)!! (945 at HW 10).  ``total_weight`` is the
-    pairing's total in hops, each edge weighing one.
+    pairing's total in hops, each edge weighing one.  The pairing's edges
+    are not stored: ``matching_correction`` builds them.
 
     Not frozen, so that it is cheap to build, and so not hashable; treat
     it as read-only.
@@ -69,7 +79,6 @@ class MatchingSet:
     pairs: tuple[tuple[int, int], ...]
     boundary_matches: tuple[int, ...]
     total_weight: int
-    correction_edges: frozenset[int]
     enumerated: int
 
 
@@ -176,7 +185,7 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     if m % 2 and not allow_boundary:
         raise ValueError("no complete matching exists for this defect set")
     if not m:
-        return MatchingSet((), (), 0, frozenset(), 1)
+        return MatchingSet((), (), 0, 1)
 
     # Plain-int tables indexed by position in ``nodes``.
     w = table.hops.take(nodes, 0).take(nodes, 1).tolist()
@@ -206,13 +215,19 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
             boundary.append(nodes[a])
             mask = rest
 
-    correction: set[int] = set()
-    for a, b in pairs:
-        correction ^= set(reconstruct_path(table, a, b))
-    for a in boundary:
-        correction ^= set(reconstruct_boundary_path(table, a))
-    return MatchingSet(tuple(pairs), tuple(boundary), best[full], frozenset(correction),
+    return MatchingSet(tuple(pairs), tuple(boundary), best[full],
                        _pairings(m, m if allow_boundary else 0))
+
+
+def matching_correction(table: PathTable, matching: MatchingSet) -> frozenset[int]:
+    """Edge ids of ``matching``'s correction: the symmetric difference of
+    its pair paths, then its boundary routes, in the order it lists them."""
+    correction: set[int] = set()
+    for a, b in matching.pairs:
+        correction ^= set(reconstruct_path(table, a, b))
+    for a in matching.boundary_matches:
+        correction ^= set(reconstruct_boundary_path(table, a))
+    return frozenset(correction)
 
 
 @dataclass(slots=True)
@@ -220,7 +235,11 @@ class DecodeOutcome:
     """Combined result of the predecode and exact-matching stages.
 
     ``total_weight`` is in hops: the matching's plus every prematch's
-    correction edge count.
+    correction edge count.  ``correction_edges`` is the combined
+    correction, the matching's edges XOR every prematch's.  ``decode``
+    leaves it None and the set is built, from the ``table`` slot, when the
+    field is first read, then kept; a set passed in is kept as given.
+    ``table`` is neither shown nor compared.
 
     Not frozen, so that it is cheap to build, and so not hashable; treat
     it as read-only.
@@ -228,11 +247,41 @@ class DecodeOutcome:
 
     prematches: tuple["Prematch", ...]
     matching: MatchingSet
-    correction_edges: frozenset[int]
+    correction_edges: frozenset[int] | None
     total_weight: int
     predicted_observable: int
     logical_failure: bool
     cycles_total: int
+    table: PathTable | None = field(default=None, repr=False, compare=False)
+
+
+class _BuiltOnRead:
+    """``DecodeOutcome.correction_edges``: its slot, filled on first read.
+
+    Wraps the slot's member descriptor, so the class stays slotted and
+    ``dataclasses.replace``, ``==`` and ``repr`` read the built set.
+    """
+
+    def __init__(self, slot) -> None:
+        self.slot = slot
+
+    def __get__(self, outcome, owner=None):
+        if outcome is None:
+            return self
+        edges = self.slot.__get__(outcome, owner)
+        if edges is None:
+            correction = set(matching_correction(outcome.table, outcome.matching))
+            for pm in outcome.prematches:
+                correction ^= set(pm.correction_edges)
+            edges = frozenset(correction)
+            self.slot.__set__(outcome, edges)
+        return edges
+
+    def __set__(self, outcome, edges) -> None:
+        self.slot.__set__(outcome, edges)
+
+
+DecodeOutcome.correction_edges = _BuiltOnRead(DecodeOutcome.correction_edges)
 
 
 _INT = frozenset({int})
@@ -261,25 +310,19 @@ def check_detector_ids(graph: DetectorGraph, flipped):
     return type(flipped)(map(int, flipped))
 
 
-def _observable_parity(graph: DetectorGraph, edge_ids) -> int:
-    obs = 0
-    for eid in edge_ids:
-        if graph.edges[eid].flips_observable:
-            obs ^= 1
-    return obs
-
-
 def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
            predecode: "PredecodeResult | None" = None,
            hw_cap: int = DEFAULT_HW_CAP) -> DecodeOutcome:
     """Decode a syndrome, optionally consuming a predecode result.
 
-    The combined correction is the symmetric difference of all prematch
-    corrections and the exact matching's correction; the decode fails when
-    the predicted observable flip disagrees with the syndrome's ground
-    truth.  An aborted predecode leaves nothing to decode: the chain
-    counts it as a failure before reaching this stage, and it is refused
-    here.
+    The decode fails when the predicted observable flip disagrees with the
+    syndrome's ground truth.  The prediction is the XOR of
+    ``table.boundary_obs`` over the matching's boundary matches, which is
+    the observable parity of the combined correction (see the module
+    docstring); the correction itself is built on first read.  ``graph``
+    must be the table's graph and is not read here.  An aborted predecode
+    leaves nothing to decode: the chain counts it as a failure before
+    reaching this stage, and it is refused here.
     """
     if predecode is not None and predecode.aborted:
         raise ValueError("cannot decode after an aborted predecode")
@@ -292,13 +335,13 @@ def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
             f"residual Hamming weight {len(flipped)} exceeds cap {hw_cap}")
 
     matching = brute_force_mwpm(flipped, table, hw_cap=hw_cap)
-    correction = set(matching.correction_edges)
-    for pm in prematches:
-        correction ^= set(pm.correction_edges)
-    predicted = _observable_parity(graph, correction)
+    obs = table.boundary_obs
+    predicted = 0
+    for a in matching.boundary_matches:
+        predicted ^= obs[a]
     failure = predicted != syndrome.true_observable
     total_weight = matching.total_weight + sum(len(pm.correction_edges)
                                                for pm in prematches)
     cycles_total = pre_cycles + matching_search_size(len(flipped))
-    return DecodeOutcome(prematches, matching, frozenset(correction),
-                         total_weight, predicted, failure, cycles_total)
+    return DecodeOutcome(prematches, matching, None, total_weight, predicted, failure,
+                         cycles_total, table)

@@ -29,7 +29,9 @@ the exact matcher on a whole syndrome.  ``reference_scan`` and
 package's linear-time ones replaced, kept for differential tests, and
 ``dijkstra_path_table`` with ``route_path`` and ``route_boundary_path`` is
 the all-pairs Dijkstra path table and route walk that the product-form
-builder replaced.
+builder replaced.  ``edge_between`` and ``boundary_edges_of`` are the
+graph lookups that only the tests need, worked out from round 0 and the
+id layout.
 """
 from __future__ import annotations
 
@@ -51,6 +53,29 @@ from surfmatch.maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, MatchingSet, decod
 from surfmatch.noise import (ErrorSet, inject_k_errors, make_rng, occurrence_probability,
                              syndrome_from_errors, trial_seed)
 from surfmatch.predecoder import Prematch, Step
+
+
+def edge_between(graph, u: int, v: int):
+    """The detector-detector ``Edge`` of ``graph`` joining u and v, if any,
+    worked out from round 0 and the id layout."""
+    if u > v:
+        u, v = v, u
+    if u < 0 or v >= graph.n_detectors:
+        return None
+    (s, a), (t, b) = divmod(u, graph.n_checks), divmod(v, graph.n_checks)
+    if a == b:
+        return graph.edges[graph.rounds * graph.distance ** 2 + u] if t == s + 1 else None
+    eid = next((e for c, e in graph.check_neighbors[a] if c == b), None) if s == t else None
+    return None if eid is None else graph.edges[s * graph.distance ** 2 + eid]
+
+
+def boundary_edges_of(graph, u: int) -> list[int]:
+    """Ids of the boundary edges of ``graph`` incident to detector u (may be
+    several)."""
+    if not 0 <= u < graph.n_detectors:
+        raise ValueError(f"detector id must be in [0, {graph.n_detectors}), got {u}")
+    t, a = divmod(u, graph.n_checks)
+    return [t * graph.distance ** 2 + eid for eid in graph.check_exits[a]]
 
 
 def heap_dijkstra(graph, src: int):
@@ -93,7 +118,7 @@ def bfs_hops(graph, src: int) -> dict:
 def bfs_boundary_hops(graph, src: int) -> int:
     """Edges of the fewest-edge route from ``src`` out through the boundary."""
     hops = bfs_hops(graph, src)
-    return 1 + min(h for t, h in hops.items() if graph.boundary_edges_of(t))
+    return 1 + min(h for t, h in hops.items() if boundary_edges_of(graph, t))
 
 
 def apsp_weights(graph):
@@ -106,7 +131,7 @@ def cheapest_boundary_edge(graph, u: int):
 
     Every edge weighs one hop, so that is u's first boundary edge.
     """
-    eids = graph.boundary_edges_of(u)
+    eids = boundary_edges_of(graph, u)
     return (1, eids[0]) if eids else None
 
 
@@ -162,10 +187,10 @@ def dijkstra_path_table(graph) -> DijkstraTable:
     dist, pred = dijkstra(mat, directed=True, return_predecessors=True)
     assert np.all(np.isfinite(dist))
     hops = dist.astype(np.int16)
-    exits = np.array([u for u in range(n) if graph.boundary_edges_of(u)])
+    exits = np.array([u for u in range(n) if boundary_edges_of(graph, u)])
     via = exits[np.argmin(hops[:, exits], axis=1)]
     boundary_hops = (hops[np.arange(n), via] + 1).astype(np.int16)
-    boundary_edge = np.array([graph.boundary_edges_of(int(u))[0] for u in via])
+    boundary_edge = np.array([boundary_edges_of(graph, int(u))[0] for u in via])
     return DijkstraTable(hops, pred, boundary_hops, via, boundary_edge)
 
 
@@ -175,7 +200,7 @@ def route_path(graph, ref: DijkstraTable, i: int, j: int) -> list[int]:
     k = j
     while k != i:
         pk = int(ref.route[i, k])
-        path.append(graph.edge_between(pk, k).id)
+        path.append(edge_between(graph, pk, k).id)
         k = pk
     path.reverse()
     return path
@@ -318,14 +343,8 @@ def enumerate_mwpm(flipped, table, hw_cap: int = DEFAULT_HW_CAP,
 
     pairs = tuple((nodes[a], nodes[b]) for a, b in state["pairs"] or ())
     boundary = tuple(nodes[a] for a in state["boundary"] or ())
-    correction: set[int] = set()
-    for a, b in pairs:
-        correction ^= set(reconstruct_path(table, a, b))
-    for a in boundary:
-        correction ^= set(reconstruct_boundary_path(table, a))
     total = 0 if m == 0 else state["best"]
-    return MatchingSet(pairs, boundary, total, frozenset(correction),
-                       state["count"])
+    return MatchingSet(pairs, boundary, total, state["count"])
 
 
 def double_factorial(n: int) -> int:
@@ -465,7 +484,7 @@ def matching_failure(graph, syndrome) -> tuple[int, bool]:
         v = b
         while v != a:
             u = parent[v]
-            par ^= observable_parity(graph, [graph.edge_between(u, v).id])
+            par ^= observable_parity(graph, [edge_between(graph, u, v).id])
             v = u
         return par
 

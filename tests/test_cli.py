@@ -8,7 +8,7 @@ from surfmatch import (MAX_HW_CAP, ExperimentConfig, build_decoding_graph,
                        inject_k_errors, run_chain, syndrome_from_errors, trial_seed)
 from surfmatch.cli import main
 
-from oracles import graph_from_json
+from oracles import edge_between, graph_from_json
 from patterns import find_adjacent_pair
 
 
@@ -74,7 +74,7 @@ def test_decode_flipped_wrong_observable_fails(capsys):
 def test_decode_errors_list(capsys):
     g = build_decoding_graph(3, 3, 0.01)
     u, v = find_adjacent_pair(g)
-    eid = g.edge_between(u, v).id
+    eid = edge_between(g, u, v).id
     code, out, _ = run_cli(capsys, "decode", "--distance", "3",
                            "--errors", str(eid))
     assert code == 0
@@ -90,6 +90,22 @@ def test_decode_inject_k_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["pre_hw"] <= 4
+
+
+def test_decode_output_pinned(capsys):
+    # The JSON of 24 decodes, byte for byte, as the correction-building
+    # decoder wrote it; correction_edges is listed in its set's iteration
+    # order, so this also pins how the on-read correction is built.
+    digest = hashlib.sha256()
+    for d in (5, 11):
+        for k in (4, 9, 14, 20):
+            for seed in (1, 2, 3):
+                code, out, _ = run_cli(capsys, "decode", "--distance", str(d),
+                                       "--inject-k", str(k), "--seed", str(seed))
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "12a41925cc0ee622b82478c7af99e06ed7cf28d8fdb7a988cf4084e0cf97d9d4")
 
 
 def test_decode_sources_mutually_exclusive(capsys):

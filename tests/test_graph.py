@@ -13,9 +13,9 @@ import surfmatch.graph as graph_module
 from surfmatch import (BOUNDARY_JSON_ID, Edge, ExperimentConfig, build_decoding_graph,
                        build_path_table, reconstruct_boundary_path, reconstruct_path)
 
-from oracles import (apsp_weights, bfs_boundary_hops, bfs_hops,
+from oracles import (apsp_weights, bfs_boundary_hops, bfs_hops, boundary_edges_of,
                      boundary_route_weight, check_product_form, dijkstra_path_table,
-                     enumerate_simple_path_weights, graph_from_json, heap_dijkstra,
+                     edge_between, enumerate_simple_path_weights, graph_from_json, heap_dijkstra,
                      route_boundary_path, route_path)
 
 
@@ -233,7 +233,7 @@ def _diagonal(doc, graph, m):
 def _spacelike_in_one_round(doc, graph, m):
     # a round-1 spacelike edge moved to two checks not adjacent in round 0
     a, b = next((a, b) for a, b in itertools.combinations(range(m), 2)
-                if graph.edge_between(a, b) is None)
+                if edge_between(graph, a, b) is None)
     doc["edges"][_edge_index(doc, *_spacelike(graph, 1)[0])].update(u=m + a, v=m + b)
 
 
@@ -244,7 +244,7 @@ def _reversed(doc, graph, m):
 
 def _exit_in_one_round(doc, graph, m):
     # a round-1 boundary edge moved to a check with none in round 0
-    inner = next(c for c in range(m) if not graph.boundary_edges_of(c))
+    inner = next(c for c in range(m) if not boundary_edges_of(graph, c))
     k = next(k for k, e in enumerate(doc["edges"])
              if m <= e["u"] < 2 * m and e["v"] == BOUNDARY_JSON_ID)
     doc["edges"][k]["u"] = m + inner
@@ -289,10 +289,10 @@ def test_graph_structure_digest_pinned():
             table = build_path_table(graph)
             digest.update(graph.to_json().encode())
             digest.update(json.dumps(graph.detector_neighbors).encode())
-            digest.update(json.dumps([graph.edge_between(u, v).id
+            digest.update(json.dumps([edge_between(graph, u, v).id
                                       for u, nbrs in enumerate(graph.detector_neighbors)
                                       for v, _ in nbrs]).encode())
-            digest.update(json.dumps([graph.boundary_edges_of(u)
+            digest.update(json.dumps([boundary_edges_of(graph, u)
                                       for u in range(graph.n_detectors)]).encode())
             for name in ("hops", "boundary_hops", "boundary_via", "boundary_edge"):
                 array = getattr(table, name)
@@ -303,12 +303,27 @@ def test_graph_structure_digest_pinned():
         "bf710206bb605af139b50ae3e237e90f8666f4d35c2fafb165afbe118c33694c")
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
+def test_boundary_obs_is_each_boundary_edge_flag(d):
+    # built from round 0's exits and repeated per round; the flag of every
+    # round's edge is the reference, and plain ints keep the decode's
+    # predicted observable an int
+    for rounds in (1, 2, d):
+        graph = build_decoding_graph(d, rounds, 1e-3)
+        table = build_path_table(graph)
+        obs = table.boundary_obs
+        assert type(obs) is list and len(obs) == graph.n_detectors
+        assert obs == [int(graph.edges[e].flips_observable) for e in table.boundary_edge.tolist()]
+        assert {type(b) for b in obs} == {int}
+        assert 0 < sum(obs) < len(obs)
+
+
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("rounds", [1, 2, "d"])
 def test_derived_lookups_equal_an_edge_scan(d, rounds):
-    # edge_between and boundary_edges_of are worked out from round 0 and
-    # the id layout; a scan of the edge list is the reference, for every
-    # ordered pair of detectors and every detector.
+    # the oracle lookups edge_between and boundary_edges_of are worked out
+    # from round 0 and the id layout; a scan of the edge list is the
+    # reference, for every ordered pair of detectors and every detector.
     graph = build_decoding_graph(d, d if rounds == "d" else rounds, 1e-3)
     n, m = graph.n_detectors, graph.n_checks
     joined, exits = {}, [[] for _ in range(n)]
@@ -318,20 +333,20 @@ def test_derived_lookups_equal_an_edge_scan(d, rounds):
         else:
             joined[e.u, e.v] = joined[e.v, e.u] = e
     for u in range(n):
-        assert graph.boundary_edges_of(u) == exits[u], u
+        assert boundary_edges_of(graph, u) == exits[u], u
         for v in range(n):
-            assert graph.edge_between(u, v) is joined.get((u, v)), (u, v)
+            assert edge_between(graph, u, v) is joined.get((u, v)), (u, v)
     # The None cases the loop covers: non-adjacent checks in one round,
     # the same check two rounds apart, a node and itself, and the boundary.
     a, b = next((a, b) for a, b in itertools.combinations(range(m), 2)
                 if (a, b) not in joined)
-    assert graph.edge_between(a, b) is None
+    assert edge_between(graph, a, b) is None
     if graph.rounds > 2:
-        assert graph.edge_between(a, a + 2 * m) is None
-    assert graph.edge_between(a, a) is None
-    assert graph.edge_between(0, graph.boundary_id) is None
+        assert edge_between(graph, a, a + 2 * m) is None
+    assert edge_between(graph, a, a) is None
+    assert edge_between(graph, 0, graph.boundary_id) is None
     with pytest.raises(ValueError, match=re.escape(f"must be in [0, {n})")):
-        graph.boundary_edges_of(n)
+        boundary_edges_of(graph, n)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
@@ -408,7 +423,7 @@ def test_hops_one_iff_adjacent(g3, pt3):
             if i == j:
                 continue
             assert len(reconstruct_path(pt3, i, j)) == pt3.hops[i, j] == hops[j]
-            assert (hops[j] == 1) == (g3.edge_between(i, j) is not None)
+            assert (hops[j] == 1) == (edge_between(g3, i, j) is not None)
 
 
 def test_triangle_inequality_sampled(pt5):

@@ -21,8 +21,8 @@ from surfmatch import (DEFAULT_HW_CAP, GREEDY_LABEL, MAX_HW_CAP, ErrorSet, Exper
                        report_hw_distribution, report_latency,
                        report_step_usage, sample_iid, syndrome_from_errors)
 
-from oracles import (block_stream, direct_failures, iid_stream, per_trial_stream,
-                     rare_failures, real_time_chain, reference_reports)
+from oracles import (block_stream, direct_failures, edge_between, iid_stream,
+                     per_trial_stream, rare_failures, real_time_chain, reference_reports)
 from patterns import find_adjacent_pair, find_disjoint_chains, find_disjoint_pairs
 
 
@@ -160,7 +160,7 @@ def test_chain_none_aborts_above_cap(g5, pt5):
 def test_chain_adaptive_six_pairs(g5, pt5):
     cfg = ExperimentConfig(distance=5, rounds=5, p=0.003)
     pairs = find_disjoint_pairs(g5, 6)
-    errors = ErrorSet(frozenset(g5.edge_between(*p).id for p in pairs))
+    errors = ErrorSet(frozenset(edge_between(g5, *p).id for p in pairs))
     rec = run_chain(g5, pt5, syndrome_from_errors(g5, errors), cfg)
     assert not rec.aborted and not rec.bypassed and not rec.failure
     assert (rec.pre_hw, rec.post_hw) == (12, 0)

@@ -3,14 +3,18 @@ import re
 import numpy as np
 import pytest
 
-from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Syndrome,
+from surfmatch import (MAX_HW_CAP, ErrorSet, ExperimentConfig, PredecodeConfig, Syndrome,
                        adaptive_predecode, brute_force_mwpm, build_decoding_graph,
-                       decode, inject_k_errors, make_rng, matching_search_size,
-                       sample_iid, syndrome_from_errors, trial_seed)
+                       decode, harness, inject_k_errors, maindecoder, make_rng,
+                       matching_search_size, report_hw_distribution, report_latency,
+                       report_step_usage, run_chain, run_rare_event, sample_iid,
+                       syndrome_from_errors, trial_seed)
 from surfmatch.graph import PathTable, build_path_table
+from surfmatch.maindecoder import matching_correction
 
-from oracles import (double_factorial, enumerate_mwpm, exact_matching,
-                     involutions, observable_parity)
+from oracles import (boundary_edges_of, dijkstra_path_table, double_factorial, edge_between,
+                     enumerate_mwpm, exact_matching, involutions, observable_parity,
+                     route_boundary_path, route_path)
 from patterns import (boundary_edge_ids, find_adjacent_pair,
                       find_disjoint_pairs, find_induced_chain)
 
@@ -22,7 +26,7 @@ def syndrome_of(nodes, obs=0):
 def with_hops(table: PathTable, hops, boundary_hops) -> PathTable:
     """``table`` with its hop counts replaced; paths and corrections unchanged."""
     return PathTable(table.graph, hops, boundary_hops, table.boundary_via,
-                     table.boundary_edge, table.pred, table.pred_edge)
+                     table.boundary_edge, table.boundary_obs, table.pred, table.pred_edge)
 
 
 def pair_sets(matching):
@@ -88,8 +92,8 @@ def test_two_node_pair_versus_boundary(g32):
     # boundary: direct pairing costs 1 hop, going around costs 2
     per_round = g32.n_detectors // g32.rounds
     u = next(i for i in range(per_round)
-             if g32.boundary_edges_of(i) and
-             g32.edge_between(i, i + per_round) is not None)
+             if boundary_edges_of(g32, i) and
+             edge_between(g32, i, i + per_round) is not None)
     v = u + per_round
 
     table = build_path_table(g32)
@@ -282,7 +286,7 @@ def test_answer_does_not_depend_on_p(g5, pt5):
     answers = {}
     for p in (1e-4, 1e-3, 1e-2, 0.05):
         table = build_path_table(build_decoding_graph(5, 5, p))
-        answers[p] = [(m.pairs, m.boundary_matches, m.correction_edges, m.enumerated)
+        answers[p] = [(m.pairs, m.boundary_matches, matching_correction(table, m), m.enumerated)
                       for m in (brute_force_mwpm(r, table) for r in residuals)]
     assert all(a == answers[1e-3] for a in answers.values())
 
@@ -393,7 +397,7 @@ def test_decode_weight_is_oracle_minimum(g3, pt3):
 def test_decode_after_predecode_six_pairs(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     syn = syndrome_from_errors(
-        g5, ErrorSet(frozenset(g5.edge_between(*p).id for p in pairs)))
+        g5, ErrorSet(frozenset(edge_between(g5, *p).id for p in pairs)))
     pre = adaptive_predecode(g5, pt5, syn)
     out = decode(g5, pt5, syn, predecode=pre)
     assert not out.logical_failure
@@ -402,7 +406,7 @@ def test_decode_after_predecode_six_pairs(g5, pt5):
     assert out.total_weight == 6
     assert out.cycles_total == pre.cycles + 1
     assert out.correction_edges == frozenset(
-        g5.edge_between(*p).id for p in pairs)
+        edge_between(g5, *p).id for p in pairs)
 
 
 def test_decode_refuses_aborted_predecode(g5, pt5):
@@ -422,3 +426,129 @@ def test_decode_residual_over_cap_raises(g7, pt7):
     bad = pre.__class__(pre.prematches, syn, 0, False, 0)
     with pytest.raises(ValueError, match="residual Hamming weight"):
         decode(g7, pt7, syn, predecode=bad)
+
+
+# ------------------------------- failure bit and corrections built on read
+
+
+def route_correction(graph, ref, matching, prematches=()):
+    """The correction from the Dijkstra table's routes: the prematches'
+    edges, then each pair's route and each boundary match's, XORed."""
+    edges: set[int] = set()
+    for pm in prematches:
+        edges ^= set(pm.correction_edges)
+    for a, b in matching.pairs:
+        edges ^= set(route_path(graph, ref, a, b))
+    for a in matching.boundary_matches:
+        edges ^= set(route_boundary_path(graph, ref, a))
+    return frozenset(edges)
+
+
+def assert_outcome_checks_out(graph, ref, syndrome, out):
+    """The failure bit from boundary parities is the correction's parity, and
+    the correction read from ``out`` clears the syndrome and takes the
+    Dijkstra table's routes, which equal the path table's, tie-breaks
+    included (``test_path_table_equals_dijkstra_table``)."""
+    edges = out.correction_edges
+    assert isinstance(edges, frozenset)
+    assert out.predicted_observable == observable_parity(graph, edges)
+    assert out.logical_failure == (out.predicted_observable != syndrome.true_observable)
+    assert syndrome_from_errors(graph, ErrorSet(edges)).flipped == syndrome.flipped
+    assert edges == route_correction(graph, ref, out.matching, out.prematches)
+
+
+@pytest.mark.parametrize("predecoder", ["adaptive", "greedy", "none"])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_failure_bit_and_correction_on_exact_k_corpora(d, predecoder):
+    # every decoded trial of the rare-event corpus, k = 1..16
+    cfg = ExperimentConfig(distance=d, p=1e-3, predecoder=predecoder, master_seed=26)
+    graph, table = cfg.build()
+    ref = dijkstra_path_table(graph)
+    decoded = boundary = 0
+    for errors in harness._exact_k_trials(graph, cfg.master_seed, 30, harness._STREAM_RARE,
+                                          range(1, 17)):
+        syndrome = syndrome_from_errors(graph, errors)
+        out = run_chain(graph, table, syndrome, cfg).outcome
+        if out is not None:
+            assert_outcome_checks_out(graph, ref, syndrome, out)
+            decoded += 1
+            boundary += bool(out.matching.boundary_matches)
+    assert decoded > 150 and boundary > 60
+
+
+def test_failure_bit_and_correction_on_the_heavy_report_corpus():
+    # the heavy-d11 benchmark corpus at 2 shots/k: HW above the cap, ~99%
+    # predecoded
+    cfg = ExperimentConfig(distance=11, p=1e-4, shots_per_k=2)
+    graph, table = cfg.build()
+    ref = dijkstra_path_table(graph)
+    ks = range(cfg.main_hw_cap // 2 + 1, cfg.k_max + 1)
+    decoded = 0
+    for errors in harness._exact_k_trials(graph, cfg.master_seed, 2, harness._STREAM_REPORT, ks):
+        syndrome = syndrome_from_errors(graph, errors)
+        if syndrome.hamming_weight <= cfg.main_hw_cap:
+            continue
+        out = run_chain(graph, table, syndrome, cfg).outcome
+        if out is not None:
+            assert out.prematches
+            assert_outcome_checks_out(graph, ref, syndrome, out)
+            decoded += 1
+    assert decoded > 20
+
+
+def test_enumeration_correction_equals_dijkstra_routes(g5, pt5):
+    # the pairing of the enumeration reference, matched field for field by
+    # brute_force_mwpm, has the Dijkstra routes' correction
+    ref = dijkstra_path_table(g5)
+    residuals = []
+    for k in range(1, 13):
+        for i in range(300):
+            syn = syndrome_from_errors(g5, inject_k_errors(g5, k, trial_seed(26, k, i)))
+            pre = adaptive_predecode(g5, pt5, syn)
+            if not pre.aborted and 0 < pre.residual.hamming_weight <= 8:
+                residuals.append(pre.residual.flipped)
+    assert len(residuals) >= 2000
+    for flipped in residuals:
+        want = enumerate_mwpm(flipped, pt5)
+        assert brute_force_mwpm(flipped, pt5) == want
+        assert matching_correction(pt5, want) == route_correction(g5, ref, want)
+
+
+def test_correction_is_built_on_first_read_and_kept(g5, pt5):
+    syn = syndrome_from_errors(g5, inject_k_errors(g5, 6, trial_seed(26, 0)))
+    out = decode(g5, pt5, syn, adaptive_predecode(g5, pt5, syn))
+    slot = type(out).correction_edges.slot
+    assert slot.__get__(out) is None and out.table is pt5
+    edges = out.correction_edges
+    assert slot.__get__(out) is edges and out.correction_edges is edges
+    assert "table" not in repr(out)
+
+
+def test_estimators_build_no_correction_path(monkeypatch):
+    # The estimators read only the failure bit: with the two path walks the
+    # on-read correction calls refusing, every result is as before.
+    rare = ExperimentConfig(distance=5, p=1e-3, k_max=8, shots_per_k=20, master_seed=3)
+    heavy = ExperimentConfig(distance=7, p=1e-3, k_max=16, shots_per_k=6, master_seed=3)
+    reports = (report_hw_distribution, report_latency, report_step_usage)
+
+    def results():
+        graph, table = heavy.build()  # new objects, so no report is reused
+        return (run_rare_event(rare),
+                [report(heavy, graph, table) for report in reports])
+
+    want = results()
+
+    def refuse(*args):
+        raise AssertionError("a correction path was built")
+
+    monkeypatch.setattr(maindecoder, "reconstruct_path", refuse)
+    monkeypatch.setattr(maindecoder, "reconstruct_boundary_path", refuse)
+    assert results() == want
+    assert want[1][0]["samples"] > 0
+    # the patch is the one the on-read correction calls
+    graph, table = rare.build()
+    syn = syndrome_from_errors(graph, ErrorSet(frozenset({0})))
+    out = decode(graph, table, syn)
+    assert out.matching.boundary_matches and not out.logical_failure
+    with pytest.raises(AssertionError, match="correction path"):
+        out.correction_edges

@@ -15,7 +15,7 @@ from surfmatch import (ErrorSet, Syndrome, build_decoding_graph, inject_k_errors
                        sample_iid, syndrome_from_errors, trial_seed)
 from surfmatch.noise import log_occurrence_probability
 
-from oracles import iid_block, log_binom_pmf
+from oracles import edge_between, iid_block, log_binom_pmf
 from patterns import boundary_edge_ids, find_adjacent_pair
 
 
@@ -210,7 +210,7 @@ def test_inject_k_uniform(g3):
 
 def test_syndrome_single_interior_edge(g3):
     u, v = find_adjacent_pair(g3)
-    eid = g3.edge_between(u, v).id
+    eid = edge_between(g3, u, v).id
     syn = syndrome_from_errors(g3, ErrorSet(frozenset({eid})))
     assert syn.flipped == frozenset({u, v})
     assert syn.hamming_weight == 2
@@ -249,7 +249,7 @@ def test_syndrome_takes_numpy_edge_ids(g3):
 
 def test_syndrome_refuses_edge_ids_out_of_range(g3):
     # -1 would otherwise index the last edge, and n_edges past the end
-    eid = g3.edge_between(*find_adjacent_pair(g3)).id
+    eid = edge_between(g3, *find_adjacent_pair(g3)).id
     for bad in (-1, g3.n_edges):
         with pytest.raises(ValueError, match=re.escape(f"edge ids out of range: [{bad}]")):
             syndrome_from_errors(g3, ErrorSet(frozenset({eid, bad})))
@@ -269,7 +269,7 @@ def test_syndrome_single_boundary_edge(g3):
 def test_syndrome_parity_cancellation(g3):
     # two errors sharing a detector leave the shared detector unflipped
     u, v = find_adjacent_pair(g3)
-    e1 = g3.edge_between(u, v).id
+    e1 = edge_between(g3, u, v).id
     w, eid2 = next((w, eid) for w, eid in g3.detector_neighbors[v] if w != u)
     syn = syndrome_from_errors(g3, ErrorSet(frozenset({e1, eid2})))
     assert v not in syn.flipped

@@ -4,7 +4,8 @@ from surfmatch import (GREEDY_LABEL, ErrorSet, PredecodeConfig, Step, Syndrome,
                        adaptive_predecode, build_decoding_graph, build_path_table,
                        greedy_baseline, make_rng, sample_iid, syndrome_from_errors)
 
-from oracles import chain_length_counts, iid_errors, matching_failure, oracle_mwpm
+from oracles import (chain_length_counts, edge_between, iid_errors, matching_failure,
+                     oracle_mwpm)
 from patterns import (find_adjacent_pair, find_chain_with_lowest_middle,
                       find_disjoint_pairs)
 
@@ -76,7 +77,7 @@ def test_greedy_strands_chain_ends(g3):
     # both chain ends, which is exactly the failure mode the safety check
     # exists to avoid
     v1, v2, v3, v4 = find_chain_with_lowest_middle(g3)
-    mid = g3.edge_between(v2, v3)
+    mid = edge_between(g3, v2, v3)
     res = greedy_baseline(g3, syndrome_of({v1, v2, v3, v4}),
                           PredecodeConfig(main_hw_cap=2))
     assert len(res.prematches) == 1
@@ -100,7 +101,7 @@ def test_greedy_equals_adaptive_on_disjoint_pairs(g5, pt5):
 
 def test_greedy_stops_without_edges(g3):
     s, t = 0, g3.n_detectors - 1
-    assert g3.edge_between(s, t) is None
+    assert edge_between(g3, s, t) is None
     res = greedy_baseline(g3, syndrome_of({s, t}), PredecodeConfig(main_hw_cap=1))
     assert res.prematches == ()
     assert res.residual.flipped == {s, t}

@@ -13,7 +13,7 @@ from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Step, Syndrome,
                        inject_k_errors, make_rng, sample_iid, scan_candidates,
                        step3_singleton_path,
                        syndrome_from_errors, trial_seed)
-from oracles import (bfs_hops, brute_step3, induced_neighbors,
+from oracles import (bfs_hops, brute_step3, edge_between, induced_neighbors,
                      predecode_result_to_json, reference_scan, reference_step3,
                      removal_strands)
 from patterns import (find_adjacent_pair, find_disjoint_chains,
@@ -49,7 +49,7 @@ def test_subgraph_rejects_bad_ids(g3):
 def test_subgraph_adjacent_pair(g3):
     u, v = find_adjacent_pair(g3)
     sub = build_subgraph(g3, syndrome_of({u, v}))
-    eid = g3.edge_between(u, v).id
+    eid = edge_between(g3, u, v).id
     assert set(sub.edges) == {eid}
     assert sub.adj == {u: {v: eid}, v: {u: eid}}
     assert {i: len(sub.adj[i]) for i in sub.nodes} == {u: 1, v: 1}
@@ -154,7 +154,7 @@ def test_scan_batches_six_isolated_pairs(g5):
     assert {(pm.a, pm.b) for pm in batch} == {tuple(sorted(p)) for p in pairs}
     assert all(pm.step is Step.S1 for pm in batch)
     assert [pm.correction_edges for pm in batch] == \
-        [(eid,) for eid in sorted(g5.edge_between(*p).id for p in pairs)]
+        [(eid,) for eid in sorted(edge_between(g5, *p).id for p in pairs)]
     assert regs == {}
     assert len(sub.nodes) == 12  # the scan only reads the subgraph
 
@@ -185,11 +185,11 @@ def test_scan_four_chain_registers(g3):
     v1, v2, v3, v4 = find_induced_chain(g3, 4)
     sub = build_subgraph(g3, syndrome_of({v1, v2, v3, v4}))
     batch, regs = scan_candidates(sub)
-    end_ids = sorted((g3.edge_between(v1, v2).id, g3.edge_between(v3, v4).id))
+    end_ids = sorted((edge_between(g3, v1, v2).id, edge_between(g3, v3, v4).id))
     assert batch == []
     assert set(regs) == {Step.S2_1, Step.S4_2}
     assert regs[Step.S2_1] == end_ids[0]  # first in id order
-    assert regs[Step.S4_2] == g3.edge_between(v2, v3).id
+    assert regs[Step.S4_2] == edge_between(g3, v2, v3).id
     assert sub.edges[regs[Step.S4_2]] == tuple(sorted((v2, v3)))
 
 
@@ -199,7 +199,7 @@ def test_scan_three_chain_registers(g3):
     batch, regs = scan_candidates(sub)
     # both edges strand the opposite end; no safe move exists
     assert batch == [] and set(regs) == {Step.S4_1}
-    ids = sorted((g3.edge_between(v1, v2).id, g3.edge_between(v2, v3).id))
+    ids = sorted((edge_between(g3, v1, v2).id, edge_between(g3, v2, v3).id))
     assert regs == {Step.S4_1: ids[0]}
 
 
@@ -247,7 +247,7 @@ def test_scan_register_holds_first_edge_in_id_order(g5):
 
 def test_scan_empty_registers_without_edges(g3):
     s, t = 0, g3.n_detectors - 1
-    assert g3.edge_between(s, t) is None
+    assert edge_between(g3, s, t) is None
     sub = build_subgraph(g3, syndrome_of({s, t}))
     assert scan_candidates(sub) == ([], {})
 
@@ -324,7 +324,7 @@ def test_build_subgraph_equals_induced_neighbors(d, request):
             assert sub.edges == {eid: (u, v) for u, vs in sub.adj.items()
                                  for v, eid in vs.items() if u < v}
             assert list(sub.edges) == sorted(sub.edges)
-            assert all(graph.edge_between(u, v).id == eid
+            assert all(edge_between(graph, u, v).id == eid
                        for eid, (u, v) in sub.edges.items())
 
 
@@ -443,8 +443,8 @@ def test_adaptive_three_chains_step_sequence(g7, pt7):
     end_ids = set()
     mid_ids = set()
     for v1, v2, v3, v4 in chains:
-        end_ids |= {g7.edge_between(v1, v2).id, g7.edge_between(v3, v4).id}
-        mid_ids.add(g7.edge_between(v2, v3).id)
+        end_ids |= {edge_between(g7, v1, v2).id, edge_between(g7, v3, v4).id}
+        mid_ids.add(edge_between(g7, v2, v3).id)
 
     res = adaptive_predecode(g7, pt7, syn,
                              PredecodeConfig(main_hw_cap=6), record_trace=True)

@@ -184,6 +184,38 @@ def test_bench_record_alternates_sides_and_aggregates():
     assert doc["traced"]["seed"] == 3001 and doc["untraced"]["seconds"] == 36.0
 
 
+def test_bench_record_prints_the_pairs_a_change_needs():
+    # parent shots_per_s 96..104 (IQR/median 0.04, so sigma 0.04/1.349) and a
+    # change 1% faster: 2 sigma sqrt(2/n) < 0.01 first holds at n = 71
+    bench = load_script("bench_record")
+    rates = {"parent": [96.0, 98.0, 100.0, 102.0, 104.0], "change": [101.0] * 5}
+
+    def run(checkout, workload, seed, seconds, trace):
+        if trace:
+            return perfbench_stdout(0.0, 0.0, "t", trace=1)
+        return perfbench_stdout(rates[checkout][seed], 0.5, f"s{seed}")
+
+    lines = []
+    doc = bench.collect({"parent": "parent", "change": "change"}, ["rare-d5"], END_TO_END,
+                        pairs=5, seed=0, seconds=1.0, traced_seed=3001, traced_seconds=1.0,
+                        run=run, log=lines.append)
+    wl = doc["untraced"]["workloads"]["rare-d5"]
+    rate = wl["shots_per_s"]
+    assert rate["change_over_parent"] == 1.01 and rate["parent_iqr_over_median"] == 0.04
+    assert rate["pairs_needed"] == 71
+    sigma = 0.04 / 1.349
+    assert 2 * sigma * (2 / 71) ** 0.5 < 0.01 < 2 * sigma * (2 / 70) ** 0.5
+    # an unchanged metric needs no pair count: none would show a change of 0
+    assert wl["setup_s"]["change_over_parent"] == 1.0 and wl["setup_s"]["pairs_needed"] is None
+    assert "rare-d5 shots_per_s: change/parent 1.0100, better in 3 of 5 pairs, " \
+        "pairs needed 71" in lines
+    assert "rare-d5 setup_s: change/parent 1.0000, better in 0 of 5 pairs, " \
+        "pairs needed None" in lines
+    # a change far outside the spread shows in one pair; a zero spread too
+    assert bench.pairs_needed(190.0 / 110.0, 10.0 / 110.0) == 1
+    assert bench.pairs_needed(0.98, 0.0) == 1
+
+
 def test_bench_record_names_the_failed_run():
     bench = load_script("bench_record")
 

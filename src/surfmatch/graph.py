@@ -40,7 +40,8 @@ BOUNDARY_JSON_ID = -1
 
 def check_integer(name: str, value) -> None:
     """Refuse a count that is a ``bool`` or not an ``Integral``."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    # A plain int, the common case on the decode path, skips the ABC check.
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -65,11 +65,10 @@ from dataclasses import astuple, dataclass, replace
 from itertools import islice, repeat
 
 from .graph import (DetectorGraph, PathTable, build_decoding_graph, build_path_table,
-                    check_code_params)
+                    check_code_params, check_integer)
 from .maindecoder import DEFAULT_HW_CAP, DecodeOutcome, check_detector_ids, decode
-from .noise import (Syndrome, check_integer, inject_k_errors, make_rng,
-                    occurrence_probability, occurrence_tail, sample_iid,
-                    syndrome_from_errors, trial_seed)
+from .noise import (Syndrome, inject_k_errors, make_rng, occurrence_probability,
+                    occurrence_tail, sample_iid, syndrome_from_errors, trial_seed)
 from .predecoder import (GREEDY_LABEL, STEP_RANK, PredecodeConfig, adaptive_predecode,
                          greedy_baseline)
 
@@ -189,8 +188,10 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     outside the graph's detectors raise ``ValueError`` on every path:
     ``build_subgraph`` refuses them before a predecode and ``decode`` on a
     bypass, so the chain checks them itself only on a bypass it does not
-    admit.
+    admit.  A ``table`` not built from ``graph`` is refused with
+    ``ValueError`` (``_check_table``).
     """
+    _check_table(graph, table)
     pcfg = pcfg if pcfg is not None else cfg.predecode_config()
     cap = pcfg.main_hw_cap
     hw = syndrome.hamming_weight
@@ -210,7 +211,7 @@ def run_chain(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
         if bypassed:
             check_detector_ids(graph, syndrome.flipped)
         return TrialRecord(True, hw, post, cycles, pre_ns, None, True, bypassed, deepest)
-    out = decode(graph, table, syndrome, pre, cap)
+    out = decode(table, syndrome, pre, cap)
     return TrialRecord(out.logical_failure, hw, post, cycles, pre_ns,
                        pre_ns + pcfg.main_latency(post), False, bypassed, deepest, out)
 
@@ -252,12 +253,20 @@ class LerEstimate:
         }
 
 
+def _check_table(graph: DetectorGraph, table: PathTable) -> None:
+    """Refuse a path table not built from ``graph``: the predecoder reads the
+    graph and the matcher the table, so the two must agree."""
+    if table.graph is not graph:
+        raise ValueError("the path table was not built from the given graph")
+
+
 def _graph_and_table(cfg: ExperimentConfig, graph: DetectorGraph | None,
                      table: PathTable | None) -> tuple[DetectorGraph, PathTable]:
     """The caller's graph and table checked against ``cfg``, or new ones."""
     if graph is None or table is None:
         return cfg.build()
     cfg.validate(graph)
+    _check_table(graph, table)
     return graph, table
 
 

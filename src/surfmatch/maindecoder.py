@@ -15,9 +15,11 @@ The stage is only modeled as viable up to a small Hamming weight cap.
 Only boundary edges flip the observable, so a decode's failure bit comes
 from the boundary parities alone: the predicted observable is the XOR of
 ``PathTable.boundary_obs`` over the matching's boundary-matched defects,
-since every prematch and every pair path joins two detectors.  The
-correction, the symmetric difference of the prematches' edges and the
-matching's shortest paths, is built only when
+since every prematch and every pair path joins two detectors.  A
+prematch is a pair of detectors, and the path table gives its path and
+its weight as it gives the matching's.  The correction, the symmetric
+difference of the table paths of the matching's pairs, its boundary
+routes and the prematched pairs, is built only when
 ``DecodeOutcome.correction_edges`` is first read (``matching_correction``
 rebuilds the matching's part), so the estimators, which read only the
 failure bit, build no path.  This is how PyMatching's Sparse Blossom
@@ -171,15 +173,17 @@ def brute_force_mwpm(flipped, table: PathTable, hw_cap: int = DEFAULT_HW_CAP,
     enumeration order puts it before the boundary.  Without the boundary
     nothing is skipped.
 
-    An id that is not an integer in ``[0, table.n)`` is refused with
-    ``ValueError`` before the DP; this is the only id check on the decode
-    path.
+    An ``hw_cap`` that is not an integer (``check_integer``), and an id
+    that is not an integer in ``[0, table.n)``, are refused with
+    ``ValueError`` before the DP; these are the only cap and id checks on
+    the decode path.
     """
+    check_integer("hw_cap", hw_cap)
     # Checked before sorting: 'a' < 1 raises TypeError.
     nodes = tuple(sorted(check_detector_ids(table.graph, tuple(flipped))))
     m = len(nodes)
     if m > hw_cap:
-        raise ValueError(f"Hamming weight {m} exceeds cap {hw_cap}")
+        raise ValueError(f"residual Hamming weight {m} exceeds cap {hw_cap}")
     if hw_cap > MAX_HW_CAP:
         raise ValueError(f"hw_cap must be at most {MAX_HW_CAP}")
     if m % 2 and not allow_boundary:
@@ -234,12 +238,13 @@ def matching_correction(table: PathTable, matching: MatchingSet) -> frozenset[in
 class DecodeOutcome:
     """Combined result of the predecode and exact-matching stages.
 
-    ``total_weight`` is in hops: the matching's plus every prematch's
-    correction edge count.  ``correction_edges`` is the combined
-    correction, the matching's edges XOR every prematch's.  ``decode``
-    leaves it None and the set is built, from the ``table`` slot, when the
-    field is first read, then kept; a set passed in is kept as given.
-    ``table`` is neither shown nor compared.
+    ``total_weight`` is in hops, all read from the path table: the
+    matching's plus ``table.hops[a, b]`` for every prematched pair.
+    ``correction_edges`` is the combined correction: the matching's edges
+    XOR the table path of every prematched pair.  ``decode`` leaves it
+    None and the set is built, from the ``table`` slot, when the field is
+    first read, then kept; a set passed in is kept as given.  ``table`` is
+    neither shown nor compared.
 
     Not frozen, so that it is cheap to build, and so not hashable; treat
     it as read-only.
@@ -259,7 +264,9 @@ class _BuiltOnRead:
     """``DecodeOutcome.correction_edges``: its slot, filled on first read.
 
     Wraps the slot's member descriptor, so the class stays slotted and
-    ``dataclasses.replace``, ``==`` and ``repr`` read the built set.
+    ``dataclasses.replace``, ``==`` and ``repr`` read the built set.  The
+    XOR order is the matching's pairs, then its boundary routes, then the
+    prematches in order, so the set's iteration order is fixed.
     """
 
     def __init__(self, slot) -> None:
@@ -270,9 +277,10 @@ class _BuiltOnRead:
             return self
         edges = self.slot.__get__(outcome, owner)
         if edges is None:
-            correction = set(matching_correction(outcome.table, outcome.matching))
+            table = outcome.table
+            correction = set(matching_correction(table, outcome.matching))
             for pm in outcome.prematches:
-                correction ^= set(pm.correction_edges)
+                correction ^= set(reconstruct_path(table, pm.a, pm.b))
             edges = frozenset(correction)
             self.slot.__set__(outcome, edges)
         return edges
@@ -310,19 +318,21 @@ def check_detector_ids(graph: DetectorGraph, flipped):
     return type(flipped)(map(int, flipped))
 
 
-def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
+def decode(table: PathTable, syndrome: Syndrome,
            predecode: "PredecodeResult | None" = None,
            hw_cap: int = DEFAULT_HW_CAP) -> DecodeOutcome:
     """Decode a syndrome, optionally consuming a predecode result.
 
-    The decode fails when the predicted observable flip disagrees with the
-    syndrome's ground truth.  The prediction is the XOR of
-    ``table.boundary_obs`` over the matching's boundary matches, which is
-    the observable parity of the combined correction (see the module
-    docstring); the correction itself is built on first read.  ``graph``
-    must be the table's graph and is not read here.  An aborted predecode
-    leaves nothing to decode: the chain counts it as a failure before
-    reaching this stage, and it is refused here.
+    Every path and weight comes from ``table``.  The decode fails when the
+    predicted observable flip disagrees with the syndrome's ground truth.
+    The prediction is the XOR of ``table.boundary_obs`` over the
+    matching's boundary matches, which is the observable parity of the
+    combined correction (see the module docstring); the correction itself
+    is built on first read.  ``total_weight`` adds ``table.hops[a, b]``
+    for each prematched pair to the matching's hops.  The residual's
+    weight and ``hw_cap`` are checked by ``brute_force_mwpm``.  An aborted
+    predecode leaves nothing to decode: the chain counts it as a failure
+    before reaching this stage, and it is refused here.
     """
     if predecode is not None and predecode.aborted:
         raise ValueError("cannot decode after an aborted predecode")
@@ -330,17 +340,13 @@ def decode(graph: DetectorGraph, table: PathTable, syndrome: Syndrome,
     pre_cycles = predecode.cycles if predecode is not None else 0
 
     flipped = predecode.residual.flipped if predecode is not None else syndrome.flipped
-    if len(flipped) > hw_cap:
-        raise ValueError(
-            f"residual Hamming weight {len(flipped)} exceeds cap {hw_cap}")
-
     matching = brute_force_mwpm(flipped, table, hw_cap=hw_cap)
     obs = table.boundary_obs
     predicted = 0
     for a in matching.boundary_matches:
         predicted ^= obs[a]
     failure = predicted != syndrome.true_observable
-    total_weight = matching.total_weight + sum(len(pm.correction_edges)
+    total_weight = matching.total_weight + sum(table.hops.item(pm.a, pm.b)
                                                for pm in prematches)
     cycles_total = pre_cycles + matching_search_size(len(flipped))
     return DecodeOutcome(prematches, matching, None, total_weight, predicted, failure,

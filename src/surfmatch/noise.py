@@ -41,7 +41,7 @@ from functools import cache
 
 import numpy as np
 
-from .graph import DetectorGraph, check_integer, check_real  # noqa: F401 (re-exported)
+from .graph import DetectorGraph, check_integer
 
 
 # A set of simultaneously flipped edge ids.

@@ -50,8 +50,8 @@ from enum import Enum
 from typing import Callable, NamedTuple
 import math
 
-from .graph import DetectorGraph, PathTable, reconstruct_path
-from .noise import Syndrome, check_integer, check_real
+from .graph import DetectorGraph, PathTable, check_integer, check_real
+from .noise import Syndrome
 from .maindecoder import DEFAULT_HW_CAP, MAX_HW_CAP, check_detector_ids, matching_search_size
 
 
@@ -80,10 +80,13 @@ _S1, _S2_1, _S2_2, _S4_1, _S4_2 = Step.S1, Step.S2_1, Step.S2_2, Step.S4_1, Step
 
 @dataclass(slots=True)
 class Prematch:
-    """One prematched pair and the correction it implies.
+    """One prematched pair of detectors and the step that matched it.
 
-    Its weight is its hop count, ``len(correction_edges)``: one for an
-    edge prematch, the table's fewest hops between the pair for S3.
+    Its correction is the path table's path between the pair,
+    ``reconstruct_path(table, a, b)``, and its weight that path's hop
+    count, ``table.hops[a, b]``.  For an edge step that path is the one
+    subgraph edge joining the pair (the graph has no parallel edges); for
+    S3 it is the fewest-hop path the step chose the pair by.
 
     Not frozen, so that it is cheap to build, and so not hashable; treat
     it as read-only.
@@ -92,7 +95,6 @@ class Prematch:
     a: int
     b: int
     step: Step
-    correction_edges: tuple[int, ...]
 
 
 @dataclass
@@ -180,14 +182,14 @@ def scan_candidates(sub: DecodingSubgraph) -> tuple[list[Prematch], dict[Step, i
     adj, edges = sub.adj, sub.edges
     dep: dict[int, int] = {}
     isolated = []
-    for eid, (u, v) in edges.items():
+    for u, v in edges.values():
         du, dv = len(adj[u]), len(adj[v])
         if du == 1:
             dep[v] = dep.get(v, 0) + 1
         if dv == 1:
             dep[u] = dep.get(u, 0) + 1
             if du == 1:
-                isolated.append(Prematch(u, v, _S1, (eid,)))
+                isolated.append(Prematch(u, v, _S1))
     if isolated:
         return isolated, {}
     first: dict[Step, int] = {}
@@ -206,7 +208,7 @@ def scan_candidates(sub: DecodingSubgraph) -> tuple[list[Prematch], dict[Step, i
 
 def _edge_prematch(sub: DecodingSubgraph, eid: int, step: Step) -> Prematch:
     """The prematch of subgraph edge ``eid`` by ``step``."""
-    return Prematch(*sub.edges[eid], step, (eid,))
+    return Prematch(*sub.edges[eid], step)
 
 
 def step3_singleton_path(sub: DecodingSubgraph,
@@ -227,7 +229,7 @@ def step3_singleton_path(sub: DecodingSubgraph,
     if best is None:
         return None, examined
     _, s, t = best
-    return Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t))), examined
+    return Prematch(s, t, Step.S3), examined
 
 
 @dataclass(frozen=True)

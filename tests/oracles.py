@@ -416,14 +416,15 @@ def reference_scan(sub):
     """The per-edge candidate scan that ``scan_candidates`` replaced.
 
     One pass in edge id order that counts dependents per node for every
-    edge it classifies; same return value as ``scan_candidates``.
+    edge it classifies.  It returns the S1 batch as ``scan_candidates``
+    does, and each register as the prematch of its first edge's pair.
     """
     batch, first = [], {}
     for eid in sorted(sub.edges):
         u, v = sub.edges[eid]
         du, dv = len(sub.adj[u]), len(sub.adj[v])
         if du == 1 and dv == 1:
-            batch.append(Prematch(u, v, Step.S1, (eid,)))
+            batch.append(Prematch(u, v, Step.S1))
         elif not batch:
             if _creates_singleton(sub, u, v):
                 step = Step.S4_1 if min(du, dv) == 1 else Step.S4_2
@@ -432,8 +433,7 @@ def reference_scan(sub):
             first.setdefault(step, eid)
     if batch:
         return batch, {}
-    return batch, {step: Prematch(*sub.edges[eid], step, (eid,))
-                   for step, eid in first.items()}
+    return batch, {step: Prematch(*sub.edges[eid], step) for step, eid in first.items()}
 
 
 def reference_step3(sub, table):
@@ -454,7 +454,7 @@ def reference_step3(sub, table):
     if best is None:
         return None, examined
     s, t, _ = best
-    return Prematch(s, t, Step.S3, tuple(reconstruct_path(table, s, t))), examined
+    return Prematch(s, t, Step.S3), examined
 
 
 def observable_parity(graph, edge_ids) -> int:
@@ -720,18 +720,19 @@ def check_product_form(edges, m: int, rounds: int) -> None:
         raise ValueError("a check lacks a timelike edge")
 
 
-def predecode_result_to_json(result, p: float) -> str:
+def predecode_result_to_json(result, table) -> str:
     """Prematches, residual, cycles and abort flag of a predecode, as JSON.
 
-    Each prematch's weight is written as its hops times -ln p, the float
-    the predecoder once stored with it, so digests taken then still hold.
+    Each prematch's edges are its pair's path in ``table`` and its weight
+    that path's hops times -ln p, the float the predecoder once stored
+    with it, so digests taken then still hold.
     """
-    unit = -math.log(p)
+    unit = -math.log(table.graph.p)
     return json.dumps({
         "prematches": [
             {"a": pm.a, "b": pm.b, "step": pm.step.value,
-             "weight": len(pm.correction_edges) * unit,
-             "edges": list(pm.correction_edges)}
+             "weight": table.hops.item(pm.a, pm.b) * unit,
+             "edges": reconstruct_path(table, pm.a, pm.b)}
             for pm in result.prematches
         ],
         "residual": sorted(result.residual.flipped),
@@ -743,8 +744,10 @@ def predecode_result_to_json(result, p: float) -> str:
 def oracle_mwpm(graph, table, syndrome):
     """Exact matching of the full syndrome (Hamming weight up to 14), with no
     predecoding or time budget: a weight floor for any predecode-then-match
-    chain."""
-    return decode(graph, table, syndrome, predecode=None, hw_cap=MAX_HW_CAP)
+    chain.  ``table`` must be built from ``graph``."""
+    if table.graph is not graph:
+        raise ValueError("the path table was not built from the given graph")
+    return decode(table, syndrome, predecode=None, hw_cap=MAX_HW_CAP)
 
 
 def chain_length_counts(graph, table, syndromes) -> Counter:

@@ -106,7 +106,7 @@ def d11_sweep(d11_low):
             _MODELED_TOTALS.append(result.cycles * pcfg.cycle_ns
                                    + pcfg.main_latency(hw))
         if len(stats["first"]) < 100:
-            stats["first"].append((syndrome, predecode_result_to_json(result, graph.p)))
+            stats["first"].append((syndrome, predecode_result_to_json(result, table)))
     return stats
 
 
@@ -137,7 +137,7 @@ def test_criterion_2_oracle_equivalence_low_hw(g5, pt5):
         if syndrome.hamming_weight > 10:
             continue
         checked += 1
-        main = decode(g5, pt5, syndrome)
+        main = decode(pt5, syndrome)
         floor = oracle_mwpm(g5, pt5, syndrome)
         assert main.total_weight == floor.total_weight
     print(f"\n[PASS] criterion 2: {checked} low-HW decodes match the oracle "
@@ -197,7 +197,7 @@ def test_criterion_5_singleton_invariants(d11_low, d11_sweep):
     for syndrome, expected in stats["first"]:
         again = adaptive_predecode(graph, table, syndrome, PredecodeConfig(),
                                    record_trace=True)
-        assert predecode_result_to_json(again, graph.p) == expected
+        assert predecode_result_to_json(again, table) == expected
         replayed += 1
     print(f"\n[PASS] criterion 5: {stats['rounds']} prematch rounds "
           f"({stats['trace_entries']} trace entries): safe steps never "

@@ -187,10 +187,14 @@ def test_builder_takes_numpy_numbers():
     assert (g.distance, g.rounds, g.n_edges) == (3, 2, 22)
 
 
-def test_check_helpers_reexported_from_noise():
-    from surfmatch import graph, noise
-    assert noise.check_integer is graph.check_integer
-    assert noise.check_real is graph.check_real
+def test_check_helpers_are_imported_from_graph():
+    # each module takes them from graph, where they are defined; noise
+    # imports only the one it calls and re-exports nothing
+    from surfmatch import graph, harness, maindecoder, noise, predecoder
+    for module in (harness, maindecoder, noise, predecoder):
+        assert module.check_integer is graph.check_integer
+    assert predecoder.check_real is graph.check_real
+    assert not hasattr(noise, "check_real")
 
 
 def test_deterministic_construction():

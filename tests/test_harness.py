@@ -118,6 +118,23 @@ def test_corpus_memo_rejects_mismatched_graph(g5, pt5, chain_calls):
     assert len(chain_calls) == n
 
 
+def test_table_of_another_graph_is_refused(g5, pt7, chain_calls):
+    # A d=7 table handed in with the d=5 graph the config fits: the
+    # estimators and the reports used to decode every trial against the
+    # d=7 paths without a word.  Each call is refused before any trial, and
+    # run_chain refuses the pair too.
+    cfg = ExperimentConfig(distance=5, p=g5.p, k_max=6, shots_per_k=20,
+                           shots_direct=200, master_seed=1)
+    cfg.validate(g5)
+    for run in (run_direct, run_rare_event, report_latency):
+        with pytest.raises(ValueError, match="not built from the given graph"):
+            run(cfg, g5, pt7)
+    assert chain_calls == []
+    u, v = find_adjacent_pair(g5)
+    with pytest.raises(ValueError, match="not built from the given graph"):
+        run_chain(g5, pt7, syndrome_of({u, v}), cfg)
+
+
 def test_config_target_and_label():
     assert ExperimentConfig(main_hw_cap=6).predecode_config().main_hw_cap == 6
     assert ExperimentConfig(predecoder="greedy").predecoder_label == GREEDY_LABEL

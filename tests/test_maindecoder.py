@@ -302,9 +302,22 @@ def test_hw_cap_enforced(pt3):
     brute_force_mwpm(range(12), pt3, hw_cap=12)  # fine up to 14
 
 
+@pytest.mark.parametrize("cap", ["10", None, 10.5, True, np.float64(10.0)])
+def test_hw_cap_must_be_an_integer(g3, pt3, cap):
+    # "10" and None used to raise TypeError, 10.5 passed, and True acted as
+    # cap 1; brute_force_mwpm's check is the only one, so decode gets it too
+    u, v = find_adjacent_pair(g3)
+    message = re.escape(f"hw_cap must be an integer, got {cap!r}")
+    with pytest.raises(ValueError, match=message):
+        brute_force_mwpm([u, v], pt3, hw_cap=cap)
+    with pytest.raises(ValueError, match=message):
+        decode(pt3, syndrome_of({u, v}), hw_cap=cap)
+    assert brute_force_mwpm([u, v], pt3, hw_cap=np.int64(2)).pairs == ((u, v),)
+
+
 def test_decode_cap_error(g3, pt3):
     with pytest.raises(ValueError, match="exceeds cap"):
-        decode(g3, pt3, syndrome_of(range(12)))
+        decode(pt3, syndrome_of(range(12)))
 
 
 
@@ -315,7 +328,7 @@ def test_decode_refuses_detector_ids_out_of_range(g3, pt3):
     for bad in (g3.n_detectors, -1):
         with pytest.raises(ValueError, match=re.escape(
                 f"flipped ids outside detector range: [{bad}]")):
-            decode(g3, pt3, syndrome_of({u, v, bad}))
+            decode(pt3, syndrome_of({u, v, bad}))
 
 
 @pytest.mark.parametrize("bad", [-1, "n"])
@@ -332,7 +345,7 @@ def test_brute_force_refuses_ids_outside_the_detectors(pt3, bad):
 
 
 def test_decode_empty_syndrome(g3, pt3):
-    out = decode(g3, pt3, syndrome_of(()))
+    out = decode(pt3, syndrome_of(()))
     assert not out.logical_failure
     assert out.predicted_observable == 0
     assert out.total_weight == 0
@@ -347,7 +360,7 @@ def test_decode_single_boundary_error_each_side(g3, pt3):
         errors = ErrorSet(frozenset({eid}))
         syn = syndrome_from_errors(g3, errors)
         assert syn.hamming_weight == 1
-        out = decode(g3, pt3, syn)
+        out = decode(pt3, syn)
         assert not out.logical_failure
         assert out.predicted_observable == syn.true_observable
         assert out.total_weight == 1
@@ -365,7 +378,7 @@ def test_decode_self_consistency(g3, pt3):
         syn = syndrome_from_errors(g3, errors)
         if syn.hamming_weight > 10:
             continue
-        out = decode(g3, pt3, syn)
+        out = decode(pt3, syn)
         loop = errors ^ out.correction_edges
         assert syndrome_from_errors(g3, ErrorSet(loop)).flipped == frozenset()
         assert out.logical_failure == bool(observable_parity(g3, loop))
@@ -382,7 +395,7 @@ def test_decode_weight_is_oracle_minimum(g3, pt3):
         syn = syndrome_from_errors(g3, errors)
         if not 0 < syn.hamming_weight <= 6:
             continue
-        out = decode(g3, pt3, syn)
+        out = decode(pt3, syn)
         hops, _, _, _ = exact_matching(
             tuple(syn.flipped),
             lambda a, b: int(pt3.hops[a, b]),
@@ -399,7 +412,7 @@ def test_decode_after_predecode_six_pairs(g5, pt5):
     syn = syndrome_from_errors(
         g5, ErrorSet(frozenset(edge_between(g5, *p).id for p in pairs)))
     pre = adaptive_predecode(g5, pt5, syn)
-    out = decode(g5, pt5, syn, predecode=pre)
+    out = decode(pt5, syn, predecode=pre)
     assert not out.logical_failure
     assert out.matching.enumerated == 1
     assert out.prematches == pre.prematches
@@ -415,7 +428,7 @@ def test_decode_refuses_aborted_predecode(g5, pt5):
     pre = adaptive_predecode(g5, pt5, syn, PredecodeConfig(budget_ns=4.0))
     assert pre.aborted
     with pytest.raises(ValueError, match="aborted predecode"):
-        decode(g5, pt5, syn, predecode=pre)
+        decode(pt5, syn, predecode=pre)
 
 
 def test_decode_residual_over_cap_raises(g7, pt7):
@@ -425,18 +438,18 @@ def test_decode_residual_over_cap_raises(g7, pt7):
     pre = adaptive_predecode(g7, pt7, syndrome_of(()),)
     bad = pre.__class__(pre.prematches, syn, 0, False, 0)
     with pytest.raises(ValueError, match="residual Hamming weight"):
-        decode(g7, pt7, syn, predecode=bad)
+        decode(pt7, syn, predecode=bad)
 
 
 # ------------------------------- failure bit and corrections built on read
 
 
 def route_correction(graph, ref, matching, prematches=()):
-    """The correction from the Dijkstra table's routes: the prematches'
-    edges, then each pair's route and each boundary match's, XORed."""
+    """The correction from the Dijkstra table's routes: each prematched
+    pair's route, then each pair's and each boundary match's, XORed."""
     edges: set[int] = set()
     for pm in prematches:
-        edges ^= set(pm.correction_edges)
+        edges ^= set(route_path(graph, ref, pm.a, pm.b))
     for a, b in matching.pairs:
         edges ^= set(route_path(graph, ref, a, b))
     for a in matching.boundary_matches:
@@ -516,7 +529,7 @@ def test_enumeration_correction_equals_dijkstra_routes(g5, pt5):
 
 def test_correction_is_built_on_first_read_and_kept(g5, pt5):
     syn = syndrome_from_errors(g5, inject_k_errors(g5, 6, trial_seed(26, 0)))
-    out = decode(g5, pt5, syn, adaptive_predecode(g5, pt5, syn))
+    out = decode(pt5, syn, adaptive_predecode(g5, pt5, syn))
     slot = type(out).correction_edges.slot
     assert slot.__get__(out) is None and out.table is pt5
     edges = out.correction_edges
@@ -548,7 +561,7 @@ def test_estimators_build_no_correction_path(monkeypatch):
     # the patch is the one the on-read correction calls
     graph, table = rare.build()
     syn = syndrome_from_errors(graph, ErrorSet(frozenset({0})))
-    out = decode(graph, table, syn)
+    out = decode(table, syn)
     assert out.matching.boundary_matches and not out.logical_failure
     with pytest.raises(AssertionError, match="correction path"):
         out.correction_edges

@@ -2,7 +2,8 @@ from collections import Counter
 
 from surfmatch import (GREEDY_LABEL, ErrorSet, PredecodeConfig, Step, Syndrome,
                        adaptive_predecode, build_decoding_graph, build_path_table,
-                       greedy_baseline, make_rng, sample_iid, syndrome_from_errors)
+                       greedy_baseline, make_rng, reconstruct_path, sample_iid,
+                       syndrome_from_errors)
 
 from oracles import (chain_length_counts, edge_between, iid_errors, matching_failure,
                      oracle_mwpm)
@@ -58,7 +59,7 @@ def test_oracle_never_beaten_by_chain(g5, pt5):
         if pre.aborted:
             continue
         from surfmatch import decode
-        chained = decode(g5, pt5, syn, predecode=pre)
+        chained = decode(pt5, syn, predecode=pre)
         floor = oracle_mwpm(g5, pt5, syn)
         assert chained.total_weight >= floor.total_weight
         checked += 1
@@ -72,7 +73,7 @@ def test_greedy_label():
     assert GREEDY_LABEL == "greedy-nosafety"
 
 
-def test_greedy_strands_chain_ends(g3):
+def test_greedy_strands_chain_ends(g3, pt3):
     # the middle edge comes first in id order: greedy takes it and orphans
     # both chain ends, which is exactly the failure mode the safety check
     # exists to avoid
@@ -81,7 +82,8 @@ def test_greedy_strands_chain_ends(g3):
     res = greedy_baseline(g3, syndrome_of({v1, v2, v3, v4}),
                           PredecodeConfig(main_hw_cap=2))
     assert len(res.prematches) == 1
-    assert res.prematches[0].correction_edges == (mid.id,)
+    pm = res.prematches[0]
+    assert reconstruct_path(pt3, pm.a, pm.b) == [mid.id]
     assert res.prematches[0].step is Step.GREEDY
     assert res.residual.flipped == frozenset({v1, v4})
     assert not res.aborted
@@ -95,8 +97,8 @@ def test_greedy_equals_adaptive_on_disjoint_pairs(g5, pt5):
     assert {(pm.a, pm.b) for pm in greedy.prematches} == \
         {(pm.a, pm.b) for pm in adaptive.prematches}
     assert greedy.residual.flipped == adaptive.residual.flipped == frozenset()
-    assert sum(len(pm.correction_edges) for pm in greedy.prematches) == \
-        sum(len(pm.correction_edges) for pm in adaptive.prematches) == 6
+    assert sum(len(reconstruct_path(pt5, pm.a, pm.b)) for pm in greedy.prematches) == \
+        sum(len(reconstruct_path(pt5, pm.a, pm.b)) for pm in adaptive.prematches) == 6
 
 
 def test_greedy_stops_without_edges(g3):

@@ -1,18 +1,19 @@
 import hashlib
 import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfmatch import predecoder
-from surfmatch import (MAX_HW_CAP, ErrorSet, PredecodeConfig, Step, Syndrome,
+from surfmatch import (MAX_HW_CAP, ErrorSet, Prematch, PredecodeConfig, Step, Syndrome,
                        adaptive_predecode, build_decoding_graph, build_path_table,
                        build_subgraph, creates_singleton, greedy_baseline,
-                       inject_k_errors, make_rng, sample_iid, scan_candidates,
-                       step3_singleton_path,
-                       syndrome_from_errors, trial_seed)
+                       inject_k_errors, make_rng, reconstruct_path, sample_iid,
+                       scan_candidates, step3_singleton_path, syndrome_from_errors,
+                       trial_seed)
 from oracles import (bfs_hops, brute_step3, edge_between, induced_neighbors,
                      predecode_result_to_json, reference_scan, reference_step3,
                      removal_strands)
@@ -46,7 +47,7 @@ def test_subgraph_rejects_bad_ids(g3):
         build_subgraph(g3, syndrome_of({g3.n_detectors}))
 
 
-def test_subgraph_adjacent_pair(g3):
+def test_subgraph_adjacent_pair(g3, pt3):
     u, v = find_adjacent_pair(g3)
     sub = build_subgraph(g3, syndrome_of({u, v}))
     eid = edge_between(g3, u, v).id
@@ -57,7 +58,8 @@ def test_subgraph_adjacent_pair(g3):
     assert sub.singletons() == set()
     batch, regs = scan_candidates(sub)
     [pm] = batch
-    assert (pm.a, pm.b, pm.step, pm.correction_edges) == (*sorted((u, v)), Step.S1, (eid,))
+    assert (pm.a, pm.b, pm.step) == (*sorted((u, v)), Step.S1)
+    assert reconstruct_path(pt3, pm.a, pm.b) == [eid]
     assert regs == {}
 
 
@@ -146,15 +148,15 @@ def test_creates_singleton_matches_removal_oracle(g3):
 # ----------------------------------------------------------- S1 batching
 
 
-def test_scan_batches_six_isolated_pairs(g5):
+def test_scan_batches_six_isolated_pairs(g5, pt5):
     pairs = find_disjoint_pairs(g5, 6)
     sub = build_subgraph(g5, syndrome_of({u for p in pairs for u in p}))
     batch, regs = scan_candidates(sub)
     assert len(batch) == 6
     assert {(pm.a, pm.b) for pm in batch} == {tuple(sorted(p)) for p in pairs}
     assert all(pm.step is Step.S1 for pm in batch)
-    assert [pm.correction_edges for pm in batch] == \
-        [(eid,) for eid in sorted(edge_between(g5, *p).id for p in pairs)]
+    assert [reconstruct_path(pt5, pm.a, pm.b) for pm in batch] == \
+        [[eid] for eid in sorted(edge_between(g5, *p).id for p in pairs)]
     assert regs == {}
     assert len(sub.nodes) == 12  # the scan only reads the subgraph
 
@@ -215,7 +217,7 @@ def test_scan_four_cycle_is_s2_2(g32):
     assert regs == {Step.S2_2: min(sub.edges)}
 
 
-def test_scan_register_holds_first_edge_in_id_order(g5):
+def test_scan_register_holds_first_edge_in_id_order(g5, pt5):
     # each register holds the lowest-id edge of its category, with the
     # categories found by simulated removal rather than the scan's counts
     rng = make_rng(19)
@@ -240,7 +242,8 @@ def test_scan_register_holds_first_edge_in_id_order(g5):
         for step, eid in first.items():
             # the prematch a round would build from this register
             pm = predecoder._edge_prematch(sub, regs[step], step)
-            assert (pm.a, pm.b, pm.step, pm.correction_edges) == (*sub.edges[eid], step, (eid,))
+            assert (pm.a, pm.b, pm.step) == (*sub.edges[eid], step)
+            assert reconstruct_path(pt5, pm.a, pm.b) == [eid]
             filled[step] += 1
     assert min(filled.values()) > 5
 
@@ -261,8 +264,9 @@ def test_step3_two_hop_pair_frozen_weight(g32, pt32):
     assert sub.singletons() == {s, t}
     pm, _ = step3_singleton_path(sub, pt32)
     assert (pm.a, pm.b, pm.step) == (s, t, Step.S3)
-    assert len(pm.correction_edges) == pt32.hops[s, t] == 2
-    covered = syndrome_from_errors(g32, ErrorSet(frozenset(pm.correction_edges)))
+    path = reconstruct_path(pt32, pm.a, pm.b)
+    assert len(path) == pt32.hops[s, t] == 2
+    covered = syndrome_from_errors(g32, ErrorSet(frozenset(path)))
     assert covered.flipped == {s, t}
 
 
@@ -277,8 +281,9 @@ def test_step3_six_node_instance(g5, pt5):
     assert examined == 2 * 5  # both singletons try every other node
     # chain ends are legal partners (stranding nobody) but cost 3+ edges
     assert (pm.a, pm.b) == tuple(sorted((s, t)))
-    assert len(pm.correction_edges) == 2
-    assert (pm.a, pm.b, len(pm.correction_edges)) == brute_step3(g5, sub, pt5)
+    hops = len(reconstruct_path(pt5, pm.a, pm.b))
+    assert hops == 2
+    assert (pm.a, pm.b, hops) == brute_step3(g5, sub, pt5)
 
 
 def test_step3_agrees_with_brute_force(g3, pt3):
@@ -296,7 +301,7 @@ def test_step3_agrees_with_brute_force(g3, pt3):
             assert pm is None
             continue
         s, t, hops = expect
-        assert (pm.a, pm.b, len(pm.correction_edges)) == (s, t, hops)
+        assert (pm.a, pm.b, len(reconstruct_path(pt3, pm.a, pm.b))) == (s, t, hops)
         seen += 1
     assert seen > 30
 
@@ -342,7 +347,8 @@ def test_scan_and_step3_equal_reference_on_every_round(d, request, monkeypatch):
         batch, regs = scan(sub)
         ref_batch, ref_regs = reference_scan(sub)
         assert batch == ref_batch
-        assert regs == {step: pm.correction_edges[0] for step, pm in ref_regs.items()}
+        assert regs == {step: edge_between(graph, pm.a, pm.b).id
+                        for step, pm in ref_regs.items()}
         assert {step: predecoder._edge_prematch(sub, eid, step)
                 for step, eid in regs.items()} == ref_regs
         s3 = step3(sub, table)
@@ -450,7 +456,7 @@ def test_adaptive_three_chains_step_sequence(g7, pt7):
                              PredecodeConfig(main_hw_cap=6), record_trace=True)
     assert not res.aborted
     assert [pm.step for pm in res.prematches] == [Step.S2_1, Step.S1, Step.S2_1]
-    used = {eid for pm in res.prematches for eid in pm.correction_edges}
+    used = {eid for pm in res.prematches for eid in reconstruct_path(pt7, pm.a, pm.b)}
     assert used <= end_ids
     assert used.isdisjoint(mid_ids)  # middle edges would strand the ends
     assert res.residual.hamming_weight == 6
@@ -494,7 +500,7 @@ def test_adaptive_s3_then_s4(g7, pt7):
     assert [pm.step for pm in res.prematches] == [Step.S3, Step.S4_1]
     s3 = res.prematches[0]
     assert {s3.a, s3.b} == {s, t}
-    assert len(s3.correction_edges) == 2
+    assert len(reconstruct_path(pt7, s3.a, s3.b)) == 2
     assert res.residual.hamming_weight == 7
     # round one costs the 20 examined singleton pairings (> 6 edges)
     assert res.cycles == 20 + 6
@@ -545,7 +551,7 @@ def test_adaptive_stuck_singleton_aborts(g3, pt3):
 # ------------------------------------------------- whole-run invariants
 
 
-def check_invariants(graph, syndrome, res, cfg):
+def check_invariants(graph, table, syndrome, res, cfg):
     hw0 = syndrome.hamming_weight
     assert res.residual.flipped <= syndrome.flipped
     assert res.residual.hamming_weight == hw0 - 2 * len(res.prematches)
@@ -555,7 +561,7 @@ def check_invariants(graph, syndrome, res, cfg):
     assert set(matched) | set(res.residual.flipped) == syndrome.flipped
     for pm in res.prematches:
         covered = syndrome_from_errors(
-            graph, ErrorSet(frozenset(pm.correction_edges)))
+            graph, ErrorSet(frozenset(reconstruct_path(table, pm.a, pm.b))))
         assert covered.flipped == {pm.a, pm.b}
         assert covered.hamming_weight == 2
     if not res.aborted:
@@ -571,7 +577,7 @@ def test_adaptive_random_syndrome_invariants(g3, pt3, data):
     syn = syndrome_from_errors(g3, ErrorSet(ids))
     cfg = PredecodeConfig(main_hw_cap=6)
     res = adaptive_predecode(g3, pt3, syn, cfg, record_trace=True)
-    check_invariants(g3, syn, res, cfg)
+    check_invariants(g3, pt3, syn, res, cfg)
     safe = {Step.S1, Step.S2_1, Step.S2_2, Step.S3}
     for entry in res.trace:
         if entry.step in safe:
@@ -579,10 +585,10 @@ def test_adaptive_random_syndrome_invariants(g3, pt3, data):
 
 
 def test_prematch_corrections_are_fewest_hop_paths():
-    # A prematch's weight is its correction's edge count, so that count must
-    # be the table's fewest hops between the pair, and the correction must
-    # flip exactly the pair.  Checked on every prematch of adaptive and
-    # greedy predecodes of a d=11 exact-k corpus.
+    # A prematch's weight is the table's hops between its pair and its
+    # correction is the pair's table path, so that path must have that many
+    # edges and flip exactly the pair.  Checked on every prematch of
+    # adaptive and greedy predecodes of a d=11 exact-k corpus.
     graph = build_decoding_graph(11, 11, 1e-4)
     table = build_path_table(graph)
     cfg = PredecodeConfig(main_hw_cap=6)  # deeper than the default: more S3 and S4
@@ -593,8 +599,9 @@ def test_prematch_corrections_are_fewest_hop_paths():
             for res in (adaptive_predecode(graph, table, syn, cfg),
                         greedy_baseline(graph, syn, cfg)):
                 for pm in res.prematches:
-                    assert len(pm.correction_edges) == table.hops[pm.a, pm.b]
-                    flips = syndrome_from_errors(graph, ErrorSet(frozenset(pm.correction_edges)))
+                    path = reconstruct_path(table, pm.a, pm.b)
+                    assert len(path) == table.hops[pm.a, pm.b]
+                    flips = syndrome_from_errors(graph, ErrorSet(frozenset(path)))
                     assert flips.flipped == {pm.a, pm.b}
                     checked[pm.step] += 1
     assert checked[Step.S3] > 20 and checked[Step.GREEDY] > 1000, checked
@@ -630,7 +637,7 @@ def test_adaptive_pinned_behaviour(g7, pt7):
                 if syn.hamming_weight <= 10:
                     continue
                 res = adaptive_predecode(g7, pt7, syn, cfg, record_trace=True)
-                digest.update(predecode_result_to_json(res, g7.p).encode())
+                digest.update(predecode_result_to_json(res, pt7).encode())
                 digest.update(f"{res.rounds_executed}".encode())
                 for e in res.trace:
                     digest.update(f"|{e.step.value},{e.singletons_before},"
@@ -639,3 +646,39 @@ def test_adaptive_pinned_behaviour(g7, pt7):
     assert decoded == 2 * 1097
     assert digest.hexdigest() == (
         "a1819bddebc39e6c64f1a78a4542e40741c892914cc307e648f09ffc7f057774")
+
+
+def test_prematch_is_a_pair():
+    # the path table is the one source of a prematch's path and weight
+    assert [f.name for f in fields(Prematch)] == ["a", "b", "step"]
+    assert not hasattr(predecoder, "reconstruct_path")
+
+
+def test_prematch_paths_on_the_pinned_corpus(g7, pt7):
+    # A prematch is a pair, and its path comes from the table.  Over the
+    # corpus of test_adaptive_pinned_behaviour, adaptive and greedy: an
+    # edge step's path is the one graph edge joining its two flipped
+    # detectors, which was the subgraph edge it matched, and an S3 path
+    # has the table's fewest hops.
+    # no two edges join the same two detectors (only the boundary has several)
+    inner = [(e.u, e.v) for e in g7.edges if e.v != g7.n_detectors]
+    assert len(set(inner)) == len(inner)
+    checked = Counter()
+    for cfg in (PredecodeConfig(), PredecodeConfig(main_hw_cap=6)):
+        for k in range(6, 21):
+            for i in range(80):
+                syn = syndrome_from_errors(g7, inject_k_errors(g7, k, trial_seed(7007, k, i)))
+                if syn.hamming_weight <= 10:
+                    continue
+                for res in (adaptive_predecode(g7, pt7, syn, cfg),
+                            greedy_baseline(g7, syn, cfg)):
+                    for pm in res.prematches:
+                        path = reconstruct_path(pt7, pm.a, pm.b)
+                        assert {pm.a, pm.b} <= syn.flipped
+                        if pm.step is Step.S3:
+                            assert len(path) == pt7.hops[pm.a, pm.b]
+                        else:
+                            assert path == [edge_between(g7, pm.a, pm.b).id]
+                        checked[pm.step] += 1
+    assert checked[Step.S3] > 0 and checked[Step.S1] > 1000, checked
+    assert checked[Step.GREEDY] > 1000, checked
